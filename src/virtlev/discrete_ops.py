@@ -18,6 +18,7 @@ from .errors import (
     DiscretizationFailure,
     OutsideResolventSet,
 )
+from .weighted_space import decay_band, first_order_recursion
 
 #: default truncation length and the tail band absorbing truncation effects
 DEFAULT_LENGTH = 512
@@ -67,13 +68,9 @@ class SeqVector:
 
 
 def _geometric_sum(x: np.ndarray, zinv: complex) -> np.ndarray:
-    """y_i = -sum_{k>=0} z^{-(k+1)} x_{i+k} via the stable backward recursion."""
-    y = np.zeros_like(x)
-    acc = 0.0 + 0.0j
-    for i in range(x.size - 1, -1, -1):
-        acc = zinv * (x[i] + acc)
-        y[i] = -acc
-    return y
+    """y_i = -sum_{k>=0} z^{-(k+1)} x_{i+k} via the stable backward recursion
+    c_i = z^{-1} c_{i+1} + x_i, y = -z^{-1} c."""
+    return -(zinv * first_order_recursion(decay_band(zinv, x.size), x, backward=True))
 
 
 def shift_resolvent_apply(x: SeqVector, z: complex) -> SeqVector:

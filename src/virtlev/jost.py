@@ -25,7 +25,7 @@ from .errors import (
     VirtualLevelError,
 )
 from .reports import Classification, ThresholdReport
-from .weighted_space import Grid1D, KernelOperator
+from .weighted_space import Grid1D, SemiseparableKernel
 
 
 @dataclass(frozen=True)
@@ -228,24 +228,21 @@ def jost_pair(pot: Potential1D, z=0.0) -> JostPair:
     return JostPair(tp, tm, complex(z), w0, dev, pot.grid)
 
 
-def green_kernel(pair: JostPair, w_tol: float = 1e-8) -> KernelOperator:
-    """Two-sided Green kernel theta-(min) theta+(max) / W on the grid.
+def green_kernel(pair: JostPair, w_tol: float = 1e-8) -> SemiseparableKernel:
+    """Two-sided Green kernel theta-(x_<) theta+(x_>) / W on the grid.
 
-    Requires |W| above w_tol * (1 + sup|theta+| sup|theta-|): at a virtual
-    level the Wronskian vanishes and no such kernel exists.
+    Returned as an O(n) semiseparable operator with left = theta- / W,
+    right = theta+ and decay 1; `.entries` builds the n^2 matrix only on
+    request.  Requires |W| above w_tol * (1 + sup|theta+| sup|theta-|): at a
+    virtual level the Wronskian vanishes and no such kernel exists.
     """
     scale = 1.0 + float(np.max(np.abs(pair.theta_plus)) * np.max(np.abs(pair.theta_minus)))
     if abs(pair.wronskian) <= w_tol * scale:
         raise VirtualLevelError(
             "Wronskian is zero: the Jost solutions are linearly dependent"
         )
-    tp = pair.theta_plus
-    tm = pair.theta_minus
-    idx = np.arange(tp.size)
-    lo = np.minimum.outer(idx, idx)
-    hi = np.maximum.outer(idx, idx)
-    entries = tm[lo] * tp[hi] / pair.wronskian
-    return KernelOperator(pair.grid, pair.grid, entries)
+    return SemiseparableKernel(pair.grid, pair.theta_minus / pair.wronskian,
+                               pair.theta_plus, 1.0)
 
 
 def classify_threshold_1d(pot: Potential1D, tol: float = 1e-6) -> ThresholdReport:

@@ -25,14 +25,9 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.signal import lfilter
 
 from .errors import ConfigError, FitError, NearSpectrum
-from .free_resolvent import (
-    SpectralParameter,
-    build_free_kernel_operator,
-    radial_reduced_kernel_2d,
-)
+from .free_resolvent import radial_reduced_kernel_2d
 from .jost import Potential1D
 from .reports import Classification, ThresholdReport
 from .weighted_space import (
@@ -41,6 +36,7 @@ from .weighted_space import (
     IndexGrid,
     KernelOperator,
     RadialGrid,
+    SemiseparableKernel,
     _power_iteration_norm,
     weight,
 )
@@ -290,83 +286,14 @@ def apply_shifted_operator(op: OperatorSpec, z: complex, u: np.ndarray) -> np.nd
 
 
 class _DenseEngine:
-    def __init__(self, entries: np.ndarray, grid):
+    def __init__(self, entries: np.ndarray):
         self.entries = entries
-        self.grid = grid
-        self.n = entries.shape[0]
-        self.dtype = entries.dtype
 
-    def kernel_apply(self, g):
+    def matvec(self, g):
         return self.entries @ g
 
-    def kernel_rapply(self, g):
+    def rmatvec(self, g):
         return self.entries.conj().T @ g
-
-    def dense_entries(self):
-        return self.entries
-
-
-class _Conv1DEngine:
-    """Free 1D resolvent as an O(n) two-sided exponential recursion."""
-
-    def __init__(self, grid: Grid1D, z: complex):
-        self.grid = grid
-        self.n = grid.n_points
-        w = np.sqrt(complex(-z))
-        self.w = w
-        self.decay = np.exp(-w * grid.spacing)
-        self.dtype = np.dtype(complex)
-
-    def _convolve(self, g):
-        d = self.decay
-        left = lfilter([1.0], [1.0, -d], g)
-        right = lfilter([1.0], [1.0, -d], g[::-1])[::-1]
-        return (left + right - g) / (2.0 * self.w)
-
-    def kernel_apply(self, g):
-        return self._convolve(g.astype(complex))
-
-    def kernel_rapply(self, g):
-        return np.conj(self._convolve(np.conj(g.astype(complex))))
-
-    def dense_entries(self):
-        x = self.grid.points
-        return np.exp(-np.abs(x[:, None] - x[None, :]) * self.w) / (2.0 * self.w)
-
-
-class _Radial3DEngine:
-    """Free radial (s-wave) 3D resolvent as an O(n) recursion."""
-
-    def __init__(self, grid: RadialGrid, z: complex):
-        self.grid = grid
-        self.n = grid.n_points
-        w = np.sqrt(complex(-z))
-        self.w = w
-        self.decay = np.exp(-w * grid.spacing)
-        r = grid.points
-        self.s = (1.0 - np.exp(-2.0 * w * r)) / 2.0  # sinh(wr) e^{-wr}
-        self.dtype = np.dtype(complex)
-
-    def _apply(self, g):
-        d = self.decay
-        a = lfilter([1.0], [1.0, -d], self.s * g)
-        c = lfilter([1.0], [1.0, -d], g[::-1])[::-1]
-        b = np.zeros_like(c)
-        b[:-1] = d * c[1:]
-        return (a + self.s * b) / self.w
-
-    def kernel_apply(self, g):
-        return self._apply(g.astype(complex))
-
-    def kernel_rapply(self, g):
-        return np.conj(self._apply(np.conj(g.astype(complex))))
-
-    def dense_entries(self):
-        p = SpectralParameter.interior(self._z_back())
-        return build_free_kernel_operator(3, self.grid, p).entries
-
-    def _z_back(self):
-        return -self.w * self.w
 
 
 class _SolverEngine:
@@ -374,10 +301,8 @@ class _SolverEngine:
 
     def __init__(self, op: OperatorSpec, z: complex):
         t = discrete_hamiltonian(op, z)
-        self.grid = op.grid
         self.h = op.grid.spacing if op.is_differential else 1.0
         self.n = t.shape[0]
-        self.dtype = np.dtype(complex)
         norm_t = spla.norm(t, 1)
         try:
             self.lu = spla.splu(t)
@@ -408,13 +333,14 @@ class _SolverEngine:
             v /= nv
         return est
 
-    def kernel_apply(self, g):
+    def matvec(self, g):
         return self.lu.solve(g.astype(complex)) / self.h
 
-    def kernel_rapply(self, g):
+    def rmatvec(self, g):
         return self.lu.solve(g.astype(complex), trans="H") / self.h
 
-    def dense_entries(self):
+    @property
+    def entries(self):
         return self.lu.solve(np.eye(self.n, dtype=complex)) / self.h
 
 
@@ -425,10 +351,8 @@ class _RankOneEngine:
     def __init__(self, op: OperatorSpec, z: complex):
         base = OperatorSpec.free1d(op.grid)
         self.base = _SolverEngine(base, z)
-        self.grid = op.grid
         self.n = self.base.n
         self.h = op.grid.spacing
-        self.dtype = np.dtype(complex)
         self.u = _indicator_vector(op.grid).astype(complex)
         self.tu = self.base.lu.solve(self.u)
         self.tu_h = self.base.lu.solve(np.conj(self.u), trans="H")
@@ -437,50 +361,61 @@ class _RankOneEngine:
         if abs(self.denom) < 1e-14 * scale:
             raise NearSpectrum("rank-one update is singular at this z")
 
-    def kernel_apply(self, g):
+    def matvec(self, g):
         y = self.base.lu.solve(g.astype(complex))
         y = y - self.tu * (self.h * np.dot(self.u, y) / self.denom)
         return y / self.h
 
-    def kernel_rapply(self, g):
+    def rmatvec(self, g):
         y = self.base.lu.solve(g.astype(complex), trans="H")
         y = y - self.tu_h * (self.h * np.dot(np.conj(self.u), y) / np.conj(self.denom))
         return y / self.h
 
-    def dense_entries(self):
+    @property
+    def entries(self):
         tinv = self.base.lu.solve(np.eye(self.n, dtype=complex))
         correction = np.outer(self.tu, (self.u @ tinv)) * (self.h / self.denom)
         return (tinv - correction) / self.h
 
 
 def _make_engine(op: OperatorSpec, z: complex):
+    """Resolvent kernel of op at z: matvec, rmatvec (K^H) and dense entries.
+
+    The free 1D kernel exp(-w|x-y|) / (2w) and the free radial 3D kernel
+    sinh(w r_<) exp(-w r_>) / w, w = sqrt(-z), are semiseparable with decay
+    exp(-w h) and are applied in O(n).
+    """
     op.check_resolution(z)
     kind = op.kind
-    if kind is OperatorKind.FREE_1D:
-        return _Conv1DEngine(op.grid, z)
-    if kind is OperatorKind.FREE_3D_RADIAL:
-        return _Radial3DEngine(op.grid, z)
+    if kind in (OperatorKind.FREE_1D, OperatorKind.FREE_3D_RADIAL):
+        grid = op.grid
+        w = np.sqrt(complex(-z))
+        if kind is OperatorKind.FREE_1D:
+            left = np.full(grid.n_points, 1.0 / (2.0 * w))
+        else:
+            left = -np.expm1(-2.0 * w * grid.points) / (2.0 * w)
+        return SemiseparableKernel(grid, left, np.ones(grid.n_points),
+                                   np.exp(-w * grid.spacing))
     if kind is OperatorKind.RANK_ONE_PERTURBED_1D:
         return _RankOneEngine(op, z)
     if kind is OperatorKind.FREE_2D_RADIAL:
         w = np.sqrt(complex(-z))
         r = op.grid.points
         entries = radial_reduced_kernel_2d(r[:, None], r[None, :], w)
-        return _DenseEngine(entries, op.grid)
+        return _DenseEngine(entries)
     if kind is OperatorKind.MATRIX:
         m = op.matrix
         zi = np.linalg.cond(m - z * np.eye(m.shape[0]))
         if zi > _COND_LIMIT:
             raise NearSpectrum(f"matrix condition {zi:.3g} exceeds {_COND_LIMIT:.0e}")
-        return _DenseEngine(np.linalg.inv(m - z * np.eye(m.shape[0])), op.grid)
+        return _DenseEngine(np.linalg.inv(m - z * np.eye(m.shape[0])))
     return _SolverEngine(op, z)
 
 
 def resolvent_matrix(op: OperatorSpec, z: complex) -> KernelOperator:
     """Dense kernel operator of (H - z)^{-1} at an admissible z."""
     engine = _make_engine(op, complex(z))
-    entries = engine.dense_entries()
-    return KernelOperator(op.grid, op.grid, np.asarray(entries))
+    return KernelOperator(op.grid, op.grid, engine.entries)
 
 
 def _weighted_norm_via_engine(engine, grid, s: float, sp_: float,
@@ -491,12 +426,12 @@ def _weighted_norm_via_engine(engine, grid, s: float, sp_: float,
     scale = grid.spacing
 
     def mv(v):
-        return scale * w_out * engine.kernel_apply(w_in * v)
+        return scale * w_out * engine.matvec(w_in * v)
 
     def rmv(u):
-        return scale * w_in * engine.kernel_rapply(w_out * u)
+        return scale * w_in * engine.rmatvec(w_out * u)
 
-    return _power_iteration_norm(mv, rmv, engine.n, complex, tol=tol, v0=v0,
+    return _power_iteration_norm(mv, rmv, grid.n_points, complex, tol=tol, v0=v0,
                                  return_vectors=True)
 
 
@@ -515,7 +450,7 @@ def sweep(op: OperatorSpec, cfg: SweepConfig, workers: int = 1) -> SweepResult:
         z = cfg.point(radius)
         engine = _make_engine(op, z)
         if cfg.flavor == "l1_linf":
-            return float(np.max(np.abs(engine.dense_entries())))
+            return float(np.max(np.abs(engine.entries)))
         sigma, _, _ = _weighted_norm_via_engine(engine, op.grid, cfg.s, cfg.sp)
         return sigma
 
@@ -538,7 +473,7 @@ def sweep(op: OperatorSpec, cfg: SweepConfig, workers: int = 1) -> SweepResult:
         try:
             engine = _make_engine(op, z)
             if cfg.flavor == "l1_linf":
-                points.append(SweepPoint(r, z, float(np.max(np.abs(engine.dense_entries())))))
+                points.append(SweepPoint(r, z, float(np.max(np.abs(engine.entries)))))
                 continue
             sigma, v0, _ = _weighted_norm_via_engine(engine, op.grid, cfg.s, cfg.sp, v0=v0)
             points.append(SweepPoint(r, z, sigma))

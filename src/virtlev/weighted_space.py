@@ -1,6 +1,7 @@
 """Grids, polynomial weights, weighted L2 norms and operator-norm estimation.
 
-All operators are dense kernel matrices sampled on uniform grids; integrals
+Operators are kernel matrices sampled on uniform grids: dense, or
+semiseparable and applied in O(n) without ever forming the matrix.  Integrals
 use the uniform-weight rule (trapezoid up to an O(h) endpoint term that is
 negligible for the decaying integrands this package works with).  Operator
 norms between weighted L2 spaces reduce to the largest singular value of a
@@ -14,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import toeplitz
+from scipy.linalg.blas import ztbsv
 
 from .errors import DimensionMismatch, InvalidOperator
 
@@ -147,6 +150,117 @@ class KernelOperator:
         if f.shape[0] != self.grid_in.n_points:
             raise DimensionMismatch("vector length does not match grid_in")
         return self.quadrature_weight * (self.entries @ f)
+
+
+def decay_band(decay: complex, n: int) -> np.ndarray:
+    """Lower band storage of the unit bidiagonal matrix with subdiagonal -decay.
+
+    Solving with it runs the recursion y_i = decay * y_{i-1} + x_i; solving
+    with its transpose runs y_i = decay * y_{i+1} + x_i.
+    """
+    band = np.ones((2, n), dtype=complex)
+    band[1] = -decay
+    return band
+
+
+def first_order_recursion(band: np.ndarray, x, backward: bool = False,
+                          overwrite: bool = False) -> np.ndarray:
+    """y_i = d y_{i-1} + x_i (or d y_{i+1} + x_i backward) in one BLAS ztbsv.
+
+    `band` comes from decay_band(d, n).  A complex x is solved in place when
+    `overwrite` is set and copied otherwise.
+    """
+    return ztbsv(1, band, np.asarray(x, dtype=complex), lower=1,
+                 trans=int(backward), diag=1, overwrite_x=int(overwrite))
+
+
+@dataclass(frozen=True)
+class SemiseparableKernel:
+    """Kernel K_ij = left_min(i,j) right_max(i,j) decay^|i-j|, applied in O(n).
+
+    Same surface as KernelOperator (grid_in, grid_out, quadrature_weight,
+    apply, entries), but K is never stored: K f splits into the forward sum
+    right_i sum_{j<=i} decay^(i-j) left_j f_j and the strictly upper sum
+    left_i sum_{j>i} decay^(j-i) right_j f_j, two first-order recursions
+    (Vandebril, Van Barel & Mastronardi, Matrix Computations and
+    Semiseparable Matrices, 2008).  K is complex symmetric, so its
+    conjugate transpose acts as conj(K conj(f)).  |decay| <= 1 keeps both
+    recursions stable.  The dense matrix is built only when a caller reads
+    `entries`.
+    """
+
+    grid: object
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
+    decay: complex = 1.0
+
+    def __post_init__(self):
+        left = np.asarray(self.left, dtype=complex)
+        right = np.asarray(self.right, dtype=complex)
+        decay = complex(self.decay)
+        n = self.grid.n_points
+        if left.shape != (n,) or right.shape != (n,):
+            raise DimensionMismatch(
+                f"generator shapes {left.shape}, {right.shape} do not match grid ({n},)"
+            )
+        # one rounding of |exp(-w h)| with Re w >= 0 may exceed 1 by an ulp
+        if not abs(decay) <= 1.0 + 1e-12:
+            raise InvalidOperator(f"|decay| = {abs(decay):.6g} exceeds 1")
+        # every entry is bounded by max|left| max|right| because |decay| <= 1
+        bound = float(np.max(np.abs(left))) * float(np.max(np.abs(right)))
+        if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))
+                and np.isfinite(bound)):
+            raise InvalidOperator("kernel generators must be finite")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "decay", decay)
+        object.__setattr__(self, "_band", decay_band(decay, n))
+        object.__setattr__(self, "_decayed_right", decay * right)
+
+    @property
+    def grid_in(self):
+        return self.grid
+
+    @property
+    def grid_out(self):
+        return self.grid
+
+    @property
+    def quadrature_weight(self) -> float:
+        return self.grid.spacing
+
+    def matvec(self, f: np.ndarray) -> np.ndarray:
+        """K f without the quadrature weight."""
+        f = np.asarray(f)
+        below = first_order_recursion(self._band, self.left * f, overwrite=True)
+        # above_i = sum_{j>i} decay^(j-i-1) (decay right_j f_j): shift by one
+        above = np.zeros(f.shape, dtype=complex)
+        np.multiply(self._decayed_right[1:], f[1:], out=above[:-1])
+        above = first_order_recursion(self._band, above, backward=True, overwrite=True)
+        below *= self.right
+        above *= self.left
+        below += above
+        return below
+
+    def rmatvec(self, f: np.ndarray) -> np.ndarray:
+        """K^H f without the quadrature weight."""
+        return np.conj(self.matvec(np.conj(f)))
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """Discretized integral operator: (Kf)(x_i) = h * sum_j K_ij f_j."""
+        f = np.asarray(f)
+        if f.shape[0] != self.grid.n_points:
+            raise DimensionMismatch("vector length does not match grid_in")
+        return self.quadrature_weight * self.matvec(f)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n x n kernel matrix, built on every access."""
+        n = self.grid.n_points
+        powers = self.decay ** np.arange(n)
+        upper = np.outer(self.left, self.right)
+        upper *= toeplitz(powers, powers)
+        return np.where(np.tri(n, k=-1, dtype=bool), upper.T, upper)
 
 
 def _svd_norm(m: np.ndarray) -> float:

@@ -25,7 +25,7 @@ def results():
         reason="stated tolerances contradict the |z|^0.1 approach of the 3D "
                "weighted norm to its threshold limit at s = s' = 1.1; the "
                "criterion runs verbatim and reports the measured 66.7% "
-               "variation (see notes/decisions ledger)")),
+               "variation (see the virtlev.acceptance.criterion_2 docstring)")),
     3, 4, 5, 6, 7, 8, 9, 10,
 ])
 def test_criterion(results, number):
