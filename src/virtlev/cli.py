@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -228,7 +227,7 @@ def _cmd_sweep(args) -> int:
     defaults = {"op": "free1d", "potential": None, "z0": "0", "ray": "pi",
                 "r0": 1e-2, "ratio": 10.0 ** -0.5, "count": 9, "s": 2.0,
                 "sp": None, "flavor": "weighted_l2", "R": None, "n": None,
-                "classify": True, "out": None, "threads": None}
+                "classify": True, "out": None}
     cfg = _resolve(args, defaults)
     op_name = cfg["op"]
     if op_name not in _SWEEP_DEFAULTS:
@@ -259,12 +258,11 @@ def _cmd_sweep(args) -> int:
                                angle=_parse_angle(str(cfg["ray"])),
                                radii=radii, s=float(cfg["s"]), sp=sp_,
                                flavor=cfg["flavor"])
-    workers = int(cfg["threads"]) if cfg["threads"] is not None else _env_threads()
-    result = ls.sweep(op, sweep_cfg, workers=workers)
-    echo = dict(cfg, sp=sp_, threads=workers, R=radius, n=npts)
+    result = ls.sweep(op, sweep_cfg)
+    echo = dict(cfg, sp=sp_, R=radius, n=npts)
     _write_output(_echo_header(echo) + ls.sweep_csv(result), cfg["out"])
     if cfg["classify"]:
-        report = ls.classify(op, sweep_cfg, workers=workers)
+        report = ls.classify(op, sweep_cfg)
         print(report.verdict_line())
     if result.aborted:
         print(f"aborted: {result.aborted}", file=sys.stderr)
@@ -400,13 +398,6 @@ def _cmd_suite(args) -> int:
     return 0 if all_pass else 1
 
 
-def _env_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("VIRTLEV_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="virtlev",
                      description="virtual levels and LAP resolvent estimates, desk scale")
@@ -446,7 +437,6 @@ def build_parser() -> _Parser:
     p.add_argument("--flavor", choices=("weighted_l2", "l1_linf"))
     p.add_argument("--R", type=float)
     p.add_argument("--n", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--no-classify", dest="classify", action="store_false",
                    default=None)
 

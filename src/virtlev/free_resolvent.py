@@ -17,6 +17,11 @@ full space carried over exactly.  The reduced kernels
 are continuous up to the diagonal for r, rho > 0, so no on-diagonal
 regularization is required on a RadialGrid; the pointwise full-space kernels
 do raise on their diagonal.
+
+Both, and the 1D kernel, have the form left(r_<) right(r_>) exp(-w |r - rho|).
+free_semiseparable_kernel holds the only copy of their generators and applies
+them in O(n) on a grid; the 2D generators are scipy's scaled AMOS Bessel
+functions ive/kve, accurate near the positive axis and free of overflow.
 """
 
 from __future__ import annotations
@@ -26,14 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _bessel
 from .errors import (
     BranchAmbiguity,
     OnDiagonalSingularity,
     ThresholdSingularity,
     UnsupportedSpectralPoint,
 )
-from .weighted_space import Grid1D, KernelOperator, RadialGrid
+from .weighted_space import Grid1D, KernelOperator, RadialGrid, SemiseparableKernel
 
 
 class Approach(enum.Enum):
@@ -130,6 +134,8 @@ def kernel_3d(r, p: SpectralParameter):
 
 def kernel_2d(r, p: SpectralParameter):
     """Full 2D kernel K0(r sqrt(-z)) / (2 pi), for z off the closed positive axis."""
+    from scipy import special  # imported here: it adds ~45 ms to `import virtlev.cli`
+
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise OnDiagonalSingularity("the 2D kernel is singular at r = 0")
@@ -139,36 +145,68 @@ def kernel_2d(r, p: SpectralParameter):
             "2D kernel boundary values on the positive axis are not supported"
         )
     w = sqrt_minus_z(p)
-    return _bessel.k0(r * w) / (2.0 * np.pi)
+    return special.kv(0, r * w) / (2.0 * np.pi)
+
+
+def _generators(d: int, r: np.ndarray, w):
+    """left(r), right(r) of the free kernel left(r_<) right(r_>) exp(-w |r - rho|)."""
+    if d == 1:
+        return np.full(r.shape, 1.0 / (2.0 * w)), np.ones(r.shape)
+    if d == 3:
+        if w == 0:
+            return r.astype(complex), np.ones(r.shape)
+        return -np.expm1(-2.0 * w * r) / (2.0 * w), np.ones(r.shape)
+    if d != 2:
+        raise ValueError(f"unsupported dimension d = {d}")
+    from scipy import special  # imported here: it adds ~45 ms to `import virtlev.cli`
+
+    # I0(wa) K0(wb) = ive(wa) kve(wb) exp(Re(w) a - w b) for Re w >= 0, a <= b
+    t = w * r
+    root = np.sqrt(r)
+    return (root * special.ive(0, t) * np.exp(-1j * w.imag * r),
+            root * special.kve(0, t))
+
+
+def free_semiseparable_kernel(d: int, grid, w) -> SemiseparableKernel:
+    """Free resolvent kernel of dimension d on the grid, applied in O(n).
+
+    w = sqrt(-z).  d = 1 takes a Grid1D and gives exp(-w|x-y|) / (2w); d = 2, 3
+    take a RadialGrid and give the reduced s-wave kernels.  Every kernel is
+    left(r_<) right(r_>) exp(-w h)^|i-j|: d = 1 has left = 1/(2w); d = 3 has
+    left = -expm1(-2wr)/(2w) = sinh(wr) exp(-wr)/w (r at w = 0); d = 2 has
+    left = sqrt(r) ive(0, wr) exp(-i Im(w) r) and right = sqrt(r) kve(0, wr),
+    the exponentially scaled AMOS Bessel functions (Amos, ACM TOMS 644, 1986),
+    so no generator overflows; right = 1 otherwise.
+    """
+    left, right = _generators(d, grid.points, w)
+    return SemiseparableKernel(grid, left, right, np.exp(-w * grid.spacing))
+
+
+def _reduced_kernel(d: int, r, rho, w):
+    r = np.asarray(r, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    w = complex(w)
+    left_r, right_r = _generators(d, r, w)
+    left_rho, right_rho = _generators(d, rho, w)
+    near = np.where(r <= rho, left_r * right_rho, left_rho * right_r)
+    return near * np.exp(-w * np.abs(r - rho))
 
 
 def radial_reduced_kernel_3d(r, rho, w):
     """s-wave reduced 3D kernel sinh(w r_<) exp(-w r_>) / w on u = r f.
 
-    Evaluated in the overflow-free form exp(-w(r_> - r_<)) g(2 w r_<) r_<
-    with g(u) = (1 - exp(-u)) / u; at w = 0 this is exactly r_<.
+    Evaluated in the overflow-free form -expm1(-2 w r_<) exp(-w(r_> - r_<)) / (2w);
+    at w = 0 this is exactly r_<.
     """
-    r = np.asarray(r, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    lo = np.minimum(r, rho)
-    gap = np.abs(r - rho)
-    w = complex(w)
-    if w == 0:
-        return lo.astype(complex)
-    u = 2.0 * w * lo
-    small = np.abs(u) < 1e-4
-    us = np.where(small, u, 1.0)
-    g = np.where(small, 1.0 - us / 2.0 + us * us / 6.0, (1.0 - np.exp(-u)) / np.where(small, 1.0, u))
-    return np.exp(-w * gap) * g * lo
+    return _reduced_kernel(3, r, rho, w)
 
 
 def radial_reduced_kernel_2d(r, rho, w):
-    """s-wave reduced 2D kernel sqrt(r rho) I0(w r_<) K0(w r_>)."""
-    r = np.asarray(r, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    lo = np.minimum(r, rho)
-    hi = np.maximum(r, rho)
-    return np.sqrt(r * rho) * _bessel.i0(w * lo) * _bessel.k0(w * hi)
+    """s-wave reduced 2D kernel sqrt(r rho) I0(w r_<) K0(w r_>), Re w >= 0.
+
+    Bessel functions are evaluated once per r and once per rho, not per pair.
+    """
+    return _reduced_kernel(2, r, rho, w)
 
 
 def build_free_kernel_operator(d: int, grid, p: SpectralParameter) -> KernelOperator:
@@ -178,31 +216,20 @@ def build_free_kernel_operator(d: int, grid, p: SpectralParameter) -> KernelOper
     s-wave kernels, whose weighted operator norms approximate the spherically
     symmetric part of the full-space resolvent.
     """
+    z = complex(p.z)
     if d == 1:
         if not isinstance(grid, Grid1D):
             raise TypeError("d = 1 requires a Grid1D")
-        if complex(p.z) == 0:
+        if z == 0:
             raise ThresholdSingularity("the 1D free kernel has no limit at z = 0")
-        w = sqrt_minus_z(p)
-        x = grid.points
-        entries = np.exp(-np.abs(x[:, None] - x[None, :]) * w) / (2.0 * w)
-    elif d == 3:
+    elif d in (2, 3):
         if not isinstance(grid, RadialGrid):
-            raise TypeError("d = 3 requires a RadialGrid")
-        w = sqrt_minus_z(p)
-        r = grid.points
-        entries = radial_reduced_kernel_3d(r[:, None], r[None, :], w)
-    elif d == 2:
-        if not isinstance(grid, RadialGrid):
-            raise TypeError("d = 2 requires a RadialGrid")
-        z = complex(p.z)
-        if z.imag == 0.0 and z.real >= 0.0:
+            raise TypeError(f"d = {d} requires a RadialGrid")
+        if d == 2 and z.imag == 0.0 and z.real >= 0.0:
             raise UnsupportedSpectralPoint("2D kernel requires z off the closed positive axis")
-        w = sqrt_minus_z(p)
-        r = grid.points
-        entries = radial_reduced_kernel_2d(r[:, None], r[None, :], w)
     else:
         raise ValueError(f"unsupported dimension d = {d}")
+    entries = free_semiseparable_kernel(d, grid, sqrt_minus_z(p)).entries
     if np.all(np.abs(entries.imag) == 0.0):
         entries = entries.real
     return KernelOperator(grid, grid, entries)

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, FitError, NearSpectrum
-from .free_resolvent import radial_reduced_kernel_2d
+from .free_resolvent import free_semiseparable_kernel
 from .jost import Potential1D
 from .reports import Classification, ThresholdReport
 from .weighted_space import (
@@ -36,7 +36,6 @@ from .weighted_space import (
     IndexGrid,
     KernelOperator,
     RadialGrid,
-    SemiseparableKernel,
     _power_iteration_norm,
     weight,
 )
@@ -378,31 +377,24 @@ class _RankOneEngine:
         return (tinv - correction) / self.h
 
 
+_FREE_DIMENSION = {OperatorKind.FREE_1D: 1, OperatorKind.FREE_2D_RADIAL: 2,
+                   OperatorKind.FREE_3D_RADIAL: 3}
+
+
 def _make_engine(op: OperatorSpec, z: complex):
     """Resolvent kernel of op at z: matvec, rmatvec (K^H) and dense entries.
 
-    The free 1D kernel exp(-w|x-y|) / (2w) and the free radial 3D kernel
-    sinh(w r_<) exp(-w r_>) / w, w = sqrt(-z), are semiseparable with decay
-    exp(-w h) and are applied in O(n).
+    The free kernels (1D, radial 2D and radial 3D) are the semiseparable
+    operators of free_resolvent.free_semiseparable_kernel, applied in O(n);
+    the 2D generators are scaled AMOS Bessel functions.
     """
     op.check_resolution(z)
     kind = op.kind
-    if kind in (OperatorKind.FREE_1D, OperatorKind.FREE_3D_RADIAL):
-        grid = op.grid
-        w = np.sqrt(complex(-z))
-        if kind is OperatorKind.FREE_1D:
-            left = np.full(grid.n_points, 1.0 / (2.0 * w))
-        else:
-            left = -np.expm1(-2.0 * w * grid.points) / (2.0 * w)
-        return SemiseparableKernel(grid, left, np.ones(grid.n_points),
-                                   np.exp(-w * grid.spacing))
+    if kind in _FREE_DIMENSION:
+        return free_semiseparable_kernel(_FREE_DIMENSION[kind], op.grid,
+                                         np.sqrt(complex(-z)))
     if kind is OperatorKind.RANK_ONE_PERTURBED_1D:
         return _RankOneEngine(op, z)
-    if kind is OperatorKind.FREE_2D_RADIAL:
-        w = np.sqrt(complex(-z))
-        r = op.grid.points
-        entries = radial_reduced_kernel_2d(r[:, None], r[None, :], w)
-        return _DenseEngine(entries)
     if kind is OperatorKind.MATRIX:
         m = op.matrix
         zi = np.linalg.cond(m - z * np.eye(m.shape[0]))
@@ -435,38 +427,15 @@ def _weighted_norm_via_engine(engine, grid, s: float, sp_: float,
                                  return_vectors=True)
 
 
-def sweep(op: OperatorSpec, cfg: SweepConfig, workers: int = 1) -> SweepResult:
+def sweep(op: OperatorSpec, cfg: SweepConfig) -> SweepResult:
     """Resolvent norms at z = z0 + r exp(i angle), largest radius first.
 
-    Sweep points are independent; with workers > 1 they are evaluated by a
-    thread pool (the linear algebra releases the GIL), otherwise sequentially
-    with a warm-started power iteration.  A near-spectrum failure aborts the
-    sweep and returns the radii already computed.
+    Points are evaluated in order, each power iteration warm-started from the
+    previous singular vector.  A near-spectrum failure aborts the sweep and
+    returns the radii already computed.
     """
     points: list[SweepPoint] = []
     aborted = None
-
-    def norm_at(radius: float) -> float:
-        z = cfg.point(radius)
-        engine = _make_engine(op, z)
-        if cfg.flavor == "l1_linf":
-            return float(np.max(np.abs(engine.entries)))
-        sigma, _, _ = _weighted_norm_via_engine(engine, op.grid, cfg.s, cfg.sp)
-        return sigma
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {r: pool.submit(norm_at, r) for r in cfg.radii}
-        for r in cfg.radii:
-            try:
-                points.append(SweepPoint(r, cfg.point(r), futures[r].result()))
-            except NearSpectrum as exc:
-                aborted = str(exc)
-                break
-        return SweepResult(points, cfg, aborted)
-
     v0 = None
     for r in cfg.radii:
         z = cfg.point(r)
@@ -552,8 +521,7 @@ def _extract_state(op: OperatorSpec, cfg: SweepConfig, state_tol: float):
 
 
 def classify(op: OperatorSpec, cfg: SweepConfig, tol_alpha: float = 0.1,
-             refine: bool = True, state_tol: float = 0.02,
-             workers: int = 1) -> ThresholdReport:
+             refine: bool = True, state_tol: float = 0.02) -> ThresholdReport:
     """Regular/Virtual/Inconclusive verdict for the threshold cfg.z0.
 
     Power-law exponent above tol_alpha (with a credible fit) is Virtual;
@@ -561,12 +529,12 @@ def classify(op: OperatorSpec, cfg: SweepConfig, tol_alpha: float = 0.1,
     The verdict must survive one grid refinement (h -> h/2), otherwise the
     report is Inconclusive.
     """
-    result = sweep(op, cfg, workers=workers)
+    result = sweep(op, cfg)
     report = _classify_from_sweep(result, tol_alpha)
     report.diagnostics["aborted"] = result.aborted
     if refine and op.is_differential:
         fine = classify(op.refined(), cfg, tol_alpha, refine=False,
-                        state_tol=state_tol, workers=workers)
+                        state_tol=state_tol)
         report.diagnostics["refined_classification"] = fine.classification.value
         if fine.classification is not report.classification:
             return ThresholdReport(

@@ -343,6 +343,4 @@ def operator_norm_weighted(op: KernelOperator, s_in: float, s_out: float,
 
 def l1_to_linf_norm(op: KernelOperator) -> float:
     """Exact L1 -> Linf operator norm of a kernel operator: sup |K(x, y)|."""
-    if op.entries.size == 0:
-        return 0.0
     return float(np.max(np.abs(op.entries)))

@@ -158,16 +158,6 @@ def test_suite_single_criterion(capsys, tmp_path):
     assert (tmp_path / "bifurcation.csv").exists()
 
 
-def test_threads_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("VIRTLEV_THREADS", "2")
-    code, out, _ = run_cli(["sweep", "--op", "free1d", "--z0", "0",
-                            "--ray", "pi", "--s", "2", "--sp", "2",
-                            "--count", "7", "--no-classify"], capsys)
-    assert code == 0
-    body = [ln for ln in out.splitlines() if not ln.startswith("#")]
-    assert body[0] == "radius,norm,z_re,z_im"
-
-
 def test_bool_config_coercion(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("classify = false\ncount = 7\n")

@@ -163,7 +163,7 @@ class TestReducedRadialKernels:
         assert radial_reduced_kernel_3d(3.0, 2.0, 0.0) == pytest.approx(2.0)
 
     def test_3d_small_argument_branch_is_smooth(self):
-        # the series/direct switch at |2 w r_<| = 1e-4 must be seamless
+        # expm1 keeps the kernel accurate on both sides of |2 w r_<| = 1e-4
         for u in (0.99e-4, 1.01e-4):
             w = u / 2.0
             a = complex(radial_reduced_kernel_3d(1.0, 2.0, w))

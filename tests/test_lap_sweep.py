@@ -190,13 +190,6 @@ class TestSweep:
         assert res.aborted is not None
         assert 0 < len(res.points) < len(radii)
 
-    def test_workers_match_sequential(self):
-        cfg = SweepConfig(z0=0.0, angle=np.pi, radii=SUITE_RADII, s=2.0, sp=2.0)
-        op = OperatorSpec.free1d(Grid1D(20.0, 4001))
-        seq = sweep(op, cfg, workers=1).norms()
-        par = sweep(op, cfg, workers=4).norms()
-        assert np.allclose(seq, par, rtol=1e-9)
-
 
 class TestClassify:
     def test_free1d_virtual_power(self):

@@ -1,4 +1,4 @@
-"""O(n) semiseparable kernels: free 1D / radial 3D resolvents and Jost Green kernels."""
+"""O(n) semiseparable kernels: free 1D / radial 2D / radial 3D resolvents and Jost Green kernels."""
 
 import subprocess
 import sys
@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from virtlev.errors import DimensionMismatch, InvalidOperator
-from virtlev.free_resolvent import SpectralParameter, build_free_kernel_operator
+from virtlev.free_resolvent import (
+    SpectralParameter,
+    kernel_1d,
+    radial_reduced_kernel_2d,
+    radial_reduced_kernel_3d,
+)
 from virtlev.jost import Potential1D, classify_threshold_1d, green_kernel, jost_pair
 from virtlev.lap_sweep import OperatorSpec, _make_engine
 from virtlev.reports import Classification
@@ -31,6 +36,7 @@ POINTS = (-1e-4, -1e-3 + 1e-3j, 1.0 + 1e-4j)
 
 def kernels(z):
     yield "free1d", _make_engine(OperatorSpec.free1d(GRID), z)
+    yield "free2d", _make_engine(OperatorSpec.free2d_radial(RADIAL), z)
     yield "free3d", _make_engine(OperatorSpec.free3d_radial(RADIAL), z)
     pot = Potential1D.bump(GRID, amplitude=1.0)
     yield "jost", green_kernel(jost_pair(pot, z))
@@ -55,9 +61,13 @@ def test_apply_matches_dense_entries(z):
 @pytest.mark.parametrize("z", POINTS)
 def test_free_entries_match_closed_form(z):
     p = SpectralParameter.interior(z)
-    for d, op in ((1, OperatorSpec.free1d(GRID)), (3, OperatorSpec.free3d_radial(RADIAL))):
-        ref = build_free_kernel_operator(d, op.grid, p).entries
-        assert rel_err(_make_engine(op, z).entries, ref) <= 1e-12
+    w = np.sqrt(complex(-z))
+    x, r = GRID.points[:, None], RADIAL.points[:, None]
+    cases = ((OperatorSpec.free1d(GRID), kernel_1d(x, x.T, p)),
+             (OperatorSpec.free2d_radial(RADIAL), radial_reduced_kernel_2d(r, r.T, w)),
+             (OperatorSpec.free3d_radial(RADIAL), radial_reduced_kernel_3d(r, r.T, w)))
+    for op, ref in cases:
+        assert rel_err(_make_engine(op, z).entries, ref) <= 1e-12, op.kind
 
 
 def test_jost_entries_match_min_max_formula():
@@ -123,7 +133,9 @@ def test_regular_classification_memory_stays_linear():
 
 
 def test_cli_import_skips_scipy_signal():
-    code = "import sys, virtlev.cli; print('scipy.signal' in sys.modules)"
+    # scipy.special is imported only when a 2D kernel is evaluated
+    code = ("import sys, virtlev.cli; "
+            "print('scipy.signal' in sys.modules, 'scipy.special' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
