@@ -8,9 +8,10 @@ to a positive generalized zero-energy solution (critical: null state).
 
 The construction follows the perturbation route: W_j = (1/j) 1_{|x| <= K},
 smallest eigenpair of H - W_j per j, Cauchy convergence of the normalized
-eigenfunctions on the compact window.  The weighted gap search uses the
-one-parameter family w = c <x>^{-4} and bisects the largest admissible c,
-reporting half of it so the margin is strictly positive.
+eigenfunctions on the compact window.  The weighted gap uses the
+one-parameter family w = c <x>^{-4}: the largest admissible c is the bottom
+c* of the pencil (T, diag <x>^{-4}), one symmetric tridiagonal eigenvalue,
+and half of it is reported so the margin is strictly positive.
 
 All operators are Dirichlet truncations on uniform grids; verdicts are
 re-checked under doubling of the truncation radius.
@@ -26,28 +27,25 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidOperator
-from .weighted_space import Grid1D, RadialGrid, weight
-
-_CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+from .weighted_space import Grid1D, RadialGrid, cell_average, weight
 
 
-def _cell_average(sampler: Callable, points: np.ndarray, h: float) -> np.ndarray:
-    vals = np.zeros(points.shape, dtype=float)
-    for node, wgt in zip(_CELL_NODES, _CELL_WEIGHTS):
-        sampled = np.asarray(sampler(points + 0.5 * h * node))
-        if np.max(np.abs(np.imag(sampled))) > 1e-14 * max(1.0, np.max(np.abs(sampled))):
-            raise InvalidOperator("criticality analysis requires a real potential")
-        vals += wgt * sampled.real
-    return vals / 2.0
+def _zero(t):
+    return np.zeros(np.shape(t))
 
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Discrete form a[u] = h sum |du/h|^2 + h sum V u^2 with Dirichlet edges."""
+    """Discrete form a[u] = h sum |du/h|^2 + h sum V u^2 with Dirichlet edges.
+
+    Forms built from a potential `sampler` keep it, so `with_doubled_radius`
+    can resample V on the doubled grid.
+    """
 
     kind: str  # "line" | "radial3d"
     grid: object
     v: np.ndarray = field(repr=False)
+    sampler: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("line", "radial3d"):
@@ -86,10 +84,24 @@ class QuadraticForm:
         psi = psi * np.sign(psi[peak])
         return lam, psi / np.max(np.abs(psi))
 
-    def smallest_eigenvalue(self, extra_potential: np.ndarray | None = None) -> float:
+    def smallest_eigenvalue(self, extra_potential: np.ndarray | None = None,
+                            weight: np.ndarray | None = None) -> float:
+        """Bottom of T + diag(extra_potential) or, given a positive `weight`,
+        of the pencil (T + diag(extra_potential), diag(weight)).
+
+        The pencil is the symmetrically scaled tridiagonal S T S with
+        S = diag(weight)^{-1/2}.  Its 1-norm grows with the scaling (about
+        1e12 for <x>^{-4} at R = 160), so LAPACK's default absolute
+        tolerance eps ||S T S||_1 would swamp the small bottom eigenvalue;
+        the pencil is bisected to full relative precision instead.
+        """
         d, e = self.tridiagonal(extra_potential)
+        tol = 0.0  # LAPACK default
+        if weight is not None:
+            s = 1.0 / np.sqrt(weight[self._interior()])
+            d, e, tol = d * s * s, e * s[:-1] * s[1:], np.finfo(float).tiny
         vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
-                                eigvals_only=True)
+                                eigvals_only=True, tol=tol)
         return float(vals[0])
 
     def apply_form(self, u: np.ndarray) -> float:
@@ -107,51 +119,38 @@ class QuadraticForm:
 
     @staticmethod
     def free_line(half_width: float = 320.0, n_points: int = 12801) -> "QuadraticForm":
-        grid = Grid1D(half_width, n_points)
-        form = QuadraticForm("line", grid, np.zeros(grid.n_points))
-        object.__setattr__(form, "_factory", lambda r, n: QuadraticForm.free_line(r, n))
-        return form
+        return QuadraticForm.from_potential_line(_zero, half_width, n_points)
 
     @staticmethod
     def from_potential_line(sampler: Callable, half_width: float = 320.0,
                             n_points: int = 12801) -> "QuadraticForm":
         grid = Grid1D(half_width, n_points)
-        v = _cell_average(sampler, grid.points, grid.spacing)
-        form = QuadraticForm("line", grid, v)
-        object.__setattr__(
-            form, "_factory",
-            lambda r, n: QuadraticForm.from_potential_line(sampler, r, n))
-        return form
+        v = cell_average(sampler, grid.points, grid.spacing, real=True)
+        return QuadraticForm("line", grid, v, sampler)
 
     @staticmethod
     def free_radial3d(max_radius: float = 320.0, n_points: int = 12800) -> "QuadraticForm":
-        grid = RadialGrid(max_radius, n_points)
-        form = QuadraticForm("radial3d", grid, np.zeros(grid.n_points))
-        object.__setattr__(form, "_factory",
-                           lambda r, n: QuadraticForm.free_radial3d(r, n))
-        return form
+        return QuadraticForm.from_potential_radial3d(_zero, max_radius, n_points)
 
     @staticmethod
     def from_potential_radial3d(sampler: Callable, max_radius: float = 320.0,
                                 n_points: int = 12800) -> "QuadraticForm":
         grid = RadialGrid(max_radius, n_points)
-        v = _cell_average(sampler, grid.points, grid.spacing)
-        form = QuadraticForm("radial3d", grid, v)
-        object.__setattr__(
-            form, "_factory",
-            lambda r, n: QuadraticForm.from_potential_radial3d(sampler, r, n))
-        return form
+        v = cell_average(sampler, grid.points, grid.spacing, real=True)
+        return QuadraticForm("radial3d", grid, v, sampler)
 
     def radius(self) -> float:
         return (self.grid.half_width if self.kind == "line"
                 else self.grid.max_radius)
 
     def with_doubled_radius(self) -> "QuadraticForm":
-        factory = getattr(self, "_factory", None)
-        if factory is None:
-            raise InvalidOperator("form was not built by a doubling-aware constructor")
-        return factory(2.0 * self.radius(), 2 * (self.grid.n_points - 1) + 1
-                       if self.kind == "line" else 2 * self.grid.n_points)
+        if self.sampler is None:
+            raise InvalidOperator("form was not built from a potential sampler")
+        if self.kind == "line":
+            return QuadraticForm.from_potential_line(
+                self.sampler, 2.0 * self.radius(), 2 * (self.grid.n_points - 1) + 1)
+        return QuadraticForm.from_potential_radial3d(
+            self.sampler, 2.0 * self.radius(), 2 * self.grid.n_points)
 
 
 class Dichotomy(enum.Enum):
@@ -185,25 +184,16 @@ def hardy_gap_check(form: QuadraticForm, w: np.ndarray) -> tuple[bool, float]:
 
 
 def _weighted_gap_search(form: QuadraticForm) -> tuple[float, np.ndarray, float]:
-    """Largest c with H - c <x>^{-4} nonnegative, halved for a positive margin."""
+    """Largest c with H - c <x>^{-4} nonnegative, halved for a positive margin.
+
+    That c is c* = lambda_min(B^{-1/2} T B^{-1/2}) with B = diag <x>^{-4},
+    the bottom of the pencil (T, B), found in one eigen-solve.  Returns
+    c = c*/2, the weight c <x>^{-4} and the margin lambda_min(T - c B).
+    """
     base = weight(form.grid.points, -4.0)
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        if form.smallest_eigenvalue(-hi * base) < -1e-10:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise InvalidOperator("weighted-gap search did not bracket a critical coupling")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if form.smallest_eigenvalue(-mid * base) >= -1e-10:
-            lo = mid
-        else:
-            hi = mid
-    c_star = lo
-    if c_star <= 0.0:
-        raise InvalidOperator("no positive weighted gap found")
+    c_star = form.smallest_eigenvalue(weight=base)
+    if not 0.0 < c_star < np.inf:
+        raise InvalidOperator(f"no positive weighted gap: critical coupling {c_star:.3g}")
     c = 0.5 * c_star
     margin = form.smallest_eigenvalue(-c * base)
     return c, c * base, margin
@@ -239,11 +229,12 @@ def _dichotomy_once(form: QuadraticForm, compact_radius: float, j_max: int,
     x = form.grid.points
     h = form.grid.spacing
     window = np.abs(x) <= compact_radius
+    indicator = cell_average(lambda t: (np.abs(t) <= compact_radius).astype(float),
+                             x, h, real=True)
     js, lams, states = [], [], []
     j = 1
     while j <= j_max:
-        wj = _cell_average(
-            lambda t: (np.abs(t) <= compact_radius).astype(float), x, h) / j
+        wj = indicator / j
         lam, psi = form.smallest_eigenpair(extra_potential=-wj)
         js.append(j)
         lams.append(lam)

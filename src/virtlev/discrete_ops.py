@@ -18,7 +18,7 @@ from .errors import (
     DiscretizationFailure,
     OutsideResolventSet,
 )
-from .weighted_space import decay_band, first_order_recursion
+from .weighted_space import decay_band, first_order_recursion, linear_fit
 
 #: default truncation length and the tail band absorbing truncation effects
 DEFAULT_LENGTH = 512
@@ -221,10 +221,6 @@ def zero_operator_rank_probe(dim: int = 24, ranks=(1, 2, 3), radii=None,
                 z = r * np.exp(1j * np.pi / 3)
                 res = np.linalg.solve(b - z * np.eye(dim), p0)
                 norms.append(np.linalg.norm(res, 2))
-            x = -np.log(np.array(radii))
-            y = np.log(np.array(norms))
-            a = np.vstack([x, np.ones_like(x)]).T
-            coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-            exps.append(float(coef[0]))
+            exps.append(linear_fit(-np.log(np.array(radii)), np.log(np.array(norms)))[0])
         fitted[rank] = exps
     return fitted

@@ -37,6 +37,8 @@ from .weighted_space import (
     KernelOperator,
     RadialGrid,
     _power_iteration_norm,
+    cell_average,
+    linear_fit,
     weight,
 )
 
@@ -206,23 +208,10 @@ def _dtn_root(z: complex, h: float) -> complex:
     return lam1 if abs(lam1) <= abs(lam2) else lam2
 
 
-_CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-
-
 def _indicator_vector(grid: Grid1D) -> np.ndarray:
     """Cell-averaged samples of 1_[-1,1] on the grid (edge cells weigh 1/2)."""
-    return _cell_averaged(lambda t_: (np.abs(t_) <= 1.0).astype(float),
-                          grid.points, grid.spacing).real
-
-
-def _cell_averaged(sampler, points: np.ndarray, h: float) -> np.ndarray:
-    """Finite-volume samples (1/h) int_{cell} V: midpoint-accurate for smooth
-    potentials and exact on indicator edges, keeping the lattice operator
-    second-order even for discontinuous wells."""
-    vals = np.zeros(points.shape, dtype=complex)
-    for node, wgt in zip(_CELL_NODES, _CELL_WEIGHTS):
-        vals += wgt * np.asarray(sampler(points + 0.5 * h * node), dtype=complex)
-    return vals / 2.0
+    return cell_average(lambda t_: (np.abs(t_) <= 1.0).astype(float),
+                        grid.points, grid.spacing).real
 
 
 def discrete_hamiltonian(op: OperatorSpec, z: complex) -> sp.csc_matrix:
@@ -246,7 +235,7 @@ def discrete_hamiltonian(op: OperatorSpec, z: complex) -> sp.csc_matrix:
                 OperatorKind.RANK_ONE_PERTURBED_1D):
         v = np.zeros(n, dtype=complex)
         if op.potential is not None:
-            v = _cell_averaged(op.potential.sample, x, h)
+            v = cell_average(op.potential.sample, x, h)
         diag = 2.0 / h**2 + v - z
         diag = diag.astype(complex)
         diag[0] -= lam / h**2
@@ -268,7 +257,7 @@ def discrete_hamiltonian(op: OperatorSpec, z: complex) -> sp.csc_matrix:
                     out[inside] = np.asarray(op.radial_potential(t_[inside]), dtype=complex)
                 return out
 
-            v = _cell_averaged(sampler, x, h)
+            v = cell_average(sampler, x, h)
         diag = 2.0 / h**2 + v - z
         diag = diag.astype(complex)
         diag[-1] -= lam / h**2  # Dirichlet at r = 0 needs no correction
@@ -466,7 +455,7 @@ def fit_exponent(points) -> tuple[float, float]:
     if np.ptp(x) < 1e-12:
         raise FitError("degenerate abscissae")
     y = np.log(norms)
-    return _linear_fit(x, y)
+    return linear_fit(x, y)
 
 
 def fit_log_divergence(points) -> tuple[float, float]:
@@ -477,7 +466,7 @@ def fit_log_divergence(points) -> tuple[float, float]:
     x = np.log(1.0 / radii)
     if np.ptp(x) < 1e-12:
         raise FitError("degenerate abscissae")
-    return _linear_fit(x, norms)
+    return linear_fit(x, norms)
 
 
 def _as_arrays(points):
@@ -485,16 +474,6 @@ def _as_arrays(points):
         return points.radii(), points.norms()
     arr = np.array([(r, n) for r, n in points], dtype=float)
     return arr[:, 0], arr[:, 1]
-
-
-def _linear_fit(x, y):
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = y - a @ coef
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), r2
 
 
 def _extract_state(op: OperatorSpec, cfg: SweepConfig, state_tol: float):

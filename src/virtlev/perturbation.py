@@ -28,7 +28,7 @@ from .errors import (
 )
 from .lap_sweep import OperatorSpec, SweepConfig, classify, fit_exponent, sweep
 from .reports import Classification, ThresholdReport
-from .weighted_space import Grid1D, RadialGrid
+from .weighted_space import Grid1D, RadialGrid, linear_fit
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +113,7 @@ class BifurcationCurve:
     cubic_constant: float  # fitted C in |E + g^2| <= C g^3
 
     def loglog_slope(self) -> float:
-        x = np.log(self.couplings)
-        y = np.log(np.abs(self.energies))
-        a = np.vstack([x, np.ones_like(x)]).T
-        coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-        return float(coef[0])
+        return linear_fit(np.log(self.couplings), np.log(np.abs(self.energies)))[0]
 
 
 def square_well_curve(couplings) -> BifurcationCurve:

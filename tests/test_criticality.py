@@ -1,11 +1,13 @@
 """Null-state / weighted-gap dichotomy and Hardy checks."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from virtlev.criticality import (
     Dichotomy,
     QuadraticForm,
+    _weighted_gap_search,
     hardy_gap_check,
     null_state_iteration,
     trace_csv,
@@ -50,6 +52,83 @@ class TestForm:
         with pytest.raises(InvalidOperator):
             QuadraticForm.from_potential_line(
                 lambda x: 1j * np.ones(np.shape(x)), 40.0, 1601)
+
+
+class TestDoubling:
+    @pytest.mark.parametrize("build, doubled", [
+        (lambda: QuadraticForm.free_line(40.0, 1601),
+         lambda: QuadraticForm.free_line(80.0, 3201)),
+        (lambda: QuadraticForm.free_radial3d(40.0, 1600),
+         lambda: QuadraticForm.free_radial3d(80.0, 3200)),
+        (lambda: QuadraticForm.from_potential_line(bump_potential, 40.0, 1601),
+         lambda: QuadraticForm.from_potential_line(bump_potential, 80.0, 3201)),
+        (lambda: QuadraticForm.from_potential_radial3d(bump_potential, 40.0, 1600),
+         lambda: QuadraticForm.from_potential_radial3d(bump_potential, 80.0, 3200)),
+    ], ids=["free_line", "free_radial3d", "line", "radial3d"])
+    def test_every_constructor_doubles(self, build, doubled):
+        form, want = build(), doubled()
+        got = form.with_doubled_radius()
+        assert got.kind == want.kind and got.grid == want.grid
+        assert got.sampler is form.sampler
+        assert np.array_equal(got.v, want.v)
+
+    def test_free_forms_have_exactly_zero_potential(self):
+        assert np.all(QuadraticForm.free_line(40.0, 1601).v == 0.0)
+        assert np.all(QuadraticForm.free_radial3d(40.0, 1600).v == 0.0)
+
+    def test_form_built_from_samples_cannot_double(self):
+        grid = QuadraticForm.free_line(40.0, 1601).grid
+        form = QuadraticForm("line", grid, np.zeros(grid.n_points))
+        with pytest.raises(InvalidOperator):
+            form.with_doubled_radius()
+
+
+class TestWeightedGap:
+    """c* = lambda_min(B^-1/2 T B^-1/2), B = diag <x>^-4, in one eigen-solve."""
+
+    def test_critical_coupling_against_mpmath(self):
+        # 79 interior points; LAPACK's default absolute tolerance is off by
+        # 6e-10 relative here
+        radius, n = 40.0, 80
+        form = QuadraticForm.free_radial3d(radius, n)
+        c_star = form.smallest_eigenvalue(weight=weight(form.grid.points, -4.0))
+        with mpmath.workdps(40):
+            h = mpmath.mpf(radius) / n
+            m = n - 1
+            scale = [1 + ((i + 1) * h) ** 2 for i in range(m)]  # B^-1/2
+            a = mpmath.zeros(m, m)
+            for i in range(m):
+                a[i, i] = 2 * scale[i] ** 2 / h**2
+                if i + 1 < m:
+                    a[i, i + 1] = a[i + 1, i] = -scale[i] * scale[i + 1] / h**2
+            ref = float(min(mpmath.eigsy(a, eigvals_only=True)))
+        assert abs(c_star / ref - 1.0) <= 1e-12
+
+    def test_critical_coupling_is_sharp(self):
+        form = QuadraticForm.free_radial3d(320.0, 12800)
+        base = weight(form.grid.points, -4.0)
+        c_star = form.smallest_eigenvalue(weight=base)
+        assert abs(form.smallest_eigenvalue(-c_star * base)) <= 1e-11
+        assert form.smallest_eigenvalue(-(1.0 - 1e-6) * c_star * base) > 0
+        assert form.smallest_eigenvalue(-(1.0 + 1e-6) * c_star * base) < 0
+
+    def test_reports_half_the_critical_coupling(self):
+        form = QuadraticForm.free_radial3d(80.0, 3200)
+        base = weight(form.grid.points, -4.0)
+        res = null_state_iteration(form, stability_check=False)
+        assert res.verdict is Dichotomy.WEIGHTED_GAP
+        assert res.weight_coefficient == 0.5 * form.smallest_eigenvalue(weight=base)
+        assert np.array_equal(res.weight, res.weight_coefficient * base)
+        assert res.margin > 0
+
+    def test_no_positive_gap_raises(self):
+        # smallest eigenvalue -5e-11: accepted as nonnegative, but c* < 0
+        free = QuadraticForm.free_line(40.0, 1601)
+        form = QuadraticForm("line", free.grid, np.full(
+            free.grid.n_points, -free.smallest_eigenvalue() - 5e-11))
+        assert -1e-10 <= form.smallest_eigenvalue() < 0
+        with pytest.raises(InvalidOperator):
+            _weighted_gap_search(form)
 
 
 class TestDichotomy:
