@@ -258,11 +258,11 @@ def _cmd_sweep(args) -> int:
                                angle=_parse_angle(str(cfg["ray"])),
                                radii=radii, s=float(cfg["s"]), sp=sp_,
                                flavor=cfg["flavor"])
-    result = ls.sweep(op, sweep_cfg)
+    report = ls.classify(op, sweep_cfg) if cfg["classify"] else None
+    result = report.sweeps[0] if report else ls.sweep(op, sweep_cfg)
     echo = dict(cfg, sp=sp_, R=radius, n=npts)
     _write_output(_echo_header(echo) + ls.sweep_csv(result), cfg["out"])
     if cfg["classify"]:
-        report = ls.classify(op, sweep_cfg)
         print(report.verdict_line())
     if result.aborted:
         print(f"aborted: {result.aborted}", file=sys.stderr)

@@ -176,15 +176,15 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel,
     identity block pinning the tail to zero: boundary-value states are
     finitely supported once phi is, while the pure geometric solutions of
     (L - z0) v = 0 violate the decay block.  The count of near-zero singular
-    values is the dimension.
+    values is the dimension.  A - z0 I = M - phi (x) M[j*] / phi_j* with
+    M = L - z0 I, the closed form of apply_operator.
     """
     n = lvl.psi.entries.size
     m = lvl.tail_band
-    rows = []
-    eye = np.eye(n, dtype=complex)
-    for i in range(n):
-        rows.append(lvl.apply_operator(eye[i]) - lvl.z0 * eye[i])
-    a_mat = np.array(rows).T[: n - m]  # columns act on basis vectors
+    shifted = np.eye(n, k=1, dtype=complex) - lvl.z0 * np.eye(n)
+    j = lvl.functional_index - 1
+    phi = lvl.phi.entries
+    a_mat = (shifted - np.outer(phi, shifted[j] / phi[j]))[: n - m]
     tail_block = np.zeros((m, n), dtype=complex)
     tail_block[:, n - m:] = np.eye(m)
     stacked = np.vstack([a_mat, tail_block])

@@ -177,9 +177,14 @@ def default_radii(r0: float = 1e-2, ratio: float = 10.0 ** -0.5,
 
 @dataclass
 class SweepPoint:
+    """One resolvent norm; `iterations` and `converged` describe its power
+    iteration (0 and True for the exact l1_linf flavor)."""
+
     radius: float
     z: complex
     norm: float
+    iterations: int = 0
+    converged: bool = True
 
 
 @dataclass
@@ -187,6 +192,7 @@ class SweepResult:
     points: list
     config: SweepConfig
     aborted: str | None = None
+    left_vector: np.ndarray | None = field(default=None, repr=False)  # at the last point
 
     def radii(self) -> np.ndarray:
         return np.array([p.radius for p in self.points])
@@ -244,7 +250,8 @@ def discrete_hamiltonian(op: OperatorSpec, z: complex) -> sp.csc_matrix:
         t = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
         if kind is OperatorKind.RANK_ONE_PERTURBED_1D:
             ind = _indicator_vector(grid)
-            t = sp.csc_matrix(t + h * np.outer(ind, ind))
+            col = sp.csc_matrix(ind[:, None])
+            t = sp.csc_matrix(t + h * (col @ col.T))
         return t
     if kind in (OperatorKind.FREE_3D_RADIAL, OperatorKind.SCHRODINGER_3D_RADIAL):
         v = np.zeros(n, dtype=complex)
@@ -420,12 +427,12 @@ def sweep(op: OperatorSpec, cfg: SweepConfig) -> SweepResult:
     """Resolvent norms at z = z0 + r exp(i angle), largest radius first.
 
     Points are evaluated in order, each power iteration warm-started from the
-    previous singular vector.  A near-spectrum failure aborts the sweep and
-    returns the radii already computed.
+    previous singular vector; the last left one is kept.  A near-spectrum
+    failure aborts the sweep and returns the radii already computed.
     """
     points: list[SweepPoint] = []
     aborted = None
-    v0 = None
+    v0 = u = None
     for r in cfg.radii:
         z = cfg.point(r)
         try:
@@ -433,12 +440,13 @@ def sweep(op: OperatorSpec, cfg: SweepConfig) -> SweepResult:
             if cfg.flavor == "l1_linf":
                 points.append(SweepPoint(r, z, float(np.max(np.abs(engine.entries)))))
                 continue
-            sigma, v0, _ = _weighted_norm_via_engine(engine, op.grid, cfg.s, cfg.sp, v0=v0)
-            points.append(SweepPoint(r, z, sigma))
+            sigma, v0, u, its, ok = _weighted_norm_via_engine(engine, op.grid, cfg.s,
+                                                              cfg.sp, v0=v0)
+            points.append(SweepPoint(r, z, sigma, its, ok))
         except NearSpectrum as exc:
             aborted = str(exc)
             break
-    return SweepResult(points, cfg, aborted)
+    return SweepResult(points, cfg, aborted, u)
 
 
 def fit_exponent(points) -> tuple[float, float]:
@@ -476,18 +484,12 @@ def _as_arrays(points):
     return arr[:, 0], arr[:, 1]
 
 
-def _extract_state(op: OperatorSpec, cfg: SweepConfig, state_tol: float):
-    """Candidate virtual state from the top singular pair at the smallest radius."""
-    if op.kind is OperatorKind.FREE_2D_RADIAL:
+def _extract_state(op: OperatorSpec, result: SweepResult, state_tol: float):
+    """Candidate virtual state from the left singular vector a full sweep kept."""
+    u_out = result.left_vector
+    if op.kind is OperatorKind.FREE_2D_RADIAL or result.aborted or u_out is None:
         return None, None
-    r_min = min(cfg.radii)
-    try:
-        engine = _make_engine(op, cfg.point(r_min))
-    except NearSpectrum:
-        return None, None
-    _, _, u_out = _weighted_norm_via_engine(engine, op.grid, cfg.s, cfg.sp)
-    if u_out is None:
-        return None, None
+    cfg = result.config
     psi = u_out * weight(op.grid.points, cfg.sp)
     center = np.argmax(np.abs(psi))
     psi = psi / psi[center]
@@ -505,32 +507,40 @@ def classify(op: OperatorSpec, cfg: SweepConfig, tol_alpha: float = 0.1,
 
     Power-law exponent above tol_alpha (with a credible fit) is Virtual;
     logarithmic growth is Virtual flagged "log"; flat norms are Regular.
-    The verdict must survive one grid refinement (h -> h/2), otherwise the
-    report is Inconclusive.
+    The verdict must survive one grid refinement (h -> h/2) with converged
+    power iterations, otherwise the report is Inconclusive.  `report.sweeps`
+    keeps the coarse and refined sweeps; the state comes from the coarse one.
     """
-    result = sweep(op, cfg)
-    report = _classify_from_sweep(result, tol_alpha)
-    report.diagnostics["aborted"] = result.aborted
+    sweeps = [sweep(op, cfg)]
     if refine and op.is_differential:
-        fine = classify(op.refined(), cfg, tol_alpha, refine=False,
-                        state_tol=state_tol)
-        report.diagnostics["refined_classification"] = fine.classification.value
-        if fine.classification is not report.classification:
-            return ThresholdReport(
-                Classification.INCONCLUSIVE,
-                alpha=report.alpha, alpha_r2=report.alpha_r2,
-                norms=report.norms,
-                diagnostics={"reason": "verdict unstable under grid refinement",
-                             "coarse": report.classification.value,
-                             "fine": fine.classification.value},
-            )
+        sweeps.append(sweep(op.refined(), cfg))
+    report = _classify_from_sweep(sweeps[0], tol_alpha)
+    report.diagnostics["aborted"] = sweeps[0].aborted
+    report.sweeps = sweeps
+    stalled = [p.radius for s in sweeps for p in s.points if not p.converged]
+    if stalled:
+        return _inconclusive(report, "power iteration did not converge at radius "
+                                     f"{stalled[0]:.6g}")
+    if len(sweeps) == 2:
+        fine = _classify_from_sweep(sweeps[1], tol_alpha).classification
+        report.diagnostics["refined_classification"] = fine.value
+        if fine is not report.classification:
+            return _inconclusive(report, "verdict unstable under grid refinement",
+                                 fine=fine.value)
     if report.classification is Classification.VIRTUAL:
-        psi, resid = _extract_state(op, cfg, state_tol)
+        psi, resid = _extract_state(op, sweeps[0], state_tol)
         if psi is not None:
             report.rank = 1
             report.states = [psi]
         report.diagnostics["state_residual"] = resid
     return report
+
+
+def _inconclusive(report: ThresholdReport, reason: str, **diag) -> ThresholdReport:
+    return ThresholdReport(
+        Classification.INCONCLUSIVE, alpha=report.alpha, alpha_r2=report.alpha_r2,
+        norms=report.norms, sweeps=report.sweeps,
+        diagnostics={"reason": reason, "coarse": report.classification.value, **diag})
 
 
 def _classify_from_sweep(result: SweepResult, tol_alpha: float) -> ThresholdReport:

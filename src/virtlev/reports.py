@@ -33,6 +33,7 @@ class ThresholdReport:
     divergence: str | None = None
     norms: list[tuple[float, float]] | None = None
     diagnostics: dict = field(default_factory=dict)
+    sweeps: list | None = field(default=None, repr=False)  # SweepResults classified, coarse first
 
     @property
     def is_virtual(self) -> bool:

@@ -309,7 +309,9 @@ def _power_iteration_norm(matvec, rmatvec, n_in: int, dtype, tol: float = 1e-8,
     Deterministic: the start vector comes from a fixed seed (or a caller
     supplied warm start).  Converges when the Rayleigh estimate is stable to
     `tol` relative on two consecutive iterations.  With return_vectors the
-    right/left singular vector approximations are returned as well.
+    result is (sigma, v, u, iterations, converged): the right/left singular
+    vector approximations, the number of matvecs, and whether the stopping
+    test was met before max_iter.
     """
     if v0 is not None and np.linalg.norm(v0) > 0:
         v = np.asarray(v0, dtype=dtype).copy()
@@ -320,17 +322,19 @@ def _power_iteration_norm(matvec, rmatvec, n_in: int, dtype, tol: float = 1e-8,
             v = v + 1j * rng.standard_normal(n_in)
     nv = np.linalg.norm(v)
     if nv == 0.0:
-        return (0.0, None, None) if return_vectors else 0.0
+        return (0.0, None, None, 0, True) if return_vectors else 0.0
     v = v / nv
     sigma = 0.0
     sigma_prev = -1.0
     w = None
     hits = 0
-    for _ in range(max_iter):
+    iterations = 0
+    while iterations < max_iter and hits < 2:
+        iterations += 1
         w = matvec(v)
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
-            return (0.0, v, None) if return_vectors else 0.0
+            return (0.0, v, None, iterations, True) if return_vectors else 0.0
         vn = rmatvec(w)
         nv = np.linalg.norm(vn)
         if nv == 0.0:
@@ -338,14 +342,12 @@ def _power_iteration_norm(matvec, rmatvec, n_in: int, dtype, tol: float = 1e-8,
         v = vn / nv
         if sigma_prev > 0 and abs(sigma - sigma_prev) <= tol * sigma:
             hits += 1
-            if hits >= 2:
-                break
         else:
             hits = 0
         sigma_prev = sigma
     if return_vectors:
         u = w / sigma if (w is not None and sigma > 0) else None
-        return sigma, v, u
+        return sigma, v, u, iterations, hits >= 2
     return sigma
 
 

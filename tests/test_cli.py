@@ -84,6 +84,31 @@ class TestSubcommands:
         assert body[0] == "radius,norm,z_re,z_im"
         assert len(body) == 8
 
+    def test_sweep_builds_one_engine_per_point_per_sweep(self, capsys, monkeypatch):
+        from virtlev import lap_sweep as ls
+        calls = []
+        real = ls._make_engine
+
+        def counted(op, z):
+            calls.append(z)
+            return real(op, z)
+
+        monkeypatch.setattr(ls, "_make_engine", counted)
+        code, out, _ = run_cli(["sweep", "--op", "free1d", "--count", "7"], capsys)
+        assert code == 0 and "Virtual" in out
+        assert len(calls) == 14  # coarse and refined sweeps, nothing else
+
+    def test_sweep_csv_same_with_and_without_classify(self, capsys, tmp_path):
+        bodies = []
+        for extra in ([], ["--no-classify"]):
+            path = tmp_path / f"sweep{len(bodies)}.csv"
+            code, _, _ = run_cli(["sweep", "--op", "schrod1d", "--potential", "well:g=4",
+                                  "--count", "7", "--out", str(path)] + extra, capsys)
+            assert code == 0
+            text = path.read_text()
+            bodies.append(text[text.index("radius,"):])
+        assert bodies[0] == bodies[1]
+
     def test_nullity_demo(self, capsys):
         code, out, _ = run_cli(["nullity", "--demo", "jordan3"], capsys)
         assert code == 0 and out.strip() == "1"

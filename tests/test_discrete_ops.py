@@ -115,6 +115,21 @@ class TestVirtualLevel:
         lvl = build_shift_virtual_level(1j, SeqVector.from_values([1.0, 0.5, 0.25]))
         assert virtual_state_space_dimension(lvl) == 1
 
+    @pytest.mark.parametrize("z0,values,index", [
+        (1j, [1.0, 0.5, 0.25], None),
+        (np.exp(0.25j * np.pi), [0.0, 2.0, 1.0], None),
+        (-1.0, [0.3, -2.0, 1j, 4.0], 2),
+    ])
+    def test_state_space_dimension_matches_operator_columns(self, z0, values, index):
+        lvl = build_shift_virtual_level(z0, SeqVector.from_values(values, n=160),
+                                        functional_index=index)
+        n, m = 160, lvl.tail_band
+        eye = np.eye(n, dtype=complex)
+        cols = np.array([lvl.apply_operator(e) - lvl.z0 * e for e in eye]).T[: n - m]
+        tail = np.hstack([np.zeros((m, n - m)), np.eye(m)])
+        sv = np.linalg.svd(np.vstack([cols, tail]), compute_uv=False)
+        assert virtual_state_space_dimension(lvl) == np.sum(sv <= 1e-8 * sv[0]) == 1
+
     def test_degenerate_functional(self):
         with pytest.raises(DegenerateFunctional):
             build_shift_virtual_level(1.0, SeqVector.from_values([1.0, 0.0]),

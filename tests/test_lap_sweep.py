@@ -1,8 +1,13 @@
 """Sweeps, exponent fits, classification, resolvent consistency."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from virtlev import lap_sweep as ls
+from virtlev import weighted_space as wsp
 from virtlev.errors import ConfigError, FitError, NearSpectrum
 from virtlev.free_resolvent import SpectralParameter, build_free_kernel_operator
 from virtlev.jost import Potential1D, green_kernel, jost_pair
@@ -325,6 +330,25 @@ def test_sweep_csv_format():
     assert float(zi) == 0.0
 
 
+def test_rank_one_hamiltonian_stays_sparse():
+    grid = Grid1D(4.0, 401)
+    z = -1e-3
+    t = discrete_hamiltonian(OperatorSpec.rank_one_perturbed_1d(grid), z)
+    ind = ls._indicator_vector(grid)
+    dense = np.asarray(discrete_hamiltonian(OperatorSpec.free1d(grid), z)
+                       + grid.spacing * np.outer(ind, ind))
+    assert np.array_equal(t.toarray(), dense)
+    assert t.nnz == np.count_nonzero(dense)
+    big = OperatorSpec.rank_one_perturbed_1d(Grid1D(20.0, 4001))
+    tracemalloc.start()
+    try:
+        discrete_hamiltonian(big, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6  # the dense n x n outer product alone is 128 MB
+
+
 def test_matrix_spec_validation():
     with pytest.raises(ConfigError):
         OperatorSpec.from_matrix(np.zeros((3, 4)))
@@ -347,6 +371,75 @@ def test_classify_inconclusive_on_short_aborted_sweep():
     rep = classify(spec, cfg, refine=False)
     assert rep.classification is Classification.INCONCLUSIVE
     assert rep.diagnostics.get("aborted") or rep.diagnostics.get("reason")
+
+
+class TestOneSweepPerVerdict:
+    """classify runs one coarse and one refined sweep, keeps both, and reads
+    the virtual state off the coarse one."""
+
+    OP = OperatorSpec.free1d(Grid1D(20.0, 4001))
+    CFG = SweepConfig(z0=0.0, angle=np.pi, radii=SUITE_RADII, s=2.0, sp=2.0)
+
+    def test_engine_builds_equal_two_sweeps(self, monkeypatch):
+        calls = []
+        real = ls._make_engine
+
+        def counted(op, z):
+            calls.append(z)
+            return real(op, z)
+
+        monkeypatch.setattr(ls, "_make_engine", counted)
+        rep = classify(self.OP, self.CFG)
+        assert rep.classification is Classification.VIRTUAL and rep.rank == 1
+        assert len(calls) == 2 * len(SUITE_RADII)
+
+    def test_report_keeps_the_classified_sweeps(self):
+        rep = classify(self.OP, self.CFG)
+        coarse, fine = rep.sweeps
+        assert np.array_equal(coarse.norms(), [n for _, n in rep.norms])
+        assert np.array_equal(coarse.norms(), sweep(self.OP, self.CFG).norms())
+        assert np.array_equal(fine.norms(), sweep(self.OP.refined(), self.CFG).norms())
+        assert len(classify(self.OP, self.CFG, refine=False).sweeps) == 1
+
+    @pytest.mark.parametrize("op", [OP, OperatorSpec.schrodinger1d(zero_potential())],
+                             ids=["free1d", "zero_potential"])
+    def test_state_matches_cold_start_extraction(self, op):
+        rep = classify(op, self.CFG)
+        engine = ls._make_engine(op, self.CFG.point(min(SUITE_RADII)))
+        _, _, u, _, converged = ls._weighted_norm_via_engine(engine, op.grid, 2.0, 2.0)
+        assert converged
+        cold = u * wsp.weight(op.grid.points, 2.0)
+        state = rep.states[0]
+        overlap = abs(np.vdot(state, cold)) / (np.linalg.norm(state) * np.linalg.norm(cold))
+        assert overlap >= 1.0 - 1e-10
+
+    def test_no_state_from_l1_linf_or_aborted_sweeps(self):
+        op = OperatorSpec.free1d(Grid1D(4.0, 801))
+        cfg = SweepConfig(z0=0.0, angle=np.pi, radii=SUITE_RADII, flavor="l1_linf")
+        rep = classify(op, cfg)
+        assert rep.classification is Classification.VIRTUAL
+        assert rep.states is None and rep.sweeps[0].left_vector is None
+        res = sweep(self.OP, self.CFG)
+        assert ls._extract_state(self.OP, res, 0.02)[0] is not None
+        res.aborted = "near spectrum"
+        assert ls._extract_state(self.OP, res, 0.02) == (None, None)
+
+    def test_points_record_their_power_iteration(self):
+        res = sweep(self.OP, self.CFG)
+        assert all(p.converged and 2 < p.iterations < 1000 for p in res.points)
+
+    def test_unconverged_point_is_inconclusive(self, monkeypatch):
+        capped = functools.partial(wsp._power_iteration_norm, max_iter=2)
+        monkeypatch.setattr(ls, "_power_iteration_norm", capped)
+        rep = classify(self.OP, self.CFG)
+        assert rep.classification is Classification.INCONCLUSIVE
+        assert rep.states is None
+        assert rep.diagnostics["reason"] == (
+            f"power iteration did not converge at radius {SUITE_RADII[0]:.6g}")
+        points = [p for s in rep.sweeps for p in s.points]
+        assert all(p.iterations == 2 and not p.converged for p in points)
+        rows = sweep_csv(rep.sweeps[0]).splitlines()
+        assert all(row.count(",") == 3 for row in rows)  # telemetry stays out
 
 
 class TestBulkSpectrum:

@@ -112,6 +112,19 @@ def test_power_iteration_matches_svd():
         assert b == pytest.approx(a, rel=1e-6)
 
 
+def test_power_iteration_reports_convergence():
+    from virtlev.weighted_space import _power_iteration_norm
+    m = np.diag([3.0, 1.0, 0.5])
+    sigma, v, u, its, ok = _power_iteration_norm(lambda x: m @ x, lambda y: m.T @ y, 3,
+                                                 float, return_vectors=True)
+    assert ok and 2 < its < 100
+    assert sigma == pytest.approx(3.0, rel=1e-8)
+    assert abs(u[0]) == pytest.approx(1.0, rel=1e-8)
+    capped = _power_iteration_norm(lambda x: m @ x, lambda y: m.T @ y, 3, float,
+                                   max_iter=2, return_vectors=True)
+    assert capped[3:] == (2, False)
+
+
 def test_norm_monotone_under_domination():
     rng = np.random.default_rng(3)
     g = Grid1D(4.0, 81)
