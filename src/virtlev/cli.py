@@ -208,7 +208,7 @@ def _cmd_jost(args) -> int:
     }
     print(json.dumps(payload))
     if cfg["out"]:
-        pair = jost.jost_pair(pot)
+        pair = report.diagnostics["jost_pair"]
         rows = ["x,theta_plus_re,theta_plus_im,theta_minus_re,theta_minus_im"]
         for x, tp, tm in zip(grid.points, pair.theta_plus, pair.theta_minus):
             rows.append(f"{x:.15g},{tp.real:.15g},{tp.imag:.15g},"

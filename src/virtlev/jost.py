@@ -250,7 +250,8 @@ def classify_threshold_1d(pot: Potential1D, tol: float = 1e-6) -> ThresholdRepor
 
     |W| <= tol * scale is Virtual with the bounded Jost solution as the
     (sup-normalized) virtual state; |W| in [tol, 100 tol] * scale is flagged
-    Inconclusive instead of being misclassified.
+    Inconclusive instead of being misclassified.  `diagnostics["jost_pair"]`
+    keeps the solved pair.
     """
     pair = jost_pair(pot, 0.0)
     scale = 1.0 + float(np.max(np.abs(pair.theta_plus)) * np.max(np.abs(pair.theta_minus)))
@@ -259,6 +260,7 @@ def classify_threshold_1d(pot: Potential1D, tol: float = 1e-6) -> ThresholdRepor
         "wronskian": pair.wronskian,
         "wronskian_deviation": pair.wronskian_deviation,
         "scale": scale,
+        "jost_pair": pair,
     }
     if aw <= tol * scale:
         state = pair.theta_plus / np.max(np.abs(pair.theta_plus))

@@ -14,6 +14,11 @@ Discretized Schrödinger operators use second-order finite differences with
 transparent boundary closures: the outgoing/decaying lattice solution of the
 free difference equation is matched exactly at the grid edge, so no
 artificial reflection pollutes small-|z| norms.
+
+Resolvent engines: free kinds apply free_resolvent's O(n) semiseparable
+kernels; every other kind solves with one LAPACK LU of H - z (gttrf/gtcon
+when tridiagonal, getrf/gecon for a matrix, plus a Sherman-Morrison update
+for the rank-one kind), and an ill-conditioned LU raises NearSpectrum.
 """
 
 from __future__ import annotations
@@ -23,15 +28,13 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import ConfigError, FitError, NearSpectrum
 from .free_resolvent import free_semiseparable_kernel
 from .jost import Potential1D
 from .reports import Classification, ThresholdReport
 from .weighted_space import (
-    _PI_SEED,
     Grid1D,
     IndexGrid,
     KernelOperator,
@@ -220,57 +223,61 @@ def _indicator_vector(grid: Grid1D) -> np.ndarray:
                         grid.points, grid.spacing).real
 
 
-def discrete_hamiltonian(op: OperatorSpec, z: complex) -> sp.csc_matrix:
-    """Sparse matrix of (H - z) with transparent boundary closure.
+_LINE_KINDS = (OperatorKind.FREE_1D, OperatorKind.SCHRODINGER_1D,
+               OperatorKind.RANK_ONE_PERTURBED_1D)
+_RADIAL_KINDS = (OperatorKind.FREE_3D_RADIAL, OperatorKind.SCHRODINGER_3D_RADIAL)
 
-    For 1D kinds both edges carry the lattice outgoing/decaying matching
-    u_outside = lam u_edge; the radial half-line has a Dirichlet condition
-    at r = 0 and the matching at r = R.  The rank-one kind adds the
-    indicator projection 1_[-1,1] <1_[-1,1], .>.
+
+def _tridiagonal(op: OperatorSpec, z: complex):
+    """Bands (dl, d, du) of the tridiagonal part of (H - z).
+
+    Line kinds carry the lattice outgoing/decaying matching u_outside =
+    lam u_edge at both edges; the radial half-line has a Dirichlet condition
+    at r = 0 and the matching at r = R.  The rank-one kind's indicator
+    projection is not part of the bands.
     """
-    kind = op.kind
-    if kind is OperatorKind.MATRIX:
-        n = op.matrix.shape[0]
-        return sp.csc_matrix(op.matrix - z * np.eye(n))
+    if op.kind not in _LINE_KINDS + _RADIAL_KINDS:
+        raise ConfigError(f"no discrete Hamiltonian for kind {op.kind}")
     grid = op.grid
     h = grid.spacing
     n = grid.n_points
-    x = grid.points
-    lam = _dtn_root(z, h)
-    if kind in (OperatorKind.FREE_1D, OperatorKind.SCHRODINGER_1D,
-                OperatorKind.RANK_ONE_PERTURBED_1D):
-        v = np.zeros(n, dtype=complex)
-        if op.potential is not None:
-            v = cell_average(op.potential.sample, x, h)
-        diag = 2.0 / h**2 + v - z
-        diag = diag.astype(complex)
-        diag[0] -= lam / h**2
-        diag[-1] -= lam / h**2
-        off = np.full(n - 1, -1.0 / h**2, dtype=complex)
-        t = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
-        if kind is OperatorKind.RANK_ONE_PERTURBED_1D:
-            ind = _indicator_vector(grid)
-            col = sp.csc_matrix(ind[:, None])
-            t = sp.csc_matrix(t + h * (col @ col.T))
-        return t
-    if kind in (OperatorKind.FREE_3D_RADIAL, OperatorKind.SCHRODINGER_3D_RADIAL):
-        v = np.zeros(n, dtype=complex)
-        if op.radial_potential is not None:
-            def sampler(t_):
-                t_ = np.asarray(t_)
-                inside = (t_ <= op.radial_support) & (t_ > 0)
-                out = np.zeros(t_.shape, dtype=complex)
-                if np.any(inside):
-                    out[inside] = np.asarray(op.radial_potential(t_[inside]), dtype=complex)
-                return out
+    v = np.zeros(n, dtype=complex)
+    if op.potential is not None:
+        v = cell_average(op.potential.sample, grid.points, h)
+    elif op.radial_potential is not None:
+        def sampler(t_):
+            t_ = np.asarray(t_)
+            inside = (t_ <= op.radial_support) & (t_ > 0)
+            out = np.zeros(t_.shape, dtype=complex)
+            if np.any(inside):
+                out[inside] = np.asarray(op.radial_potential(t_[inside]), dtype=complex)
+            return out
 
-            v = cell_average(sampler, x, h)
-        diag = 2.0 / h**2 + v - z
-        diag = diag.astype(complex)
-        diag[-1] -= lam / h**2  # Dirichlet at r = 0 needs no correction
-        off = np.full(n - 1, -1.0 / h**2, dtype=complex)
-        return sp.diags([off, diag, off], [-1, 0, 1], format="csc")
-    raise ConfigError(f"no discrete Hamiltonian for kind {kind}")
+        v = cell_average(sampler, grid.points, h)
+    d = (2.0 / h**2 + v - z).astype(complex)
+    edge = _dtn_root(z, h) / h**2
+    d[-1] -= edge
+    if op.kind in _LINE_KINDS:
+        d[0] -= edge
+    off = np.full(n - 1, -1.0 / h**2, dtype=complex)
+    return off, d, off.copy()
+
+
+def discrete_hamiltonian(op: OperatorSpec, z: complex) -> "scipy.sparse.csc_matrix":
+    """Sparse matrix of (H - z) with transparent boundary closure.
+
+    The bands of `_tridiagonal`; the rank-one kind adds the indicator
+    projection 1_[-1,1] <1_[-1,1], .>, and the matrix kind is M - z.
+    """
+    import scipy.sparse as sp  # imported here: no resolvent engine needs it
+
+    if op.kind is OperatorKind.MATRIX:
+        return sp.csc_matrix(op.matrix - z * np.eye(op.matrix.shape[0]))
+    t = sp.diags(_tridiagonal(op, z), [-1, 0, 1], format="csc")
+    if op.kind is OperatorKind.RANK_ONE_PERTURBED_1D:
+        col = sp.csc_matrix(_indicator_vector(op.grid)[:, None])
+        t = sp.csc_matrix(t + op.grid.spacing * (col @ col.T))
+    return t
 
 
 def apply_shifted_operator(op: OperatorSpec, z: complex, u: np.ndarray) -> np.ndarray:
@@ -280,97 +287,75 @@ def apply_shifted_operator(op: OperatorSpec, z: complex, u: np.ndarray) -> np.nd
     return discrete_hamiltonian(op, z) @ u
 
 
-class _DenseEngine:
-    def __init__(self, entries: np.ndarray):
-        self.entries = entries
+def _check_condition(info: int, rcond_of) -> None:
+    """NearSpectrum for a singular LU (info != 0) or a reciprocal condition
+    estimate below 1 / _COND_LIMIT; `rcond_of` is called only when info == 0."""
+    rc = rcond_of() if info == 0 else 0.0
+    if not rc * _COND_LIMIT >= 1.0:
+        raise NearSpectrum(f"condition estimate {1.0 / rc if rc > 0 else np.inf:.3g} "
+                           f"exceeds {_COND_LIMIT:.0e}")
 
-    def matvec(self, g):
-        return self.entries @ g
 
-    def rmatvec(self, g):
-        return self.entries.conj().T @ g
+def _band_norm1(dl, d, du) -> float:
+    """1-norm of tridiag(dl, d, du): column j holds du[j-1], d[j] and dl[j]."""
+    return float(np.max(np.abs(d) + np.abs(np.r_[0, du]) + np.abs(np.r_[dl, 0])))
 
 
 class _SolverEngine:
-    """Banded (H - z) factorization; the resolvent kernel is T^{-1} / h."""
+    """Resolvent kernel T^{-1} / h from one LAPACK LU of T = H - z.
+
+    Tridiagonal kinds factor with zgttrf and check zgtcon, the matrix kind
+    factors with zgetrf and checks zgecon.  `solve(b, trans)` applies T^{-1},
+    or T^{-H} for trans="C"; matvec, rmatvec and entries all go through it.
+    """
 
     def __init__(self, op: OperatorSpec, z: complex):
-        t = discrete_hamiltonian(op, z)
-        self.h = op.grid.spacing if op.is_differential else 1.0
-        self.n = t.shape[0]
-        norm_t = spla.norm(t, 1)
-        try:
-            self.lu = spla.splu(t)
-        except RuntimeError as exc:
-            raise NearSpectrum(f"factorization of (H - z) failed: {exc}") from exc
-        inv_norm = self._inverse_norm_estimate()
-        if not np.isfinite(inv_norm) or norm_t * inv_norm > _COND_LIMIT:
-            raise NearSpectrum(
-                f"condition estimate {norm_t * inv_norm:.3g} exceeds {_COND_LIMIT:.0e}"
-            )
-
-    def _inverse_norm_estimate(self, iters: int = 4) -> float:
-        rng = np.random.default_rng(_PI_SEED)
-        v = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
-        v /= np.linalg.norm(v)
-        est = 0.0
-        for _ in range(iters):
-            u = self.lu.solve(v)
-            nu = np.linalg.norm(u)
-            if not np.isfinite(nu) or nu == 0.0:
-                return np.inf
-            est = nu
-            v = self.lu.solve(u / nu, trans="H")
-            nv = np.linalg.norm(v)
-            est = max(est, nv)
-            if nv == 0.0 or not np.isfinite(nv):
-                return np.inf
-            v /= nv
-        return est
+        self.h = op.grid.spacing
+        self.n = op.grid.n_points
+        if op.kind is OperatorKind.MATRIX:
+            a = op.matrix - z * np.eye(self.n)
+            lu, piv, info = lapack.zgetrf(a)
+            _check_condition(info, lambda: lapack.zgecon(lu, np.linalg.norm(a, 1))[0])
+            self.solve = lambda b, trans="N": lapack.zgetrs(lu, piv, b,
+                                                            trans="NTC".index(trans))[0]
+        else:
+            bands = _tridiagonal(op, z)
+            *factors, info = lapack.zgttrf(*bands)
+            _check_condition(info, lambda: lapack.zgtcon(*factors, _band_norm1(*bands))[0])
+            self.solve = lambda b, trans="N": lapack.zgttrs(*factors, b, trans=trans)[0]
 
     def matvec(self, g):
-        return self.lu.solve(g.astype(complex)) / self.h
+        return self.solve(g) / self.h
 
     def rmatvec(self, g):
-        return self.lu.solve(g.astype(complex), trans="H") / self.h
+        return self.solve(g, "C") / self.h
 
     @property
     def entries(self):
-        return self.lu.solve(np.eye(self.n, dtype=complex)) / self.h
+        return self.solve(np.eye(self.n, dtype=complex)) / self.h
 
 
-class _RankOneEngine:
-    """Indicator-projection perturbation resolved by the Sherman-Morrison
-    update of the factored tridiagonal part."""
+class _RankOneEngine(_SolverEngine):
+    """Indicator projection h u u^T on top of the factored tridiagonal part,
+    resolved by the Sherman-Morrison update of its solve."""
 
     def __init__(self, op: OperatorSpec, z: complex):
-        base = OperatorSpec.free1d(op.grid)
-        self.base = _SolverEngine(base, z)
-        self.n = self.base.n
-        self.h = op.grid.spacing
-        self.u = _indicator_vector(op.grid).astype(complex)
-        self.tu = self.base.lu.solve(self.u)
-        self.tu_h = self.base.lu.solve(np.conj(self.u), trans="H")
-        self.denom = 1.0 + self.h * np.dot(self.u, self.tu)
-        scale = max(1.0, float(np.linalg.norm(self.tu)) * self.h)
-        if abs(self.denom) < 1e-14 * scale:
+        super().__init__(op, z)
+        base, h = self.solve, self.h
+        u = _indicator_vector(op.grid).astype(complex)  # real, so u^H = u^T
+        tu, tu_h = base(u), base(u, "C")
+        denom = 1.0 + h * np.dot(u, tu)
+        scale = max(1.0, float(np.linalg.norm(tu)) * h)
+        if abs(denom) < 1e-14 * scale:
             raise NearSpectrum("rank-one update is singular at this z")
 
-    def matvec(self, g):
-        y = self.base.lu.solve(g.astype(complex))
-        y = y - self.tu * (self.h * np.dot(self.u, y) / self.denom)
-        return y / self.h
+        def solve(b, trans="N"):
+            y = base(b, trans)
+            if trans == "N":
+                return y - np.multiply.outer(tu, h * (u @ y) / denom)
+            return y - np.multiply.outer(tu_h, h * (u @ y) / np.conj(denom))
 
-    def rmatvec(self, g):
-        y = self.base.lu.solve(g.astype(complex), trans="H")
-        y = y - self.tu_h * (self.h * np.dot(np.conj(self.u), y) / np.conj(self.denom))
-        return y / self.h
-
-    @property
-    def entries(self):
-        tinv = self.base.lu.solve(np.eye(self.n, dtype=complex))
-        correction = np.outer(self.tu, (self.u @ tinv)) * (self.h / self.denom)
-        return (tinv - correction) / self.h
+        self.solve = solve
 
 
 _FREE_DIMENSION = {OperatorKind.FREE_1D: 1, OperatorKind.FREE_2D_RADIAL: 2,
@@ -382,7 +367,8 @@ def _make_engine(op: OperatorSpec, z: complex):
 
     The free kernels (1D, radial 2D and radial 3D) are the semiseparable
     operators of free_resolvent.free_semiseparable_kernel, applied in O(n);
-    the 2D generators are scaled AMOS Bessel functions.
+    the 2D generators are scaled AMOS Bessel functions.  Every other kind is
+    a _SolverEngine, Sherman-Morrison updated for the rank-one kind.
     """
     op.check_resolution(z)
     kind = op.kind
@@ -391,12 +377,6 @@ def _make_engine(op: OperatorSpec, z: complex):
                                          np.sqrt(complex(-z)))
     if kind is OperatorKind.RANK_ONE_PERTURBED_1D:
         return _RankOneEngine(op, z)
-    if kind is OperatorKind.MATRIX:
-        m = op.matrix
-        zi = np.linalg.cond(m - z * np.eye(m.shape[0]))
-        if zi > _COND_LIMIT:
-            raise NearSpectrum(f"matrix condition {zi:.3g} exceeds {_COND_LIMIT:.0e}")
-        return _DenseEngine(np.linalg.inv(m - z * np.eye(m.shape[0])))
     return _SolverEngine(op, z)
 
 
@@ -491,8 +471,11 @@ def _extract_state(op: OperatorSpec, result: SweepResult, state_tol: float):
         return None, None
     cfg = result.config
     psi = u_out * weight(op.grid.points, cfg.sp)
-    center = np.argmax(np.abs(psi))
-    psi = psi / psi[center]
+    # sup-normalized, phase from the first entry of at least half the peak:
+    # the peak of an odd state ties between +-x, so argmax follows rounding
+    mod = np.abs(psi)
+    k = np.argmax(mod >= 0.5 * mod.max())
+    psi = psi / (psi[k] / mod[k] * mod.max())
     resid = apply_shifted_operator(op, complex(cfg.z0), psi)
     w_f = weight(op.grid.points, -cfg.sp)
     rel = np.linalg.norm(w_f * resid) / max(np.linalg.norm(w_f * psi), 1e-300)

@@ -63,6 +63,21 @@ class TestSubcommands:
         assert code == 0
         assert "E=" in out and "E_predicted=-0.0001" in out
 
+    def test_jost_out_solves_the_pair_once(self, capsys, monkeypatch, tmp_path):
+        from virtlev import jost
+        calls = []
+        real = jost.jost_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jost, "jost_solve", counted)
+        code, _, _ = run_cli(["jost", "--potential", "well:g=1", "--n", "1601",
+                              "--out", str(tmp_path / "jost.csv")], capsys)
+        assert code == 0
+        assert len(calls) == 2  # one pair, reused for the CSV
+
     def test_jost_json(self, capsys):
         code, out, _ = run_cli(["jost", "--potential", "well:g=1"], capsys)
         assert code == 0
@@ -173,6 +188,15 @@ def test_byte_identical_output_across_runs(tmp_path):
         proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
         outs.append(path.read_bytes() + proc.stdout.encode())
     assert outs[0] == outs[1]
+
+
+def test_cli_import_skips_scipy_sparse():
+    # scipy.sparse is imported only when discrete_hamiltonian is called
+    code = ("import sys, virtlev.cli; "
+            "print('scipy.sparse' in sys.modules, 'scipy.sparse.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False False"
 
 
 def test_suite_single_criterion(capsys, tmp_path):

@@ -460,3 +460,112 @@ class TestBulkSpectrum:
         res = sweep(OperatorSpec.free3d_radial(RadialGrid(30.0, 3000)), cfg)
         norms = res.norms()
         assert (norms.max() - norms.min()) / norms.min() < 0.01
+
+
+def test_state_phase_does_not_follow_last_bit_ties():
+    # an odd state peaks at +-x with equal modulus; a 1-ulp bump on either
+    # side must not flip the sign of the reported state
+    grid = Grid1D(2.0, 401)
+    m = grid.n_points // 2
+    t = np.arange(1, m + 1) * grid.spacing
+    prof = t * np.exp(-t**2)
+    odd = np.concatenate([-prof[::-1], [0.0], prof]).astype(complex)
+    peak = m + 1 + int(np.argmax(prof))
+    mirror = m - 1 - int(np.argmax(prof))
+    assert odd[peak] == -odd[mirror]
+    op = OperatorSpec.free1d(grid)
+    cfg = SweepConfig(sp=0.0)  # unit weight: psi is the vector itself
+    states = []
+    for k in (None, peak, mirror):
+        u = odd.copy()
+        if k is not None:
+            u[k] = np.nextafter(u[k].real, np.sign(u[k].real) * np.inf)
+        psi, _ = ls._extract_state(op, ls.SweepResult([], cfg, None, u), np.inf)
+        states.append(psi)
+    for psi in states[1:]:
+        assert np.max(np.abs(psi - states[0])) <= 1e-15
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _dense_solve(t, b):
+    """np.linalg.solve(t, b) with one refinement step on a long-double
+    residual: T has condition ~1e5 at h = 0.01, so a plain double solve is
+    itself off by up to ~4e-13 and would use up the engines' tolerance."""
+    dense = t.toarray()
+    x = np.linalg.solve(dense, b)
+    r = b - t.astype(np.clongdouble) @ x.astype(np.clongdouble)
+    return x + np.linalg.solve(dense, r.astype(complex))
+
+
+class TestSolverEngines:
+    """LAPACK solver engines against a dense solve of discrete_hamiltonian."""
+
+    LINE = Grid1D(2.0, 401)
+    RADIAL = RadialGrid(4.0, 400)
+    _RNG = np.random.default_rng(11)
+    OPS = {
+        "schrod1d_real": OperatorSpec.schrodinger1d(Potential1D.square_well(1.0, LINE)),
+        "schrod1d_complex": OperatorSpec.schrodinger1d(
+            Potential1D.square_well(1.0 + 1.0j, LINE)),
+        "schrod3d": OperatorSpec.schrodinger3d_radial(
+            RADIAL, lambda r: -2.0 * np.ones(np.shape(r)), support=1.0),
+        "rankone1d": OperatorSpec.rank_one_perturbed_1d(LINE),
+        "matrix": OperatorSpec.from_matrix(_RNG.standard_normal((40, 40))
+                                           + 1j * _RNG.standard_normal((40, 40))),
+    }
+    ZS = (-2.0, 0.3j, -0.2 + 0.4j)  # -2 stays clear of the well's bound state
+
+    @pytest.mark.parametrize("z", ZS, ids=["negative", "imaginary", "complex"])
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_matches_dense_solve(self, name, z):
+        op = self.OPS[name]
+        engine = ls._make_engine(op, z)
+        t = discrete_hamiltonian(op, z)
+        h = op.grid.spacing
+        n = t.shape[0]
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert _rel(engine.matvec(g), _dense_solve(t, g) / h) <= 1e-12
+        assert _rel(engine.rmatvec(g), _dense_solve(t.conj().T, g) / h) <= 1e-12
+        assert _rel(engine.entries, _dense_solve(t, np.eye(n)) / h) <= 1e-12
+
+    @pytest.mark.parametrize("z", ZS, ids=["negative", "imaginary", "complex"])
+    @pytest.mark.parametrize("name", ["schrod1d_real", "schrod1d_complex", "schrod3d"])
+    def test_band_norm_is_the_matrix_one_norm(self, name, z):
+        op = self.OPS[name]
+        t = discrete_hamiltonian(op, z).toarray()
+        assert ls._band_norm1(*ls._tridiagonal(op, z)) == pytest.approx(
+            np.linalg.norm(t, 1), rel=1e-14)
+
+    def test_schrod3d_near_spectrum_raises(self):
+        # the bound state of a deep well, from the tridiagonal with the edge
+        # row dropped: the transparent closure moves it by ~e^{-2 kappa R}
+        from scipy.linalg import eigh_tridiagonal
+        grid = RadialGrid(10.0, 1000)
+        op = OperatorSpec.schrodinger3d_radial(
+            grid, lambda r: -10.0 * np.ones(np.shape(r)), support=1.0)
+        d = np.real(discrete_hamiltonian(op, 0.0).diagonal())[:-1]
+        e_h = float(eigh_tridiagonal(d, np.full(d.size - 1, -1.0 / grid.spacing**2),
+                                     select="i", select_range=(0, 0),
+                                     eigvals_only=True)[0])
+        assert e_h < -1.0
+        ls._make_engine(op, e_h - 0.1)
+        with pytest.raises(NearSpectrum):
+            ls._make_engine(op, e_h)
+
+    def test_matrix_near_spectrum_raises(self):
+        # estimate path: the lattice Laplacian at a rounded eigenvalue
+        n = 64
+        lap = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        op = OperatorSpec.from_matrix(lap)
+        e = 2.0 * np.cos(np.pi / (n + 1))
+        ls._make_engine(op, e + 1e-3)
+        with pytest.raises(NearSpectrum):
+            ls._make_engine(op, e)
+        # exactly singular LU: a triangular matrix at a diagonal entry
+        tri = OperatorSpec.from_matrix(np.triu(np.ones((5, 5))) + np.diag(np.arange(5.0)))
+        with pytest.raises(NearSpectrum, match="inf"):
+            ls._make_engine(tri, 3.0)
