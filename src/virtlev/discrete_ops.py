@@ -181,13 +181,15 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel,
     """
     n = lvl.psi.entries.size
     m = lvl.tail_band
-    shifted = np.eye(n, k=1, dtype=complex) - lvl.z0 * np.eye(n)
     j = lvl.functional_index - 1
     phi = lvl.phi.entries
-    a_mat = (shifted - np.outer(phi, shifted[j] / phi[j]))[: n - m]
-    tail_block = np.zeros((m, n), dtype=complex)
-    tail_block[:, n - m:] = np.eye(m)
-    stacked = np.vstack([a_mat, tail_block])
+    stacked = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(stacked, -lvl.z0)
+    np.fill_diagonal(stacked[:, 1:], 1.0)  # M = L - z0 I
+    # M[j*] is nonzero only in columns j*, j* + 1
+    stacked[:, j:j + 2] -= np.multiply.outer(phi, stacked[j, j:j + 2] / phi[j])
+    stacked[n - m:] = 0.0
+    np.fill_diagonal(stacked[n - m:, n - m:], 1.0)
     sv = np.linalg.svd(stacked, compute_uv=False)
     return int(np.sum(sv <= sv_tol * sv[0]))
 

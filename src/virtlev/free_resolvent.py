@@ -22,6 +22,9 @@ Both, and the 1D kernel, have the form left(r_<) right(r_>) exp(-w |r - rho|).
 free_semiseparable_kernel holds the only copy of their generators and applies
 them in O(n) on a grid; the 2D generators are scipy's scaled AMOS Bessel
 functions ive/kve, accurate near the positive axis and free of overflow.
+The pointwise radial_reduced_kernel_2d/_3d fold the phase of exp(-w |r - rho|)
+into those generators, e^{i Im(w) r} onto left and its conjugate onto right,
+and take one real exp(-Re(w) |r - rho|) per pair.
 """
 
 from __future__ import annotations
@@ -183,13 +186,30 @@ def free_semiseparable_kernel(d: int, grid, w) -> SemiseparableKernel:
 
 
 def _reduced_kernel(d: int, r, rho, w):
+    """left(r_<) right(r_>) exp(-w |r - rho|) at every broadcast pair (r, rho).
+
+    exp(-w |r - rho|) = exp(-Re(w) |r - rho|) e^{i Im(w) r_<} e^{-i Im(w) r_>}:
+    the unit phases ride on the generators, once per point, so each pair
+    costs one product and one real exponential, and nothing can overflow.
+    """
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
     w = complex(w)
-    left_r, right_r = _generators(d, r, w)
-    left_rho, right_rho = _generators(d, rho, w)
-    near = np.where(r <= rho, left_r * right_rho, left_rho * right_r)
-    return near * np.exp(-w * np.abs(r - rho))
+
+    def folded(x):
+        left, right = _generators(d, x, w)
+        phase = np.exp(1j * w.imag * x)
+        return left * phase, right * phase.conj()
+
+    (left_r, right_r), (left_rho, right_rho) = folded(r), folded(rho)
+    shape = np.broadcast_shapes(r.shape, rho.shape)
+    out = np.multiply(left_r, right_rho, out=np.empty(shape, dtype=complex))
+    np.multiply(left_rho, right_r, out=out, where=r > rho)
+    decay = np.subtract(r, rho, out=np.empty(shape))
+    np.abs(decay, out=decay)
+    decay *= -w.real
+    out *= np.exp(decay, out=decay)
+    return out[()]
 
 
 def radial_reduced_kernel_3d(r, rho, w):
@@ -204,7 +224,8 @@ def radial_reduced_kernel_3d(r, rho, w):
 def radial_reduced_kernel_2d(r, rho, w):
     """s-wave reduced 2D kernel sqrt(r rho) I0(w r_<) K0(w r_>), Re w >= 0.
 
-    Bessel functions are evaluated once per r and once per rho, not per pair.
+    Bessel functions and the phase e^{i Im(w) r} are evaluated once per r and
+    once per rho; each pair takes one product and one real exp(-Re(w) |r - rho|).
     """
     return _reduced_kernel(2, r, rho, w)
 

@@ -281,10 +281,21 @@ def discrete_hamiltonian(op: OperatorSpec, z: complex) -> "scipy.sparse.csc_matr
 
 
 def apply_shifted_operator(op: OperatorSpec, z: complex, u: np.ndarray) -> np.ndarray:
-    """(H - z) u for residual checks of candidate states."""
+    """(H - z) u for residual checks of candidate states, in O(n) from the
+    bands of `_tridiagonal` (plus h 1 <1, u> for the rank-one kind)."""
     if op.kind is OperatorKind.FREE_2D_RADIAL:
         raise ConfigError("no difference operator is attached to the 2D kernel model")
-    return discrete_hamiltonian(op, z) @ u
+    u = np.asarray(u)
+    if op.kind is OperatorKind.MATRIX:
+        return op.matrix @ u - z * u
+    dl, d, du = _tridiagonal(op, z)
+    out = d * u
+    out[1:] += dl * u[:-1]
+    out[:-1] += du * u[1:]
+    if op.kind is OperatorKind.RANK_ONE_PERTURBED_1D:
+        ind = _indicator_vector(op.grid)
+        out += op.grid.spacing * (ind @ u) * ind
+    return out
 
 
 def _check_condition(info: int, rcond_of) -> None:

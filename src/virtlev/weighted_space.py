@@ -19,10 +19,12 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import ztbsv
 
-from .errors import DimensionMismatch, InvalidOperator
+from .errors import DimensionMismatch, DiscretizationFailure, InvalidOperator
 
 #: seed of the fixed start vector used by every power iteration (reproducibility)
 _PI_SEED = 12345
+#: iteration cap of every power iteration
+_POWER_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -302,7 +304,7 @@ def _svd_norm(m: np.ndarray) -> float:
 
 
 def _power_iteration_norm(matvec, rmatvec, n_in: int, dtype, tol: float = 1e-8,
-                          max_iter: int = 20000, v0: np.ndarray | None = None,
+                          max_iter: int = _POWER_MAX_ITER, v0: np.ndarray | None = None,
                           return_vectors: bool = False):
     """Largest singular value via power iteration on M*M.
 
@@ -365,6 +367,8 @@ def operator_norm_weighted(op: KernelOperator, s_in: float, s_out: float,
     Equals the largest singular value of M_ij = <x_i>^{-s_out} K_ij <y_j>^{-s_in} h
     (with h replaced by sqrt(h_in h_out) when the grids differ).  `method` is
     "svd", "power", or "auto" (SVD for n <= 2000, power iteration beyond).
+    A power iteration that reaches its cap unconverged raises
+    DiscretizationFailure rather than return its last estimate.
     """
     m = _rescaled_matrix(op, s_in, s_out)
     if not np.all(np.isfinite(m)):
@@ -373,8 +377,14 @@ def operator_norm_weighted(op: KernelOperator, s_in: float, s_out: float,
     if method == "svd" or (method == "auto" and n <= 2000):
         return _svd_norm(m)
     mh = m.conj().T
-    return _power_iteration_norm(lambda v: m @ v, lambda w: mh @ w,
-                                 m.shape[1], m.dtype, tol=tol)
+    sigma, _, _, _, converged = _power_iteration_norm(
+        lambda v: m @ v, lambda w: mh @ w, m.shape[1], m.dtype, tol=tol,
+        max_iter=_POWER_MAX_ITER, return_vectors=True)
+    if not converged:
+        raise DiscretizationFailure(
+            f"power iteration stopped at its cap of {_POWER_MAX_ITER} iterations "
+            f"before the norm estimate settled to tol = {tol:g}")
+    return sigma
 
 
 def l1_to_linf_norm(op: KernelOperator) -> float:

@@ -131,6 +131,27 @@ def test_near_imaginary_arguments_on_the_grid():
         assert np.max(np.abs(k[idx[:, 0], idx[:, 1]] - ref)) <= 1e-10 * np.max(np.abs(k))
 
 
+@pytest.mark.parametrize("w,big_r", [(0.01 - 20.0j, 40.0), (30.0 - 20.0j, 40.0),
+                                     (50.0, 40.0), (1e-3 + 3.0j, 20.0)])
+def test_grid_build_against_mpmath_im_dominant_and_huge_re(w, big_r):
+    # Im(w) dominant, and Re(w) R up to 2000, far past exp's overflow at 709:
+    # every entry is finite, and matches mpmath wherever the exact value is a
+    # normal double (the rest underflow to below 1e-280)
+    r = RadialGrid(big_r, 1000).points
+    k = radial_reduced_kernel_2d(r[:, None], r[None, :], w)
+    assert np.all(np.isfinite(k))
+    rng = np.random.default_rng(3)
+    i = rng.integers(0, 1000, 48)
+    j = np.r_[rng.integers(0, 1000, 24), np.clip(i[24:] + rng.integers(-4, 5, 24), 0, 999)]
+    with mpmath.workdps(30):
+        ref = np.array([reduced_mpmath(r[a], r[b], complex(w)) for a, b in zip(i, j)])
+    got = k[i, j]
+    normal = np.abs(ref) > 1e-290
+    assert np.sum(normal) >= 24
+    assert np.all(np.abs(got - ref)[normal] <= 1e-12 * np.abs(ref[normal]))
+    assert np.all(np.abs(got[~normal]) <= 1e-280)
+
+
 def test_k0_positive_on_positive_axis():
     t = np.linspace(0.01, 30.0, 300)
     vals = k0(t)

@@ -197,6 +197,14 @@ def test_cli_import_skips_scipy_sparse():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False False"
+    # a Virtual sweep extracts its state with the O(n) residual product
+    code = ("import sys; from virtlev.cli import main; "
+            "code = main(['sweep', '--op', 'schrod1d', '--potential', 'well:g=0']); "
+            "print('scipy.sparse' in sys.modules, code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert "Virtual" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False 0"
 
 
 def test_suite_single_criterion(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Left-shift resolvent, boundary values, manufactured virtual levels."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,38 @@ class TestVirtualLevel:
         tail = np.hstack([np.zeros((m, n - m)), np.eye(m)])
         sv = np.linalg.svd(np.vstack([cols, tail]), compute_uv=False)
         assert virtual_state_space_dimension(lvl) == np.sum(sv <= 1e-8 * sv[0]) == 1
+
+    @pytest.mark.parametrize("z0", [1.0, 1j, np.exp(0.7j), -1.0])
+    @pytest.mark.parametrize("values,index", [
+        ([1.0, 0.5, 0.25], None), ([0.3, -2.0, 1j, 4.0], 2), ([0.0, 2.0, 1.0 - 1j], 3),
+        ([1.0, 0.5], 512),  # j* = n: M[j*] has no column j* + 1
+    ])
+    def test_state_space_matrix_matches_stacked_blocks(self, monkeypatch, z0, values,
+                                                       index):
+        # the preallocated build against the explicit eye/outer/vstack blocks
+        n = 512
+        lvl = build_shift_virtual_level(z0, SeqVector.from_values(values, n=n))
+        if index is not None:  # the matrix reads z0, phi, j* and the tail band only
+            phi = lvl.phi.entries.copy()
+            phi[index - 1] = phi[index - 1] or 0.5
+            lvl = replace(lvl, phi=SeqVector(phi), functional_index=index)
+        m, j, phi = lvl.tail_band, lvl.functional_index - 1, lvl.phi.entries
+        shifted = np.eye(n, k=1, dtype=complex) - lvl.z0 * np.eye(n)
+        a_mat = (shifted - np.outer(phi, shifted[j] / phi[j]))[: n - m]
+        tail_block = np.zeros((m, n), dtype=complex)
+        tail_block[:, n - m:] = np.eye(m)
+        ref = np.vstack([a_mat, tail_block])
+        svd, seen = np.linalg.svd, []
+
+        def spy(a, **kw):
+            seen.append(a.copy())
+            return svd(a, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        dim = virtual_state_space_dimension(lvl)
+        assert len(seen) == 1 and np.array_equal(seen[0], ref)
+        sv = svd(ref, compute_uv=False)
+        assert dim == np.sum(sv <= 1e-8 * sv[0])
 
     def test_degenerate_functional(self):
         with pytest.raises(DegenerateFunctional):

@@ -1,5 +1,8 @@
 """Branch conventions, kernel formulas, reduced radial operators."""
 
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,6 +16,7 @@ from virtlev.errors import (
 from virtlev.free_resolvent import (
     Approach,
     SpectralParameter,
+    _generators,
     build_free_kernel_operator,
     kernel_1d,
     kernel_2d,
@@ -174,6 +178,83 @@ class TestReducedRadialKernels:
         vals1 = radial_reduced_kernel_2d(1.3, 0.4, 0.5)
         vals2 = radial_reduced_kernel_2d(0.4, 1.3, 0.5)
         assert complex(vals1) == pytest.approx(complex(vals2), rel=1e-14)
+
+
+def _pairwise_reference(d, r, rho, w):
+    """The unfolded formula: both generator products, selected by r <= rho,
+    times the complex exp(-w |r - rho|) of every pair."""
+    r, rho, w = np.asarray(r, dtype=float), np.asarray(rho, dtype=float), complex(w)
+    left_r, right_r = _generators(d, r, w)
+    left_rho, right_rho = _generators(d, rho, w)
+    near = np.where(r <= rho, left_r * right_rho, left_rho * right_r)
+    return near * np.exp(-w * np.abs(r - rho))
+
+
+REDUCED = {2: radial_reduced_kernel_2d, 3: radial_reduced_kernel_3d}
+# real, complex, on the positive cut (Re w = 0) and Im(w)-dominant; Im(w) R <= 15
+FOLD_WS = (1e-3, 5.0, 0.5 - 0.5j, 1.2 + 1.5j, -0.8j, 1e-2 + 0.7j)
+
+
+class TestFoldedPhase:
+    @pytest.mark.parametrize("w", FOLD_WS)
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_full_grid_matches_pairwise_formula(self, d, w):
+        r = RadialGrid(10.0, 1000).points
+        got = REDUCED[d](r[:, None], r[None, :], w)
+        ref = _pairwise_reference(d, r[:, None], r[None, :], w)
+        assert got.dtype == complex and got.shape == (1000, 1000)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("w", [0.01 - 20.0j, 30.0 - 20.0j, 50.0])
+    def test_3d_grid_against_mpmath(self, w):
+        # sinh(w r_<) exp(-w r_>) / w with Im(w) dominant or Re(w) R = 2000
+        r = RadialGrid(40.0, 1000).points
+        k = radial_reduced_kernel_3d(r[:, None], r[None, :], w)
+        assert np.all(np.isfinite(k))
+        rng = np.random.default_rng(9)
+        i = rng.integers(0, 1000, 48)
+        j = np.r_[rng.integers(0, 1000, 24), np.clip(i[24:] + rng.integers(-4, 5, 24), 0, 999)]
+        with mpmath.workdps(30):
+            wm = mpmath.mpc(complex(w).real, complex(w).imag)
+            ref = np.array([complex(mpmath.sinh(wm * min(r[a], r[b]))
+                                    * mpmath.exp(-wm * max(r[a], r[b])) / wm)
+                            for a, b in zip(i, j)])
+        got = k[i, j]
+        normal = np.abs(ref) > 1e-290
+        assert np.sum(normal) >= 24
+        assert np.all(np.abs(got - ref)[normal] <= 1e-12 * np.abs(ref[normal]))
+        assert np.all(np.abs(got[~normal]) <= 1e-280)
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_shapes(self, d):
+        kern, w = REDUCED[d], 0.7 - 1.1j
+        rng = np.random.default_rng(2)
+        for r, rho in ((1.3, 0.4), (np.array(0.4), np.array(1.3)),
+                       (4 * rng.random(7) + 0.01, 4 * rng.random(7) + 0.01),
+                       ((4 * rng.random(5) + 0.01)[:, None], (4 * rng.random(3) + 0.01)[None, :])):
+            got = kern(r, rho, w)
+            ref = _pairwise_reference(d, r, rho, w)
+            assert np.shape(got) == np.shape(ref) and np.asarray(got).dtype == complex
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # unsorted radii: every entry depends on its own pair only
+        r = RadialGrid(10.0, 200).points
+        perm = rng.permutation(r.size)
+        full = kern(r[:, None], r[None, :], w)
+        shuffled = kern(r[perm][:, None], r[None, :], w)
+        assert np.max(np.abs(shuffled - full[perm])) <= 1e-15 * np.max(np.abs(full))
+
+    def test_grid_build_keeps_one_real_temporary(self):
+        # peak: the complex output, one real n x n exponent and the r > rho
+        # mask (1.56x the output); the pairwise formula peaks at 3x
+        r = RadialGrid(10.0, 1000).points
+        radial_reduced_kernel_2d(r[:2], r[:2], 0.5)  # import scipy.special outside the trace
+        tracemalloc.start()
+        try:
+            k = radial_reduced_kernel_2d(r[:, None], r[None, :], 0.5 - 0.5j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * k.nbytes
 
 
 class TestBuildOperator:

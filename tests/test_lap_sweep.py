@@ -533,6 +533,21 @@ class TestSolverEngines:
         assert _rel(engine.entries, _dense_solve(t, np.eye(n)) / h) <= 1e-12
 
     @pytest.mark.parametrize("z", ZS, ids=["negative", "imaginary", "complex"])
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_shifted_operator_matches_sparse_product(self, name, z):
+        op = self.OPS[name]
+        rng = np.random.default_rng(7)
+        n = op.grid.n_points
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ref = discrete_hamiltonian(op, z) @ u
+        assert _rel(apply_shifted_operator(op, z, u), ref) <= 1e-14
+
+    def test_shifted_operator_has_no_2d_model(self):
+        op = OperatorSpec.free2d_radial(self.RADIAL)
+        with pytest.raises(ConfigError):
+            apply_shifted_operator(op, -1.0, np.ones(self.RADIAL.n_points))
+
+    @pytest.mark.parametrize("z", ZS, ids=["negative", "imaginary", "complex"])
     @pytest.mark.parametrize("name", ["schrod1d_real", "schrod1d_complex", "schrod3d"])
     def test_band_norm_is_the_matrix_one_norm(self, name, z):
         op = self.OPS[name]

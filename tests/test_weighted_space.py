@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from virtlev.errors import DimensionMismatch, InvalidOperator
+from virtlev import weighted_space
+from virtlev.errors import DimensionMismatch, DiscretizationFailure, InvalidOperator
 from virtlev.free_resolvent import SpectralParameter, build_free_kernel_operator
 from virtlev.weighted_space import (
     Grid1D,
@@ -110,6 +111,17 @@ def test_power_iteration_matches_svd():
         a = operator_norm_weighted(k, s_in, s_out, method="svd")
         b = operator_norm_weighted(k, s_in, s_out, method="power")
         assert b == pytest.approx(a, rel=1e-6)
+
+
+def test_power_norm_at_its_cap_raises(monkeypatch):
+    # the default cap converges; a cap of 3 cannot meet the two-hit stopping test
+    g = Grid1D(5.0, 101)
+    m = np.random.default_rng(4).standard_normal((101, 101))
+    k = KernelOperator(g, g, m)
+    assert operator_norm_weighted(k, 1.0, 1.0, method="power") > 0
+    monkeypatch.setattr(weighted_space, "_POWER_MAX_ITER", 3)
+    with pytest.raises(DiscretizationFailure, match="cap of 3 iterations"):
+        operator_norm_weighted(k, 1.0, 1.0, method="power")
 
 
 def test_power_iteration_reports_convergence():
