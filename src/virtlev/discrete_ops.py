@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import ztbsv
 
 from .errors import (
+    ConfigError,
     DegenerateFunctional,
     DiscretizationFailure,
     OutsideResolventSet,
@@ -23,6 +25,8 @@ from .weighted_space import decay_band, first_order_recursion, linear_fit
 #: default truncation length and the tail band absorbing truncation effects
 DEFAULT_LENGTH = 512
 DEFAULT_TAIL_BAND = 64
+#: inverse-iteration steps virtual_state_space_dimension may take
+_INVERSE_ITERATIONS = 4
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,9 @@ class SeqVector:
     def from_values(cls, values, n: int = DEFAULT_LENGTH, flavor: str = "l1",
                     tail: float = 0.0) -> "SeqVector":
         values = np.asarray(values, dtype=complex)
+        if values.size > max(n, 1):  # n < 1 is left to the nonempty check
+            raise ConfigError(f"{values.size} leading entries do not fit a sequence "
+                              f"of length n = {n}")
         e = np.zeros(n, dtype=complex)
         e[: values.size] = values
         return cls(e, flavor, tail)
@@ -150,6 +157,10 @@ def build_shift_virtual_level(z0: complex, phi: SeqVector,
     trailing tail band.
     """
     z0 = complex(z0)
+    n = phi.entries.size
+    if n <= tail_band:
+        raise ConfigError(f"sequence length n = {n} must exceed the tail band of "
+                          f"{tail_band} entries")
     if np.max(np.abs(phi.entries)) == 0.0:
         raise DegenerateFunctional("phi must be nonzero")
     if functional_index is None:
@@ -162,7 +173,6 @@ def build_shift_virtual_level(z0: complex, phi: SeqVector,
     psi = shift_boundary_value(phi, z0)
     lvl = ShiftVirtualLevel(z0, phi, functional_index, psi, 0.0, tail_band)
     resid_vec = lvl.apply_operator(psi.entries) - z0 * psi.entries
-    n = psi.entries.size
     resid = float(np.max(np.abs(resid_vec[: n - tail_band])))
     lvl.residual = resid
     return lvl
@@ -172,26 +182,110 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel,
                                   sv_tol: float = 1e-8) -> int:
     """Numerical dimension of the decaying null space of (A - z0 I).
 
-    Stacks the truncated operator rows (off the tail band) on top of an
-    identity block pinning the tail to zero: boundary-value states are
-    finitely supported once phi is, while the pure geometric solutions of
-    (L - z0) v = 0 violate the decay block.  The count of near-zero singular
-    values is the dimension.  A - z0 I = M - phi (x) M[j*] / phi_j* with
-    M = L - z0 I, the closed form of apply_operator.
+    The operator rows off the tail band, stacked on an identity block that
+    pins the tail to zero, form S: boundary-value states are finitely
+    supported once phi is, while the pure geometric solutions of
+    (L - z0) v = 0 violate the decay block.  The dimension is the number of
+    singular values of S at most sv_tol * sigma_max(S).  S is never formed:
+    S = S0 - u r with S0 upper bidiagonal (diagonal -z0 above the tail band
+    and 1 on it, superdiagonal 1 above the tail band), u = phi with its tail
+    rows zeroed and r = M[j*] / phi_j*, M = L - z0 I, nonzero only in columns
+    j* and j* + 1.  Everything below is O(n) in time and memory.
+
+    Certification: sigma_max(S) lies between the largest column 2-norm and
+    sqrt(|S|_1 |S|_inf).  A rank-one update moves the smallest singular
+    value only, so sigma_(n-1)(S) >= sigma_min(S0), bounded below in closed
+    form by 1 / sqrt(|S0^-1|_1 |S0^-1|_inf); above sv_tol * sigma_max the
+    count is 0 or 1.  It is 0 when the Sherman-Morrison bound
+    |S^-1| <= |S0^-1| + |S0^-1 u| |S0^-H r^H| / |1 - r S0^-1 u| keeps
+    sigma_min(S) above the threshold, and 1 when inverse iteration on S^H S
+    (each solve one ztbsv with S0 plus the Sherman-Morrison term), started
+    from the candidate state S0^-1 u, finds |S x| / |x| below it.  A count
+    that neither check decides raises DiscretizationFailure.
     """
     n = lvl.psi.entries.size
-    m = lvl.tail_band
+    p = n - lvl.tail_band  # rows above the tail band
     j = lvl.functional_index - 1
-    phi = lvl.phi.entries
-    stacked = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(stacked, -lvl.z0)
-    np.fill_diagonal(stacked[:, 1:], 1.0)  # M = L - z0 I
-    # M[j*] is nonzero only in columns j*, j* + 1
-    stacked[:, j:j + 2] -= np.multiply.outer(phi, stacked[j, j:j + 2] / phi[j])
-    stacked[n - m:] = 0.0
-    np.fill_diagonal(stacked[n - m:, n - m:], 1.0)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(sv <= sv_tol * sv[0]))
+    z0 = lvl.z0
+    diag = np.where(np.arange(n) < p, -z0, 1.0 + 0.0j)
+    sup = np.where(np.arange(n - 1) < p, 1.0 + 0.0j, 0.0)
+    band = np.zeros((2, n), dtype=complex)  # upper band storage of S0
+    band[0, 1:] = sup
+    band[1] = diag
+    # u r is unchanged when phi is scaled, so scale phi_j* to 1: r = M[j*]
+    u = lvl.phi.entries / lvl.phi.entries[j]
+    u[p:] = 0.0
+    cols = np.arange(j, min(j + 2, n))  # the columns r touches
+    r = np.array([-z0, 1.0])[: cols.size]
+
+    # sigma_max bracket: |S0| with the columns r touches zeroed, plus those
+    # columns of S in full
+    touched = np.abs(np.multiply.outer(u, r))
+    for c, k in enumerate(cols):
+        touched[k, c] = abs(diag[k] - u[k] * r[c])
+        if k > 0:
+            touched[k - 1, c] = abs(sup[k - 1] - u[k - 1] * r[c])
+    abs_diag, abs_sup = np.abs(diag), np.abs(sup)
+    abs_diag[cols] = 0.0
+    abs_sup[cols[cols > 0] - 1] = 0.0
+    col_abs = abs_diag + np.r_[0.0, abs_sup]
+    col_sq = abs_diag ** 2 + np.r_[0.0, abs_sup ** 2]
+    col_abs[cols] += np.sum(touched, axis=0)
+    col_sq[cols] += np.sum(touched ** 2, axis=0)
+    row_abs = abs_diag + np.r_[abs_sup, 0.0] + np.sum(touched, axis=1)
+    lo = float(np.sqrt(np.max(col_sq)))
+    hi = float(np.sqrt(np.max(col_abs) * np.max(row_abs)))
+    threshold_lo, threshold_hi = sv_tol * lo, sv_tol * hi
+
+    # |S0^-1|: entries of its top block have modulus |z0|^-(k+1) on the k-th
+    # superdiagonal; the tail identity adds 1 to the first tail column and
+    # couples row i to it with |z0|^-(p-i)
+    powers = abs(z0) ** -np.arange(1.0, p + 1)
+    geo = float(np.sum(powers))
+    coupled = p < n
+    s0_inv = float(np.sqrt((geo + coupled) * (geo + coupled * powers[-1])))
+    if not 1.0 / s0_inv > threshold_hi:
+        raise DiscretizationFailure(
+            f"cannot certify a single small singular value: sigma_min(S0) >= "
+            f"{1.0 / s0_inv:.3g} is not above the threshold {threshold_hi:.3g}")
+
+    def s0_solve(b, trans=0):
+        return ztbsv(1, band, b, trans=trans)
+
+    w = s0_solve(u)  # S0^-1 u, a null vector of S when delta = 0
+    rh = np.zeros(n, dtype=complex)
+    rh[cols] = np.conj(r)
+    w_h = s0_solve(rh, trans=2)  # S0^-H r^H
+    delta = 1.0 - np.dot(r, w[cols])
+    if delta != 0.0:
+        sigma_lower = 1.0 / (s0_inv + np.linalg.norm(w) * np.linalg.norm(w_h) / abs(delta))
+        if sigma_lower > threshold_hi:
+            return 0
+
+    def apply_s(x):
+        sx = diag * x
+        sx[:-1] += sup * x[1:]
+        sx -= u * np.dot(r, x[cols])
+        return sx
+
+    def solve_normal(x):  # (S^H S)^-1 x through S^-H, then S^-1
+        y = s0_solve(x, trans=2)
+        y += w_h * (np.vdot(u, y) / np.conj(delta))
+        y = s0_solve(y)
+        y += w * (np.dot(r, y[cols]) / delta)
+        return y
+
+    x = w / np.linalg.norm(w)
+    for _ in range(_INVERSE_ITERATIONS):
+        if np.linalg.norm(apply_s(x)) <= threshold_lo:
+            return 1
+        if delta == 0.0:
+            break
+        x = solve_normal(x)
+        x /= np.linalg.norm(x)
+    raise DiscretizationFailure(
+        f"inverse iteration could not place sigma_min(S) on either side of "
+        f"the threshold [{threshold_lo:.3g}, {threshold_hi:.3g}]")
 
 
 def zero_operator_rank_probe(dim: int = 24, ranks=(1, 2, 3), radii=None,

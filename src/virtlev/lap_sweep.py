@@ -47,6 +47,7 @@ from .weighted_space import (
 
 _MAX_GRID_SPACING = 0.01  # resolution contract for differential operators
 _COND_LIMIT = 1e14
+_MAX_ABS_BLOCK = 64  # identity columns per solve in _SolverEngine.max_abs_entry
 
 
 class OperatorKind(enum.Enum):
@@ -317,7 +318,8 @@ class _SolverEngine:
 
     Tridiagonal kinds factor with zgttrf and check zgtcon, the matrix kind
     factors with zgetrf and checks zgecon.  `solve(b, trans)` applies T^{-1},
-    or T^{-H} for trans="C"; matvec, rmatvec and entries all go through it.
+    or T^{-H} for trans="C"; matvec, rmatvec, max_abs_entry and entries all
+    go through it.
     """
 
     def __init__(self, op: OperatorSpec, z: complex):
@@ -344,6 +346,17 @@ class _SolverEngine:
     @property
     def entries(self):
         return self.solve(np.eye(self.n, dtype=complex)) / self.h
+
+    def max_abs_entry(self) -> float:
+        """max |K_ij| from identity blocks of at most _MAX_ABS_BLOCK columns,
+        so memory stays O(_MAX_ABS_BLOCK n) where `entries` needs n^2."""
+        best = 0.0
+        for start in range(0, self.n, _MAX_ABS_BLOCK):
+            width = min(_MAX_ABS_BLOCK, self.n - start)
+            eye = np.zeros((self.n, width), dtype=complex, order="F")
+            eye[start + np.arange(width), np.arange(width)] = 1.0
+            best = max(best, float(np.max(np.abs(self.solve(eye) / self.h))))
+        return best
 
 
 class _RankOneEngine(_SolverEngine):
@@ -374,7 +387,8 @@ _FREE_DIMENSION = {OperatorKind.FREE_1D: 1, OperatorKind.FREE_2D_RADIAL: 2,
 
 
 def _make_engine(op: OperatorSpec, z: complex):
-    """Resolvent kernel of op at z: matvec, rmatvec (K^H) and dense entries.
+    """Resolvent kernel of op at z: matvec, rmatvec (K^H), max_abs_entry and
+    dense entries.
 
     The free kernels (1D, radial 2D and radial 3D) are the semiseparable
     operators of free_resolvent.free_semiseparable_kernel, applied in O(n);
@@ -429,7 +443,7 @@ def sweep(op: OperatorSpec, cfg: SweepConfig) -> SweepResult:
         try:
             engine = _make_engine(op, z)
             if cfg.flavor == "l1_linf":
-                points.append(SweepPoint(r, z, float(np.max(np.abs(engine.entries)))))
+                points.append(SweepPoint(r, z, engine.max_abs_entry()))
                 continue
             sigma, v0, u, its, ok = _weighted_norm_via_engine(engine, op.grid, cfg.s,
                                                               cfg.sp, v0=v0)

@@ -187,6 +187,10 @@ class KernelOperator:
             raise DimensionMismatch("vector length does not match grid_in")
         return self.quadrature_weight * (self.entries @ f)
 
+    def max_abs_entry(self) -> float:
+        """sup |K(x, y)| over the grid, read from the stored entries."""
+        return float(np.max(np.abs(self.entries)))
+
 
 def decay_band(decay: complex, n: int) -> np.ndarray:
     """Lower band storage of the unit bidiagonal matrix with subdiagonal -decay.
@@ -289,14 +293,39 @@ class SemiseparableKernel:
             raise DimensionMismatch("vector length does not match grid_in")
         return self.quadrature_weight * self.matvec(f)
 
+    def _powers(self) -> np.ndarray:
+        return self.decay ** np.arange(self.grid.n_points)
+
     @property
     def entries(self) -> np.ndarray:
         """The dense n x n kernel matrix, built on every access."""
         n = self.grid.n_points
-        powers = self.decay ** np.arange(n)
+        powers = self._powers()
         upper = np.outer(self.left, self.right)
         upper *= toeplitz(powers, powers)
         return np.where(np.tri(n, k=-1, dtype=bool), upper.T, upper)
+
+    def max_abs_entry(self) -> float:
+        """max_ij |K_ij| in O(n), without forming K.
+
+        For i <= j, |K_ij| = |right_j| |left_i| |decay|^(j-i), so column j
+        peaks at the row attaining the running maximum
+        m_j = max(|decay| m_(j-1), |left_j|); K is symmetric, so these
+        columns cover every entry.  The running maximum is one accumulate
+        over log|left_i| - i log|decay|, and each column's peak is then
+        evaluated exactly as `entries` evaluates it.
+        """
+        n = self.grid.n_points
+        cols = np.arange(n)
+        if self.decay == 0.0:  # K is diagonal
+            rows = cols
+        else:
+            with np.errstate(divide="ignore"):
+                score = np.log(np.abs(self.left)) - cols * np.log(abs(self.decay))
+            best = np.maximum.accumulate(score)
+            rows = np.maximum.accumulate(np.where(score == best, cols, 0))
+        peaks = (self.left[rows] * self.right) * self._powers()[cols - rows]
+        return float(np.max(np.abs(peaks)))
 
 
 def _svd_norm(m: np.ndarray) -> float:
@@ -388,5 +417,6 @@ def operator_norm_weighted(op: KernelOperator, s_in: float, s_out: float,
 
 
 def l1_to_linf_norm(op: KernelOperator) -> float:
-    """Exact L1 -> Linf operator norm of a kernel operator: sup |K(x, y)|."""
-    return float(np.max(np.abs(op.entries)))
+    """Exact L1 -> Linf operator norm of a kernel operator: sup |K(x, y)|,
+    from the operator's own max_abs_entry (O(n) for semiseparable kernels)."""
+    return op.max_abs_entry()

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,21 @@ def test_byte_identical_output_across_runs(tmp_path):
         proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
         outs.append(path.read_bytes() + proc.stdout.encode())
     assert outs[0] == outs[1]
+
+
+def test_default_l1_linf_sweep_memory_stays_linear(capsys):
+    # two dense 8001^2 complex kernels per refined point: about 2 GB before
+    # the O(n) sup norms
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--op", "free1d", "--flavor", "l1_linf"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.rstrip().endswith("Virtual (alpha~0.5)")
+    assert peak < 20e6
 
 
 def test_cli_import_skips_scipy_sparse():

@@ -1,5 +1,6 @@
 """Left-shift resolvent, boundary values, manufactured virtual levels."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,19 @@ from virtlev.discrete_ops import (
     virtual_state_space_dimension,
     zero_operator_rank_probe,
 )
-from virtlev.errors import DegenerateFunctional, OutsideResolventSet
+from virtlev.errors import ConfigError, DegenerateFunctional, OutsideResolventSet
+
+
+def _dense_dimension(lvl, sv_tol=1e-8):
+    """Oracle: the SVD count of the stacked operator rows and tail block."""
+    n, m = lvl.psi.entries.size, lvl.tail_band
+    j, phi = lvl.functional_index - 1, lvl.phi.entries
+    shifted = np.eye(n, k=1, dtype=complex) - lvl.z0 * np.eye(n)
+    a_mat = (shifted - np.outer(phi, shifted[j] / phi[j]))[: n - m]
+    tail_block = np.zeros((m, n), dtype=complex)
+    tail_block[:, n - m:] = np.eye(m)
+    sv = np.linalg.svd(np.vstack([a_mat, tail_block]), compute_uv=False)
+    return int(np.sum(sv <= sv_tol * sv[0]))
 
 
 def test_seqvector_validation():
@@ -137,32 +150,57 @@ class TestVirtualLevel:
         ([1.0, 0.5, 0.25], None), ([0.3, -2.0, 1j, 4.0], 2), ([0.0, 2.0, 1.0 - 1j], 3),
         ([1.0, 0.5], 512),  # j* = n: M[j*] has no column j* + 1
     ])
-    def test_state_space_matrix_matches_stacked_blocks(self, monkeypatch, z0, values,
-                                                       index):
-        # the preallocated build against the explicit eye/outer/vstack blocks
-        n = 512
-        lvl = build_shift_virtual_level(z0, SeqVector.from_values(values, n=n))
-        if index is not None:  # the matrix reads z0, phi, j* and the tail band only
+    def test_state_space_dimension_matches_stacked_blocks(self, z0, values, index):
+        # the structured count against the explicit eye/outer/vstack matrix
+        lvl = build_shift_virtual_level(z0, SeqVector.from_values(values, n=512))
+        if index is not None:  # the count reads z0, phi, j* and the tail band only
             phi = lvl.phi.entries.copy()
             phi[index - 1] = phi[index - 1] or 0.5
             lvl = replace(lvl, phi=SeqVector(phi), functional_index=index)
-        m, j, phi = lvl.tail_band, lvl.functional_index - 1, lvl.phi.entries
-        shifted = np.eye(n, k=1, dtype=complex) - lvl.z0 * np.eye(n)
-        a_mat = (shifted - np.outer(phi, shifted[j] / phi[j]))[: n - m]
-        tail_block = np.zeros((m, n), dtype=complex)
-        tail_block[:, n - m:] = np.eye(m)
-        ref = np.vstack([a_mat, tail_block])
-        svd, seen = np.linalg.svd, []
+        assert virtual_state_space_dimension(lvl) == _dense_dimension(lvl)
 
-        def spy(a, **kw):
-            seen.append(a.copy())
-            return svd(a, **kw)
+    def test_state_space_dimension_seeded_ladder(self):
+        # 1-4 leading entries, z0 on the unit circle, n in {160, 512}; every
+        # fourth case forces j* into the tail band, where the count is 0
+        rng = np.random.default_rng(2024)
+        counts = [0, 0]
+        for case in range(200):
+            n = 512 if case % 10 == 3 else 160
+            k = int(rng.integers(1, 5))
+            values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            z0 = np.exp(2j * np.pi * rng.random())
+            lvl = build_shift_virtual_level(z0, SeqVector.from_values(values, n=n))
+            if case % 4 == 3:
+                index = int(rng.integers(n - lvl.tail_band + 1, n + 1))
+                phi = lvl.phi.entries.copy()
+                phi[index - 1] = rng.standard_normal() + 1j * rng.standard_normal()
+                lvl = replace(lvl, phi=SeqVector(phi), functional_index=index)
+            elif case % 4 == 2 and values[k - 1] != 0:
+                lvl = replace(lvl, functional_index=k)
+            dim = virtual_state_space_dimension(lvl)
+            assert dim == _dense_dimension(lvl), case
+            counts[dim] += 1
+        assert counts == [50, 150]
 
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        dim = virtual_state_space_dimension(lvl)
-        assert len(seen) == 1 and np.array_equal(seen[0], ref)
-        sv = svd(ref, compute_uv=False)
-        assert dim == np.sum(sv <= 1e-8 * sv[0])
+    def test_state_space_dimension_memory_stays_linear(self):
+        # the stacked n^2 complex matrix alone would be 268 MB at n = 4097
+        lvl = build_shift_virtual_level(1j, SeqVector.from_values([1.0, 0.5, 0.25], n=4097))
+        tracemalloc.start()
+        try:
+            dim = virtual_state_space_dimension(lvl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dim == 1
+        assert peak < 5e6
+
+    def test_short_sequences_raise_config_errors(self):
+        with pytest.raises(ConfigError, match="n = 64 .* tail band of 64"):
+            build_shift_virtual_level(1.0, SeqVector.from_values([1.0], n=64))
+        with pytest.raises(ConfigError, match="3 leading entries .* n = 2"):
+            SeqVector.from_values([1.0, 2.0, 3.0], n=2)
+        lvl = build_shift_virtual_level(1.0, SeqVector.from_values([1.0], n=65))
+        assert virtual_state_space_dimension(lvl) == 1
 
     def test_degenerate_functional(self):
         with pytest.raises(DegenerateFunctional):

@@ -584,3 +584,63 @@ class TestSolverEngines:
         tri = OperatorSpec.from_matrix(np.triu(np.ones((5, 5))) + np.diag(np.arange(5.0)))
         with pytest.raises(NearSpectrum, match="inf"):
             ls._make_engine(tri, 3.0)
+
+
+class TestMaxAbsEntry:
+    """max_abs_entry() against the dense entries it never forms."""
+
+    LINE = Grid1D(2.0, 401)
+    RADIAL = RadialGrid(2.0, 200)
+    _RNG = np.random.default_rng(17)
+    OPS = {
+        "free1d": OperatorSpec.free1d(LINE),
+        "free2d": OperatorSpec.free2d_radial(RADIAL),
+        "free3d": OperatorSpec.free3d_radial(RADIAL),
+        "schrod1d": OperatorSpec.schrodinger1d(Potential1D.square_well(1.0, LINE)),
+        "schrod3d": OperatorSpec.schrodinger3d_radial(
+            RADIAL, lambda r: -np.ones(np.shape(r)), support=1.0),
+        "rankone1d": OperatorSpec.rank_one_perturbed_1d(LINE),
+        "matrix": OperatorSpec.from_matrix(_RNG.standard_normal((150, 150))
+                                           + 1j * _RNG.standard_normal((150, 150))),
+    }
+    # rays pi, pi/2 and 3pi/4, and their mirror images below the axis
+    ANGLES = (np.pi, np.pi / 2, 3 * np.pi / 4, -np.pi / 2, -3 * np.pi / 4)
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_matches_dense_entries(self, name, angle):
+        for radius in (1e-3, 0.3):
+            engine = ls._make_engine(self.OPS[name], radius * ls._direction(angle))
+            assert engine.max_abs_entry() == np.max(np.abs(engine.entries)), radius
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_jost_and_dense_kernels(self, angle):
+        z = 1e-3 * ls._direction(angle)
+        k = green_kernel(jost_pair(Potential1D.bump(self.LINE, amplitude=1.0), z))
+        dense = KernelOperator(self.LINE, self.LINE, k.entries)
+        assert k.max_abs_entry() == dense.max_abs_entry() == np.max(np.abs(k.entries))
+        assert wsp.l1_to_linf_norm(k) == wsp.l1_to_linf_norm(dense)
+
+    def test_l1_linf_sweeps_never_read_entries(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("dense entries read")
+
+        monkeypatch.setattr(wsp.SemiseparableKernel, "entries", property(forbidden))
+        monkeypatch.setattr(ls._SolverEngine, "entries", property(forbidden))
+        cfg = SweepConfig(flavor="l1_linf", radii=SUITE_RADII)
+        for name in ("free1d", "free3d", "schrod1d", "rankone1d", "matrix"):
+            result = sweep(self.OPS[name], cfg)
+            assert len(result.points) == len(SUITE_RADII), name
+
+    def test_solver_kind_l1_linf_sweep_memory_stays_linear(self):
+        # one dense 1601^2 complex resolvent is 41 MB per sweep point
+        pot = Potential1D.square_well(1.0, Grid1D(8.0, 1601))
+        op = OperatorSpec.schrodinger1d(pot)
+        tracemalloc.start()
+        try:
+            result = sweep(op, SweepConfig(flavor="l1_linf", radii=SUITE_RADII))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.points) == len(SUITE_RADII)
+        assert peak < 10e6
