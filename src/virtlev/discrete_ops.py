@@ -65,8 +65,10 @@ class SeqVector:
     @classmethod
     def from_values(cls, values, n: int = DEFAULT_LENGTH, flavor: str = "l1",
                     tail: float = 0.0) -> "SeqVector":
+        if n <= 0:
+            raise ConfigError(f"sequence length n = {n} must be positive")
         values = np.asarray(values, dtype=complex)
-        if values.size > max(n, 1):  # n < 1 is left to the nonempty check
+        if values.size > n:
             raise ConfigError(f"{values.size} leading entries do not fit a sequence "
                               f"of length n = {n}")
         e = np.zeros(n, dtype=complex)

@@ -40,7 +40,7 @@ from .errors import (
     ThresholdSingularity,
     UnsupportedSpectralPoint,
 )
-from .weighted_space import Grid1D, KernelOperator, RadialGrid, SemiseparableKernel
+from .weighted_space import Grid1D, RadialGrid, SemiseparableKernel
 
 
 class Approach(enum.Enum):
@@ -230,12 +230,14 @@ def radial_reduced_kernel_2d(r, rho, w):
     return _reduced_kernel(2, r, rho, w)
 
 
-def build_free_kernel_operator(d: int, grid, p: SpectralParameter) -> KernelOperator:
-    """Sample the free resolvent of dimension d on the grid.
+def build_free_kernel_operator(d: int, grid, p: SpectralParameter) -> SemiseparableKernel:
+    """The free resolvent of dimension d on the grid, as the O(n)
+    semiseparable operator of free_semiseparable_kernel.
 
     d = 1 takes a Grid1D; d = 2, 3 take a RadialGrid and produce the reduced
     s-wave kernels, whose weighted operator norms approximate the spherically
-    symmetric part of the full-space resolvent.
+    symmetric part of the full-space resolvent.  The dense complex matrix is
+    built only when a caller reads `entries`.
     """
     z = complex(p.z)
     if d == 1:
@@ -250,7 +252,4 @@ def build_free_kernel_operator(d: int, grid, p: SpectralParameter) -> KernelOper
             raise UnsupportedSpectralPoint("2D kernel requires z off the closed positive axis")
     else:
         raise ValueError(f"unsupported dimension d = {d}")
-    entries = free_semiseparable_kernel(d, grid, sqrt_minus_z(p)).entries
-    if np.all(np.abs(entries.imag) == 0.0):
-        entries = entries.real
-    return KernelOperator(grid, grid, entries)
+    return free_semiseparable_kernel(d, grid, sqrt_minus_z(p))

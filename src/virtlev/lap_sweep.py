@@ -323,6 +323,7 @@ class _SolverEngine:
     """
 
     def __init__(self, op: OperatorSpec, z: complex):
+        self.grid_in = self.grid_out = op.grid
         self.h = op.grid.spacing
         self.n = op.grid.n_points
         if op.kind is OperatorKind.MATRIX:
@@ -387,8 +388,8 @@ _FREE_DIMENSION = {OperatorKind.FREE_1D: 1, OperatorKind.FREE_2D_RADIAL: 2,
 
 
 def _make_engine(op: OperatorSpec, z: complex):
-    """Resolvent kernel of op at z: matvec, rmatvec (K^H), max_abs_entry and
-    dense entries.
+    """Resolvent kernel of op at z: grid_in, grid_out, matvec, rmatvec (K^H),
+    max_abs_entry and dense entries.
 
     The free kernels (1D, radial 2D and radial 3D) are the semiseparable
     operators of free_resolvent.free_semiseparable_kernel, applied in O(n);
@@ -411,23 +412,6 @@ def resolvent_matrix(op: OperatorSpec, z: complex) -> KernelOperator:
     return KernelOperator(op.grid, op.grid, engine.entries)
 
 
-def _weighted_norm_via_engine(engine, grid, s: float, sp_: float,
-                              v0=None, tol: float = 1e-8):
-    """Norm (and singular directions) of the rescaled resolvent matrix."""
-    w_in = weight(grid.points, -s)
-    w_out = weight(grid.points, -sp_)
-    scale = grid.spacing
-
-    def mv(v):
-        return scale * w_out * engine.matvec(w_in * v)
-
-    def rmv(u):
-        return scale * w_in * engine.rmatvec(w_out * u)
-
-    return _power_iteration_norm(mv, rmv, grid.n_points, complex, tol=tol, v0=v0,
-                                 return_vectors=True)
-
-
 def sweep(op: OperatorSpec, cfg: SweepConfig) -> SweepResult:
     """Resolvent norms at z = z0 + r exp(i angle), largest radius first.
 
@@ -445,8 +429,7 @@ def sweep(op: OperatorSpec, cfg: SweepConfig) -> SweepResult:
             if cfg.flavor == "l1_linf":
                 points.append(SweepPoint(r, z, engine.max_abs_entry()))
                 continue
-            sigma, v0, u, its, ok = _weighted_norm_via_engine(engine, op.grid, cfg.s,
-                                                              cfg.sp, v0=v0)
+            sigma, v0, u, its, ok = _power_iteration_norm(engine, cfg.s, cfg.sp, v0=v0)
             points.append(SweepPoint(r, z, sigma, its, ok))
         except NearSpectrum as exc:
             aborted = str(exc)

@@ -2,12 +2,15 @@
 operator-norm estimation.
 
 Operators are kernel matrices sampled on uniform grids: dense, or
-semiseparable and applied in O(n) without ever forming the matrix.  Integrals
-use the uniform-weight rule (trapezoid up to an O(h) endpoint term that is
-negligible for the decaying integrands this package works with).  Operator
-norms between weighted L2 spaces reduce to the largest singular value of a
-diagonally rescaled matrix; that number is computed either by full SVD
-(small matrices) or by a deterministic power iteration.
+semiseparable and applied in O(n) without ever forming the matrix.  Both,
+and the resolvent engines of lap_sweep, share one surface: grid_in,
+grid_out, matvec and rmatvec (K and K^H without the quadrature weight),
+max_abs_entry, and entries.  Integrals use the uniform-weight rule
+(trapezoid up to an O(h) endpoint term that is negligible for the decaying
+integrands this package works with).  Operator norms between weighted L2
+spaces reduce to the largest singular value of a diagonally rescaled
+matrix; that number is computed by full SVD (small matrices) or by the one
+deterministic power iteration, which runs on matvec/rmatvec.
 """
 
 from __future__ import annotations
@@ -180,12 +183,20 @@ class KernelOperator:
     def quadrature_weight(self) -> float:
         return self.grid_in.spacing
 
+    def matvec(self, f: np.ndarray) -> np.ndarray:
+        """K f without the quadrature weight."""
+        return self.entries @ f
+
+    def rmatvec(self, f: np.ndarray) -> np.ndarray:
+        """K^H f without the quadrature weight, with no transposed copy of K."""
+        return np.conj(np.conj(f) @ self.entries)
+
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Discretized integral operator: (Kf)(x_i) = h * sum_j K_ij f_j."""
         f = np.asarray(f)
         if f.shape[0] != self.grid_in.n_points:
             raise DimensionMismatch("vector length does not match grid_in")
-        return self.quadrature_weight * (self.entries @ f)
+        return self.quadrature_weight * self.matvec(f)
 
     def max_abs_entry(self) -> float:
         """sup |K(x, y)| over the grid, read from the stored entries."""
@@ -219,14 +230,14 @@ class SemiseparableKernel:
     """Kernel K_ij = left_min(i,j) right_max(i,j) decay^|i-j|, applied in O(n).
 
     Same surface as KernelOperator (grid_in, grid_out, quadrature_weight,
-    apply, entries), but K is never stored: K f splits into the forward sum
-    right_i sum_{j<=i} decay^(i-j) left_j f_j and the strictly upper sum
-    left_i sum_{j>i} decay^(j-i) right_j f_j, two first-order recursions
-    (Vandebril, Van Barel & Mastronardi, Matrix Computations and
-    Semiseparable Matrices, 2008).  K is complex symmetric, so its
-    conjugate transpose acts as conj(K conj(f)).  |decay| <= 1 keeps both
-    recursions stable.  The dense matrix is built only when a caller reads
-    `entries`.
+    matvec, rmatvec, apply, max_abs_entry, entries), but K is never stored:
+    K f splits into the forward sum right_i sum_{j<=i} decay^(i-j) left_j f_j
+    and the strictly upper sum left_i sum_{j>i} decay^(j-i) right_j f_j, two
+    first-order recursions (Vandebril, Van Barel & Mastronardi, Matrix
+    Computations and Semiseparable Matrices, 2008).  K is complex symmetric,
+    so its conjugate transpose acts as conj(K conj(f)).  |decay| <= 1 keeps
+    both recursions stable.  The dense matrix is built only when a caller
+    reads `entries`.
     """
 
     grid: object
@@ -328,45 +339,39 @@ class SemiseparableKernel:
         return float(np.max(np.abs(peaks)))
 
 
-def _svd_norm(m: np.ndarray) -> float:
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+def _power_iteration_norm(op, s_in: float, s_out: float, tol: float = 1e-8,
+                          v0: np.ndarray | None = None):
+    """Norm of op as a map L2_{s_in} -> L2_{-s_out} by power iteration on M^H M.
 
-
-def _power_iteration_norm(matvec, rmatvec, n_in: int, dtype, tol: float = 1e-8,
-                          max_iter: int = _POWER_MAX_ITER, v0: np.ndarray | None = None,
-                          return_vectors: bool = False):
-    """Largest singular value via power iteration on M*M.
-
-    Deterministic: the start vector comes from a fixed seed (or a caller
-    supplied warm start).  Converges when the Rayleigh estimate is stable to
-    `tol` relative on two consecutive iterations.  With return_vectors the
-    result is (sigma, v, u, iterations, converged): the right/left singular
-    vector approximations, the number of matvecs, and whether the stopping
-    test was met before max_iter.
+    M = sqrt(h_in h_out) w_out K w_in with w = <x>^{-s} is applied through
+    op.matvec / op.rmatvec, so K is never formed.  Deterministic: the start
+    vector is `v0` (a warm start) or comes from a fixed seed.  Converges when
+    the estimate is stable to `tol` relative on two consecutive iterations,
+    and stops at _POWER_MAX_ITER, read at call time.  Returns (sigma, v, u,
+    iterations, converged): the right/left singular vector approximations,
+    the number of matvecs, and whether the stopping test was met.
     """
+    w_in = weight(op.grid_in.points, -s_in)
+    w_out = weight(op.grid_out.points, -s_out)
+    scale = np.sqrt(op.grid_in.spacing * op.grid_out.spacing)
     if v0 is not None and np.linalg.norm(v0) > 0:
-        v = np.asarray(v0, dtype=dtype).copy()
+        v = np.asarray(v0, dtype=complex).copy()
     else:
         rng = np.random.default_rng(_PI_SEED)
-        v = rng.standard_normal(n_in).astype(dtype, copy=False)
-        if np.issubdtype(np.dtype(dtype), np.complexfloating):
-            v = v + 1j * rng.standard_normal(n_in)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return (0.0, None, None, 0, True) if return_vectors else 0.0
-    v = v / nv
+        n_in = op.grid_in.n_points
+        v = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
+    v = v / np.linalg.norm(v)
     sigma = 0.0
     sigma_prev = -1.0
-    w = None
     hits = 0
     iterations = 0
-    while iterations < max_iter and hits < 2:
+    while iterations < _POWER_MAX_ITER and hits < 2:
         iterations += 1
-        w = matvec(v)
+        w = scale * w_out * op.matvec(w_in * v)
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
-            return (0.0, v, None, iterations, True) if return_vectors else 0.0
-        vn = rmatvec(w)
+            return 0.0, v, None, iterations, True
+        vn = scale * w_in * op.rmatvec(w_out * w)
         nv = np.linalg.norm(vn)
         if nv == 0.0:
             break
@@ -376,39 +381,28 @@ def _power_iteration_norm(matvec, rmatvec, n_in: int, dtype, tol: float = 1e-8,
         else:
             hits = 0
         sigma_prev = sigma
-    if return_vectors:
-        u = w / sigma if (w is not None and sigma > 0) else None
-        return sigma, v, u, iterations, hits >= 2
-    return sigma
+    return sigma, v, w / sigma, iterations, hits >= 2
 
 
-def _rescaled_matrix(op: KernelOperator, s_in: float, s_out: float) -> np.ndarray:
-    w_out = weight(op.grid_out.points, -s_out)
-    w_in = weight(op.grid_in.points, -s_in)
-    scale = np.sqrt(op.grid_in.spacing * op.grid_out.spacing)
-    return (w_out[:, None] * op.entries) * (w_in[None, :] * scale)
-
-
-def operator_norm_weighted(op: KernelOperator, s_in: float, s_out: float,
-                           tol: float = 1e-8, method: str = "auto") -> float:
+def operator_norm_weighted(op, s_in: float, s_out: float, tol: float = 1e-8) -> float:
     """Norm of the kernel operator as a map L2_{s_in} -> L2_{-s_out}.
 
     Equals the largest singular value of M_ij = <x_i>^{-s_out} K_ij <y_j>^{-s_in} h
-    (with h replaced by sqrt(h_in h_out) when the grids differ).  `method` is
-    "svd", "power", or "auto" (SVD for n <= 2000, power iteration beyond).
+    (with h replaced by sqrt(h_in h_out) when the grids differ).  Up to 2000
+    points that is a full SVD of M; beyond, _power_iteration_norm on the
+    operator's matvec/rmatvec, so a semiseparable kernel stays O(n) in memory.
     A power iteration that reaches its cap unconverged raises
     DiscretizationFailure rather than return its last estimate.
     """
-    m = _rescaled_matrix(op, s_in, s_out)
-    if not np.all(np.isfinite(m)):
-        raise InvalidOperator("rescaled operator has non-finite entries")
-    n = max(m.shape)
-    if method == "svd" or (method == "auto" and n <= 2000):
-        return _svd_norm(m)
-    mh = m.conj().T
-    sigma, _, _, _, converged = _power_iteration_norm(
-        lambda v: m @ v, lambda w: mh @ w, m.shape[1], m.dtype, tol=tol,
-        max_iter=_POWER_MAX_ITER, return_vectors=True)
+    if max(op.grid_in.n_points, op.grid_out.n_points) <= 2000:
+        w_out = weight(op.grid_out.points, -s_out)
+        w_in = weight(op.grid_in.points, -s_in)
+        scale = np.sqrt(op.grid_in.spacing * op.grid_out.spacing)
+        m = (w_out[:, None] * op.entries) * (w_in[None, :] * scale)
+        if not np.all(np.isfinite(m)):
+            raise InvalidOperator("rescaled operator has non-finite entries")
+        return float(np.linalg.svd(m, compute_uv=False)[0])
+    sigma, _, _, _, converged = _power_iteration_norm(op, s_in, s_out, tol)
     if not converged:
         raise DiscretizationFailure(
             f"power iteration stopped at its cap of {_POWER_MAX_ITER} iterations "

@@ -7,9 +7,14 @@ Criterion 2 is expected red: the stated 5%/alpha<=0.05 envelope at radii
 docstring and the sweep artifacts); it runs verbatim and reports honestly.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import virtlev
 from virtlev import acceptance
 
 
@@ -47,3 +52,24 @@ def test_full_suite_under_ten_minutes(results):
     total = sum(res.runtime for res in results.values())
     print(f"total acceptance runtime: {total:.1f}s")
     assert total < 600.0
+
+
+def test_criterion_10_memory_stays_linear():
+    # a fresh interpreter, so the peak belongs to criterion 10 alone; its
+    # 4001-point inverse residuals once built two dense kernels (~620 MB)
+    code = ("import resource; from virtlev import acceptance; "
+            "res = acceptance.criterion_10(); "
+            "print(res.passed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    # Linux carries the peak RSS across exec: a child started straight from
+    # this test process would report the test process's own peak.  A small
+    # intermediate interpreter gives the measured one a clean start.
+    hop = f"import subprocess, sys; subprocess.run([sys.executable, '-c', {code!r}], check=True)"
+    src = os.path.dirname(os.path.dirname(virtlev.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", hop], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    passed, peak_kb = out[-2], int(out[-1])  # ru_maxrss is in KB on Linux
+    print(f"criterion 10 peak RSS: {peak_kb / 1024:.0f} MB")
+    assert passed == "True"
+    assert peak_kb < 200 * 1024

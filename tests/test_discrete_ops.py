@@ -199,6 +199,9 @@ class TestVirtualLevel:
             build_shift_virtual_level(1.0, SeqVector.from_values([1.0], n=64))
         with pytest.raises(ConfigError, match="3 leading entries .* n = 2"):
             SeqVector.from_values([1.0, 2.0, 3.0], n=2)
+        for n in (0, -3):
+            with pytest.raises(ConfigError, match=f"sequence length n = {n} must be positive"):
+                SeqVector.from_values([1.0], n=n)
         lvl = build_shift_virtual_level(1.0, SeqVector.from_values([1.0], n=65))
         assert virtual_state_space_dimension(lvl) == 1
 

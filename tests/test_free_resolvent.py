@@ -294,6 +294,20 @@ class TestBuildOperator:
             build_free_kernel_operator(4, RadialGrid(5.0, 50),
                                        SpectralParameter.interior(-1.0))
 
+    def test_build_and_apply_stay_linear_in_memory(self):
+        # a dense 4001-point kernel is 128 MB; the semiseparable one is O(n)
+        g = Grid1D(10.0, 4001)
+        f = np.exp(-g.points**2)
+        tracemalloc.start()
+        try:
+            k = build_free_kernel_operator(1, g, SpectralParameter.interior(-1.0))
+            u = k.apply(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert u.shape == (4001,) and np.all(np.isfinite(u))
+        assert peak < 5e6
+
     def test_3d_threshold_operator_is_finite(self):
         g = RadialGrid(10.0, 500)
         k = build_free_kernel_operator(3, g, SpectralParameter.along_negative_axis(0.0))

@@ -1,6 +1,5 @@
 """Sweeps, exponent fits, classification, resolvent consistency."""
 
-import functools
 import tracemalloc
 
 import numpy as np
@@ -264,9 +263,9 @@ class TestAdjointSymmetry:
     def test_resolvent_adjoint_symmetry(self):
         pot = Potential1D.square_well(0.4 + 0.3j, GRID)
         k = resolvent_matrix(OperatorSpec.schrodinger1d(pot), 1e-3j)
-        a = operator_norm_weighted(k, 2.0, 1.0, method="power")
+        a = operator_norm_weighted(k, 2.0, 1.0)  # n > 2000: the power iteration
         kh = KernelOperator(GRID, GRID, k.entries.conj().T)
-        b = operator_norm_weighted(kh, 1.0, 2.0, method="power")
+        b = operator_norm_weighted(kh, 1.0, 2.0)
         assert b == pytest.approx(a, rel=1e-8)
 
 
@@ -406,7 +405,7 @@ class TestOneSweepPerVerdict:
     def test_state_matches_cold_start_extraction(self, op):
         rep = classify(op, self.CFG)
         engine = ls._make_engine(op, self.CFG.point(min(SUITE_RADII)))
-        _, _, u, _, converged = ls._weighted_norm_via_engine(engine, op.grid, 2.0, 2.0)
+        _, _, u, _, converged = wsp._power_iteration_norm(engine, 2.0, 2.0)
         assert converged
         cold = u * wsp.weight(op.grid.points, 2.0)
         state = rep.states[0]
@@ -429,8 +428,7 @@ class TestOneSweepPerVerdict:
         assert all(p.converged and 2 < p.iterations < 1000 for p in res.points)
 
     def test_unconverged_point_is_inconclusive(self, monkeypatch):
-        capped = functools.partial(wsp._power_iteration_norm, max_iter=2)
-        monkeypatch.setattr(ls, "_power_iteration_norm", capped)
+        monkeypatch.setattr(wsp, "_POWER_MAX_ITER", 2)
         rep = classify(self.OP, self.CFG)
         assert rep.classification is Classification.INCONCLUSIVE
         assert rep.states is None

@@ -1,5 +1,7 @@
 """Grids, weights, weighted norms and operator-norm estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from virtlev.weighted_space import (
     IndexGrid,
     KernelOperator,
     RadialGrid,
+    SemiseparableKernel,
+    _power_iteration_norm,
     l1_to_linf_norm,
     operator_norm_weighted,
     weight,
@@ -108,32 +112,54 @@ def test_power_iteration_matches_svd():
         m = rng.standard_normal((101, 101)) + 1j * rng.standard_normal((101, 101))
         k = KernelOperator(g, g, m)
         s_in, s_out = 3 * rng.random(), 3 * rng.random()
-        a = operator_norm_weighted(k, s_in, s_out, method="svd")
-        b = operator_norm_weighted(k, s_in, s_out, method="power")
+        a = operator_norm_weighted(k, s_in, s_out)  # n <= 2000: the SVD
+        b = _power_iteration_norm(k, s_in, s_out)[0]
         assert b == pytest.approx(a, rel=1e-6)
 
 
 def test_power_norm_at_its_cap_raises(monkeypatch):
-    # the default cap converges; a cap of 3 cannot meet the two-hit stopping test
-    g = Grid1D(5.0, 101)
-    m = np.random.default_rng(4).standard_normal((101, 101))
-    k = KernelOperator(g, g, m)
-    assert operator_norm_weighted(k, 1.0, 1.0, method="power") > 0
+    # n > 2000 takes the power iteration; the default cap converges, and a cap
+    # of 3 cannot meet the two-hit stopping test
+    g = Grid1D(10.0, 2001)
+    k = build_free_kernel_operator(1, g, SpectralParameter.interior(-1.0))
+    assert operator_norm_weighted(k, 1.0, 1.0) > 0
     monkeypatch.setattr(weighted_space, "_POWER_MAX_ITER", 3)
     with pytest.raises(DiscretizationFailure, match="cap of 3 iterations"):
-        operator_norm_weighted(k, 1.0, 1.0, method="power")
+        operator_norm_weighted(k, 1.0, 1.0)
 
 
-def test_power_iteration_reports_convergence():
-    from virtlev.weighted_space import _power_iteration_norm
-    m = np.diag([3.0, 1.0, 0.5])
-    sigma, v, u, its, ok = _power_iteration_norm(lambda x: m @ x, lambda y: m.T @ y, 3,
-                                                 float, return_vectors=True)
+def test_power_norm_stays_linear_in_memory():
+    # beyond 2000 points the norm runs on matvec/rmatvec, never on an n x n matrix
+    g = Grid1D(10.0, 4001)
+    k = build_free_kernel_operator(1, g, SpectralParameter.interior(-1.0))
+    tracemalloc.start()
+    try:
+        norm = operator_norm_weighted(k, 1.0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norm > 0
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_svd_norm_same_for_dense_and_semiseparable(d):
+    g = Grid1D(8.0, 401) if d == 1 else RadialGrid(8.0, 400)
+    k = build_free_kernel_operator(d, g, SpectralParameter.interior(-0.3 + 0.2j))
+    assert isinstance(k, SemiseparableKernel)
+    dense = KernelOperator(g, g, k.entries)
+    assert operator_norm_weighted(k, 1.5, 1.0) == operator_norm_weighted(dense, 1.5, 1.0)
+
+
+def test_power_iteration_reports_convergence(monkeypatch):
+    g = IndexGrid(3)  # unit spacing; s = 0 makes every weight 1
+    k = KernelOperator(g, g, np.diag([3.0, 1.0, 0.5]))
+    sigma, v, u, its, ok = _power_iteration_norm(k, 0.0, 0.0)
     assert ok and 2 < its < 100
     assert sigma == pytest.approx(3.0, rel=1e-8)
     assert abs(u[0]) == pytest.approx(1.0, rel=1e-8)
-    capped = _power_iteration_norm(lambda x: m @ x, lambda y: m.T @ y, 3, float,
-                                   max_iter=2, return_vectors=True)
+    monkeypatch.setattr(weighted_space, "_POWER_MAX_ITER", 2)
+    capped = _power_iteration_norm(k, 0.0, 0.0)
     assert capped[3:] == (2, False)
 
 
