@@ -18,6 +18,7 @@ from . import discrete_ops as do
 from . import jost
 from . import lap_sweep as ls
 from . import perturbation as pt
+from .errors import ConfigError
 from .free_resolvent import (SpectralParameter, build_free_kernel_operator,
                              kernel_1d, kernel_2d, kernel_3d)
 from .reports import Classification
@@ -392,6 +393,10 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(only=None):
+    """Run the criteria numbered in `only` (all of them when it is empty)."""
+    outside = sorted(set(only or ()) - set(range(1, len(ALL_CRITERIA) + 1)))
+    if outside:
+        raise ConfigError(f"criterion numbers outside 1..{len(ALL_CRITERIA)}: {outside}")
     results = []
     for k, fn in enumerate(ALL_CRITERIA, start=1):
         if only and k not in only:

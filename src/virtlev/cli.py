@@ -6,7 +6,10 @@ with a commented header echoing the fully resolved configuration, so byte
 identity across runs certifies determinism.  Classification results are
 emitted as JSON.  Exit codes: 0 success, 1 computational failure, 2 usage
 or configuration error; failures also emit a machine-readable JSON object
-on stderr.
+on stderr.  Each subcommand's options are declared once, in `_COMMANDS`,
+which builds the argparse flags and resolves `--config` files: a config file
+takes exactly the subcommand's flags (key `x` for a flag `--no-x`), with the
+same types and choices.
 """
 
 from __future__ import annotations
@@ -119,30 +122,34 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(raw: str, default):
-    if isinstance(default, bool):
-        token = raw.strip().lower()
-        if token in ("1", "true", "yes", "on"):
-            return True
-        if token in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    return type(default)(raw) if default is not None else raw
+def _parse_bool(raw: str) -> bool:
+    token = raw.strip().lower()
+    if token in ("1", "true", "yes", "on"):
+        return True
+    if token in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Flags beat config-file entries beat built-in defaults."""
+def _resolve(args) -> dict:
+    """Flags beat config-file entries beat built-in defaults.
+
+    A config-file value passes the same type and choices as its flag.
+    """
+    options = _COMMANDS[args.command][2]
     file_values = _load_config_file(args.config) if args.config else {}
     resolved = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in file_values:
-            resolved[key] = _coerce(file_values[key], default)
-        else:
-            resolved[key] = default
-    unknown = set(file_values) - set(defaults)
+    for key, (default, kind, flag) in options.items():
+        value = getattr(args, key)
+        if value is None and key in file_values:
+            value = (_parse_bool if kind is bool else kind)(file_values[key])
+            choices = flag.get("choices")
+            if choices and value not in choices:
+                raise ConfigError(
+                    f"config key {key}: invalid choice: {value!r} "
+                    f"(choose from {', '.join(map(repr, choices))})")
+        resolved[key] = default if value is None else value
+    unknown = set(file_values) - set(options)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return resolved
@@ -166,39 +173,33 @@ def _fmt_complex(z: complex) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the configuration `_resolve` returns
 
 
-def _cmd_kernel(args) -> int:
-    defaults = {"d": 1, "z": "-1", "approach": "interior", "x": 0.0, "y": 0.0,
-                "r": 1.0}
-    cfg = _resolve(args, defaults)
-    z = _parse_complex(str(cfg["z"]))
-    approach = {
-        "interior": Approach.INTERIOR,
-        "upper": Approach.FROM_UPPER_HALF_PLANE,
-        "lower": Approach.FROM_LOWER_HALF_PLANE,
-        "neg": Approach.ALONG_NEGATIVE_AXIS,
-    }[cfg["approach"]]
-    p = SpectralParameter(z, approach)
-    d = int(cfg["d"])
-    if d == 1:
-        value = kernel_1d(float(cfg["x"]), float(cfg["y"]), p)
-    elif d == 2:
-        value = kernel_2d(float(cfg["r"]), p)
+_APPROACHES = {
+    "interior": Approach.INTERIOR,
+    "upper": Approach.FROM_UPPER_HALF_PLANE,
+    "lower": Approach.FROM_LOWER_HALF_PLANE,
+    "neg": Approach.ALONG_NEGATIVE_AXIS,
+}
+
+
+def _cmd_kernel(cfg) -> int:
+    p = SpectralParameter(_parse_complex(cfg["z"]), _APPROACHES[cfg["approach"]])
+    if cfg["d"] == 1:
+        value = kernel_1d(cfg["x"], cfg["y"], p)
+    elif cfg["d"] == 2:
+        value = kernel_2d(cfg["r"], p)
     else:
-        value = kernel_3d(float(cfg["r"]), p)
+        value = kernel_3d(cfg["r"], p)
     print(_fmt_complex(complex(value)))
     return 0
 
 
-def _cmd_jost(args) -> int:
-    defaults = {"potential": "well:g=1", "R": 16.0, "n": 6401, "tol": 1e-6,
-                "out": None}
-    cfg = _resolve(args, defaults)
-    grid = Grid1D(float(cfg["R"]), int(cfg["n"]))
+def _cmd_jost(cfg) -> int:
+    grid = Grid1D(cfg["R"], cfg["n"])
     pot = parse_potential(cfg["potential"], grid)
-    report = jost.classify_threshold_1d(pot, tol=float(cfg["tol"]))
+    report = jost.classify_threshold_1d(pot, tol=cfg["tol"])
     w = report.diagnostics["wronskian"]
     payload = {
         "classification": report.classification.value,
@@ -217,47 +218,35 @@ def _cmd_jost(args) -> int:
     return 0
 
 
-_SWEEP_DEFAULTS = {
-    "free1d": (20.0, 4001), "free2d": (20.0, 2000), "free3d": (30.0, 3000),
-    "schrod1d": (16.0, 3201), "rankone1d": (20.0, 4001),
+_SWEEP_OPS = {  # op -> (default R, default n, operator on the grid; None: --potential)
+    "free1d": (20.0, 4001, ls.OperatorSpec.free1d),
+    "free2d": (20.0, 2000, ls.OperatorSpec.free2d_radial),
+    "free3d": (30.0, 3000, ls.OperatorSpec.free3d_radial),
+    "schrod1d": (16.0, 3201, None),
+    "rankone1d": (20.0, 4001, ls.OperatorSpec.rank_one_perturbed_1d),
 }
 
 
-def _cmd_sweep(args) -> int:
-    defaults = {"op": "free1d", "potential": None, "z0": "0", "ray": "pi",
-                "r0": 1e-2, "ratio": 10.0 ** -0.5, "count": 9, "s": 2.0,
-                "sp": None, "flavor": "weighted_l2", "R": None, "n": None,
-                "classify": True, "out": None}
-    cfg = _resolve(args, defaults)
-    op_name = cfg["op"]
-    if op_name not in _SWEEP_DEFAULTS:
-        raise ConfigError(f"unknown operator {op_name!r}")
-    r_default, n_default = _SWEEP_DEFAULTS[op_name]
-    radius = float(cfg["R"]) if cfg["R"] is not None else r_default
-    npts = int(cfg["n"]) if cfg["n"] is not None else n_default
-    if op_name in ("free2d", "free3d"):
+def _cmd_sweep(cfg) -> int:
+    r_default, n_default, make_op = _SWEEP_OPS[cfg["op"]]
+    radius = cfg["R"] if cfg["R"] is not None else r_default
+    npts = cfg["n"] if cfg["n"] is not None else n_default
+    if cfg["op"] in ("free2d", "free3d"):
         grid = RadialGrid(radius, npts)
     else:
         grid = Grid1D(radius, npts if npts % 2 == 1 else npts + 1)
-    if op_name == "free1d":
-        op = ls.OperatorSpec.free1d(grid)
-    elif op_name == "free2d":
-        op = ls.OperatorSpec.free2d_radial(grid)
-    elif op_name == "free3d":
-        op = ls.OperatorSpec.free3d_radial(grid)
-    elif op_name == "rankone1d":
-        op = ls.OperatorSpec.rank_one_perturbed_1d(grid)
+    if make_op is not None:
+        op = make_op(grid)
+    elif not cfg["potential"]:
+        raise ConfigError("schrod1d requires --potential")
     else:
-        if not cfg["potential"]:
-            raise ConfigError("schrod1d requires --potential")
         op = ls.OperatorSpec.schrodinger1d(parse_potential(cfg["potential"], grid))
-    sp_ = float(cfg["sp"]) if cfg["sp"] is not None else float(cfg["s"])
-    radii = tuple(float(cfg["r0"]) * float(cfg["ratio"]) ** k
-                  for k in range(int(cfg["count"])))
-    sweep_cfg = ls.SweepConfig(z0=_parse_complex(str(cfg["z0"])),
-                               angle=_parse_angle(str(cfg["ray"])),
-                               radii=radii, s=float(cfg["s"]), sp=sp_,
-                               flavor=cfg["flavor"])
+    sp_ = cfg["sp"] if cfg["sp"] is not None else cfg["s"]
+    sweep_cfg = ls.SweepConfig(z0=_parse_complex(cfg["z0"]),
+                               angle=_parse_angle(cfg["ray"]),
+                               radii=ls.default_radii(cfg["r0"], cfg["ratio"],
+                                                      cfg["count"]),
+                               s=cfg["s"], sp=sp_, flavor=cfg["flavor"])
     report = ls.classify(op, sweep_cfg) if cfg["classify"] else None
     result = report.sweeps[0] if report else ls.sweep(op, sweep_cfg)
     echo = dict(cfg, sp=sp_, R=radius, n=npts)
@@ -270,10 +259,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_bifurcate(args) -> int:
-    defaults = {"g": "0.01", "out": None}
-    cfg = _resolve(args, defaults)
-    gs = [float(t) for t in str(cfg["g"]).split(",") if t]
+def _cmd_bifurcate(cfg) -> int:
+    gs = [float(t) for t in cfg["g"].split(",") if t]
     curve = pt.square_well_curve(gs)
     for g, e, p in zip(curve.couplings, curve.energies, curve.predicted):
         print(f"g={g:.15g} E={e:.15g} E_predicted={p:.15g}")
@@ -282,12 +269,10 @@ def _cmd_bifurcate(args) -> int:
     return 0
 
 
-def _cmd_shift(args) -> int:
-    defaults = {"z0": "1", "phi": "1", "n": do.DEFAULT_LENGTH, "out": None}
-    cfg = _resolve(args, defaults)
-    z0 = _parse_complex(str(cfg["z0"]))
-    phi_entries = [_parse_complex(t) for t in str(cfg["phi"]).split(";" if ";" in str(cfg["phi"]) else ",")]
-    phi = do.SeqVector.from_values(phi_entries, n=int(cfg["n"]))
+def _cmd_shift(cfg) -> int:
+    z0 = _parse_complex(cfg["z0"])
+    phi_entries = [_parse_complex(t) for t in cfg["phi"].split(";" if ";" in cfg["phi"] else ",")]
+    phi = do.SeqVector.from_values(phi_entries, n=cfg["n"])
     lvl = do.build_shift_virtual_level(z0, phi)
     payload = {
         "z0": [z0.real, z0.imag],
@@ -305,10 +290,8 @@ def _cmd_shift(args) -> int:
     return 0
 
 
-def _cmd_embedded(args) -> int:
-    defaults = {"zeta0": 0.0, "count": 8, "out": None}
-    cfg = _resolve(args, defaults)
-    fam = pt.embedded_family_check(float(cfg["zeta0"]), n=int(cfg["count"]))
+def _cmd_embedded(cfg) -> int:
+    fam = pt.embedded_family_check(cfg["zeta0"], n=cfg["count"])
     alpha_txt = f"alpha~{fam.alpha:.3g}"
     print(f"residual_max={fam.residual_max:.3e} monotone_growth={fam.monotone_growth} {alpha_txt}")
     if cfg["out"]:
@@ -318,26 +301,20 @@ def _cmd_embedded(args) -> int:
     return 0
 
 
-def _cmd_critical(args) -> int:
-    defaults = {"case": "free1d", "potential": None, "K": 1.0, "jmax": 64,
-                "R": 320.0, "n": None, "out": None}
-    cfg = _resolve(args, defaults)
-    case = cfg["case"]
-    radius = float(cfg["R"])
+def _cmd_critical(cfg) -> int:
+    case, radius = cfg["case"], cfg["R"]
+    npts = cfg["n"] if cfg["n"] is not None else (12800 if case == "free3d" else 12801)
     if case == "free1d":
-        form = cr.QuadraticForm.free_line(radius, int(cfg["n"] or 12801))
+        form = cr.QuadraticForm.free_line(radius, npts)
     elif case == "free3d":
-        form = cr.QuadraticForm.free_radial3d(radius, int(cfg["n"] or 12800))
-    elif case == "potential":
+        form = cr.QuadraticForm.free_radial3d(radius, npts)
+    else:
         if not cfg["potential"]:
             raise ConfigError("critical --case potential requires --potential")
-        pot = parse_potential(cfg["potential"], Grid1D(radius, int(cfg["n"] or 12801)))
-        form = cr.QuadraticForm.from_potential_line(pot.sample, radius,
-                                                    int(cfg["n"] or 12801))
-    else:
-        raise ConfigError(f"unknown case {case!r}")
-    result = cr.null_state_iteration(form, compact_radius=float(cfg["K"]),
-                                     j_max=int(cfg["jmax"]))
+        pot = parse_potential(cfg["potential"], Grid1D(radius, npts))
+        form = cr.QuadraticForm.from_potential_line(pot.sample, radius, npts)
+    result = cr.null_state_iteration(form, compact_radius=cfg["K"],
+                                     j_max=cfg["jmax"])
     payload = {"verdict": result.verdict.value,
                "margin": result.margin,
                "weight_coefficient": result.weight_coefficient,
@@ -355,9 +332,7 @@ _NULLITY_DEMOS = {
 }
 
 
-def _cmd_nullity(args) -> int:
-    defaults = {"demo": None, "matrix": None, "trials": 64, "seed": 0}
-    cfg = _resolve(args, defaults)
+def _cmd_nullity(cfg) -> int:
     if cfg["matrix"]:
         rows = []
         for line in Path(cfg["matrix"]).read_text().splitlines():
@@ -365,23 +340,17 @@ def _cmd_nullity(args) -> int:
                 rows.append([_parse_complex(t) for t in line.split(",")])
         m = np.array(rows, dtype=complex)
     elif cfg["demo"]:
-        if cfg["demo"] not in _NULLITY_DEMOS:
-            raise ConfigError(f"unknown demo {cfg['demo']!r}")
         m = _NULLITY_DEMOS[cfg["demo"]]
     else:
         raise ConfigError("nullity requires --matrix or --demo")
-    r = pt.matrix_nullity_by_perturbation(m, trials=int(cfg["trials"]),
-                                          rng_seed=int(cfg["seed"]))
+    r = pt.matrix_nullity_by_perturbation(m, trials=cfg["trials"],
+                                          rng_seed=cfg["seed"])
     print(r)
     return 0
 
 
-def _cmd_suite(args) -> int:
-    defaults = {"only": None, "out": None}
-    cfg = _resolve(args, defaults)
-    only = None
-    if cfg["only"]:
-        only = {int(t) for t in str(cfg["only"]).split(",")}
+def _cmd_suite(cfg) -> int:
+    only = {int(t) for t in cfg["only"].split(",")} if cfg["only"] else None
     t0 = time.perf_counter()
     results = acceptance.run_all(only=only)
     all_pass = True
@@ -398,77 +367,94 @@ def _cmd_suite(args) -> int:
     return 0 if all_pass else 1
 
 
+# ---------------------------------------------------------------------------
+# subcommand -> (handler, help, {option: (default, type, argparse keywords)});
+# option `x` is the flag --x, or --no-x when its type is bool
+
+_OUT = {"out": (None, str, {"help": "output path (CSV) or directory (suite)"})}
+
+_COMMANDS = {
+    "kernel": (_cmd_kernel, "evaluate a free resolvent kernel pointwise", {
+        "d": (1, int, {"choices": (1, 2, 3)}),
+        "z": ("-1", str, {"help": "spectral parameter: re[,im]"}),
+        "approach": ("interior", str, {"choices": tuple(_APPROACHES)}),
+        "x": (0.0, float, {}),
+        "y": (0.0, float, {}),
+        "r": (1.0, float, {}),
+    }),
+    "jost": (_cmd_jost, "Wronskian threshold classification of a potential", {
+        **_OUT,
+        "potential": ("well:g=1", str, {}),
+        "R": (16.0, float, {}),
+        "n": (6401, int, {}),
+        "tol": (1e-6, float, {}),
+    }),
+    "sweep": (_cmd_sweep, "resolvent-norm sweep toward a threshold", {
+        **_OUT,
+        "op": ("free1d", str, {"choices": tuple(_SWEEP_OPS)}),
+        "potential": (None, str, {}),
+        "z0": ("0", str, {}),
+        "ray": ("pi", str, {"help": "approach angle: pi, pi/2, or radians"}),
+        "r0": (1e-2, float, {}),
+        "ratio": (10.0 ** -0.5, float, {}),
+        "count": (9, int, {}),
+        "s": (2.0, float, {}),
+        "sp": (None, float, {}),
+        "flavor": ("weighted_l2", str, {"choices": ("weighted_l2", "l1_linf")}),
+        "R": (None, float, {}),
+        "n": (None, int, {}),
+        "classify": (True, bool, {}),  # --no-classify
+    }),
+    "bifurcate": (_cmd_bifurcate, "square-well eigenvalue vs -g^2", {
+        **_OUT,
+        "g": ("0.01", str, {"help": "coupling or comma list"}),
+    }),
+    "shift": (_cmd_shift, "manufactured virtual level of the left shift", {
+        **_OUT,
+        "z0": ("1", str, {"help": "unit-circle point: re,im | 1 | i | arg:pi/4"}),
+        "phi": ("1", str, {"help": "comma list of leading entries"}),
+        "n": (do.DEFAULT_LENGTH, int, {}),
+    }),
+    "embedded": (_cmd_embedded, "embedded eigenvalue family check", {
+        **_OUT,
+        "zeta0": (0.0, float, {}),
+        "count": (8, int, {}),
+    }),
+    "critical": (_cmd_critical, "null-state / weighted-gap dichotomy", {
+        **_OUT,
+        "case": ("free1d", str, {"choices": ("free1d", "free3d", "potential")}),
+        "potential": (None, str, {}),
+        "K": (1.0, float, {}),
+        "jmax": (64, int, {}),
+        "R": (320.0, float, {}),
+        "n": (None, int, {}),
+    }),
+    "nullity": (_cmd_nullity, "matrix nullity by random perturbations", {
+        "demo": (None, str, {"choices": tuple(_NULLITY_DEMOS)}),
+        "matrix": (None, str, {"help": "CSV file of matrix entries"}),
+        "trials": (64, int, {}),
+        "seed": (0, int, {}),
+    }),
+    "suite": (_cmd_suite, "run the acceptance battery", {
+        **_OUT,
+        "only": (None, str, {"help": "comma list of criterion numbers"}),
+    }),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="virtlev",
                      description="virtual levels and LAP resolvent estimates, desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
         p.add_argument("--config", help="key = value file; flags override")
-        p.add_argument("--out", help="output path (CSV) or directory (suite)")
-        return p
-
-    p = add("kernel", _cmd_kernel, "evaluate a free resolvent kernel pointwise")
-    p.add_argument("--d", type=int, choices=(1, 2, 3))
-    p.add_argument("--z", help="spectral parameter: re[,im]")
-    p.add_argument("--approach", choices=("interior", "upper", "lower", "neg"))
-    p.add_argument("--x", type=float)
-    p.add_argument("--y", type=float)
-    p.add_argument("--r", type=float)
-
-    p = add("jost", _cmd_jost, "Wronskian threshold classification of a potential")
-    p.add_argument("--potential")
-    p.add_argument("--R", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--tol", type=float)
-
-    p = add("sweep", _cmd_sweep, "resolvent-norm sweep toward a threshold")
-    p.add_argument("--op", choices=tuple(_SWEEP_DEFAULTS))
-    p.add_argument("--potential")
-    p.add_argument("--z0")
-    p.add_argument("--ray", help="approach angle: pi, pi/2, or radians")
-    p.add_argument("--r0", type=float)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--count", type=int)
-    p.add_argument("--s", type=float)
-    p.add_argument("--sp", type=float)
-    p.add_argument("--flavor", choices=("weighted_l2", "l1_linf"))
-    p.add_argument("--R", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--no-classify", dest="classify", action="store_false",
-                   default=None)
-
-    p = add("bifurcate", _cmd_bifurcate, "square-well eigenvalue vs -g^2")
-    p.add_argument("--g", help="coupling or comma list")
-
-    p = add("shift", _cmd_shift, "manufactured virtual level of the left shift")
-    p.add_argument("--z0", help="unit-circle point: re,im | 1 | i | arg:pi/4")
-    p.add_argument("--phi", help="comma list of leading entries")
-    p.add_argument("--n", type=int)
-
-    p = add("embedded", _cmd_embedded, "embedded eigenvalue family check")
-    p.add_argument("--zeta0", type=float)
-    p.add_argument("--count", type=int)
-
-    p = add("critical", _cmd_critical, "null-state / weighted-gap dichotomy")
-    p.add_argument("--case", choices=("free1d", "free3d", "potential"))
-    p.add_argument("--potential")
-    p.add_argument("--K", type=float)
-    p.add_argument("--jmax", type=int)
-    p.add_argument("--R", type=float)
-    p.add_argument("--n", type=int)
-
-    p = add("nullity", _cmd_nullity, "matrix nullity by random perturbations")
-    p.add_argument("--demo", choices=tuple(_NULLITY_DEMOS))
-    p.add_argument("--matrix", help="CSV file of matrix entries")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("suite", _cmd_suite, "run the acceptance battery")
-    p.add_argument("--only", help="comma list of criterion numbers")
-
+        for key, (_, kind, flag) in options.items():
+            if kind is bool:
+                p.add_argument(f"--no-{key}", dest=key, action="store_false",
+                               default=None, **flag)
+            else:
+                p.add_argument(f"--{key}", type=kind, **flag)
     return parser
 
 
@@ -478,8 +464,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler = _COMMANDS[args.command][0]
     try:
-        return args.handler(args)
+        return handler(_resolve(args))
     except ConfigError as exc:
         _emit_error("config", str(exc))
         return 2

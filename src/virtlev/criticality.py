@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import InvalidOperator
+from .errors import ConfigError, InvalidOperator
 from .weighted_space import Grid1D, RadialGrid, cell_average, weight
 
 
@@ -210,6 +210,8 @@ def null_state_iteration(form: QuadraticForm, compact_radius: float = 1.0,
     verdict is re-derived on a radius-doubled grid when stability_check is
     set, and a disagreement downgrades it to Inconclusive.
     """
+    if j_max < 1:
+        raise ConfigError(f"j_max = {j_max} must be at least 1")
     result = _dichotomy_once(form, compact_radius, j_max, conv_tol)
     if stability_check and result.verdict is not Dichotomy.INCONCLUSIVE:
         bigger = form.with_doubled_radius()

@@ -140,14 +140,14 @@ class SweepConfig:
 
     z0: complex = 0.0
     angle: float = np.pi
-    radii: tuple = ()
+    radii: tuple | None = None  # None: default_radii()
     s: float = 2.0
     sp: float = 2.0
     flavor: str = "weighted_l2"
 
     def __post_init__(self):
-        radii = tuple(float(r) for r in (self.radii or default_radii()))
-        object.__setattr__(self, "radii", tuple(sorted(radii, reverse=True)))
+        radii = default_radii() if self.radii is None else self.radii
+        object.__setattr__(self, "radii", tuple(sorted(map(float, radii), reverse=True)))
         if len(self.radii) < 5:
             raise ConfigError("at least 5 radii are required")
         if max(self.radii) / min(self.radii) < 1e3 * (1 - 1e-9):

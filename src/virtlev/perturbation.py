@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ClassificationConflict,
+    ConfigError,
     ModelViolation,
     NoBoundState,
     SamplingFailure,
@@ -118,6 +119,8 @@ class BifurcationCurve:
 
 def square_well_curve(couplings) -> BifurcationCurve:
     gs = np.asarray(sorted(couplings, reverse=True), dtype=float)
+    if gs.size == 0:
+        raise ConfigError("square_well_curve needs at least one coupling")
     es = np.array([square_well_eigenvalue(g) for g in gs])
     if np.any(es >= 0):
         raise NoBoundState("square-well energies must be negative")
@@ -167,7 +170,7 @@ def rank_one_regularized_threshold(grid: Grid1D | None = None,
     must sweep Virtual.  A conflict between (i) and (ii) raises.
     """
     grid = grid or Grid1D(20.0, 4001)
-    cfg = SweepConfig(z0=0.0, angle=np.pi, radii=radii or (), s=2.0, sp=2.0)
+    cfg = SweepConfig(z0=0.0, angle=np.pi, radii=radii, s=2.0, sp=2.0)
     _, det, det_normalized = rank_one_matching_system()
     perturbed = classify(OperatorSpec.rank_one_perturbed_1d(grid), cfg)
     free = classify(OperatorSpec.free1d(grid), cfg)
@@ -267,6 +270,8 @@ def embedded_family_check(zeta0: float, n: int = 8, residual_tol: float = 1e-6,
     half-plane even at zeta0 = 0.  The sweep approaches z0 = zeta0^2 from
     above; unbounded growth there is the expected signature.
     """
+    if n < 1:
+        raise ConfigError(f"embedded family needs n >= 1 members, got n = {n}")
     zetas = [zeta0 + (1.0 + 1.0j) / j for j in range(1, n + 1)]
     residuals = np.array([eigen_residual_3d(zt) for zt in zetas])
     if np.max(residuals) > residual_tol:

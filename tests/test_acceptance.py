@@ -16,11 +16,18 @@ import pytest
 
 import virtlev
 from virtlev import acceptance
+from virtlev.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
 def results():
     return {res.number: res for res in acceptance.run_all()}
+
+
+@pytest.mark.parametrize("only", [{11}, {0, 3}])
+def test_run_all_rejects_unknown_criterion_numbers(only):
+    with pytest.raises(ConfigError, match="outside 1..10"):
+        acceptance.run_all(only=only)
 
 
 @pytest.mark.parametrize("number", [

@@ -1,5 +1,6 @@
 """CLI: argument handling, exit codes, output formats, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from virtlev import cli
 from virtlev.cli import main, parse_potential, _parse_angle, _parse_complex
 from virtlev.weighted_space import Grid1D
 
@@ -16,6 +18,20 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subparsers() -> dict:
+    """Subcommand name -> its argparse parser."""
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def choice_options():
+    for command, parser in subparsers().items():
+        for action in parser._actions:
+            if action.choices:
+                yield command, action.dest, action.choices
 
 
 class TestParsers:
@@ -152,19 +168,77 @@ class TestSubcommands:
                                 "--g", "0.04"], capsys)
         assert code == 0 and "g=0.04" in out
 
-    def test_unknown_config_key_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command,line", [
+        ("bifurcate", "nonsense = 1"),
+        ("kernel", "out = k.csv"),
+        ("nullity", "out = n.csv"),
+    ])
+    def test_unknown_config_key_rejected(self, capsys, tmp_path, command, line):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("nonsense = 1\n")
-        code, _, err = run_cli(["bifurcate", "--config", str(cfg)], capsys)
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli([command, "--config", str(cfg)], capsys)
         assert code == 2
         assert json.loads(err.strip().splitlines()[-1])["error"] == "config"
 
+    @pytest.mark.parametrize("command", sorted(subparsers()))
+    def test_config_keys_are_the_flags(self, capsys, tmp_path, monkeypatch, command):
+        seen = {}
+        _, help_text, options = cli._COMMANDS[command]
+        monkeypatch.setitem(cli._COMMANDS, command,
+                            (lambda cfg: seen.update(cfg) or 0, help_text, options))
+        flags = {a.dest for a in subparsers()[command]._actions} - {"help", "config"}
+        assert main([command]) == 0
+        assert set(seen) == flags
+        # each resolved default, read back from a config file, resolves to itself
+        defaults = dict(seen)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in defaults.items()
+                               if v is not None))
+        seen.clear()
+        assert main([command, "--config", str(cfg)]) == 0
+        assert seen == defaults
+
+    @pytest.mark.parametrize("command,key,choices", list(choice_options()))
+    def test_config_value_outside_choices_exit_2(self, capsys, tmp_path,
+                                                 command, key, choices):
+        bad = max(choices) + 2 if isinstance(choices[0], int) else "sideways"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = {bad}\n")
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["error"] == "config"
+        assert key in payload["message"] and str(bad) in payload["message"]
+
 
 class TestErrorChannels:
-    def test_usage_error_exit_2(self, capsys):
-        code, _, err = run_cli(["sweep", "--op", "nosuch"], capsys)
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--op", "nosuch"],
+        ["kernel", "--d", "5"],
+        ["kernel", "--out", "k.csv"],  # neither writes a file
+        ["nullity", "--demo", "jordan3", "--out", "n.csv"],
+    ])
+    def test_usage_error_exit_2(self, capsys, argv):
+        code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert json.loads(err.strip().splitlines()[0])["error"] == "usage"
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["sweep", "--op", "free1d", "--count", "0", "--r0", "0.05"],
+         "at least 5 radii are required"),
+        (["critical", "--jmax", "0", "--R", "80", "--n", "3201"], "j_max = 0"),
+        (["critical", "--n", "0"], "n_points must be odd and >= 3"),
+        (["suite", "--only", "11"], "outside 1..10: [11]"),
+        (["suite", "--only", "0,3"], "outside 1..10: [0]"),
+        (["bifurcate", "--g", ","], "at least one coupling"),
+        (["embedded", "--count", "0"], "n >= 1"),
+    ])
+    def test_config_error_exit_2(self, capsys, argv, fragment):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        payload = json.loads(err.strip().splitlines()[0])
+        assert payload["error"] == "config"
+        assert fragment in payload["message"]
 
     def test_computational_error_exit_1(self, capsys):
         code, _, err = run_cli(["kernel", "--d", "1", "--z", "0",

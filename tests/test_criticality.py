@@ -12,7 +12,7 @@ from virtlev.criticality import (
     null_state_iteration,
     trace_csv,
 )
-from virtlev.errors import InvalidOperator
+from virtlev.errors import ConfigError, InvalidOperator
 from virtlev.weighted_space import weight
 
 
@@ -111,6 +111,10 @@ class TestWeightedGap:
         assert abs(form.smallest_eigenvalue(-c_star * base)) <= 1e-11
         assert form.smallest_eigenvalue(-(1.0 - 1e-6) * c_star * base) > 0
         assert form.smallest_eigenvalue(-(1.0 + 1e-6) * c_star * base) < 0
+
+    def test_no_perturbation_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="j_max = 0"):
+            null_state_iteration(QuadraticForm.free_line(80.0, 3201), j_max=0)
 
     def test_reports_half_the_critical_coupling(self):
         form = QuadraticForm.free_radial3d(80.0, 3200)

@@ -99,6 +99,9 @@ class TestSweepConfig:
             SweepConfig(radii=(1e-2, 1e-3, 1e-4))
         with pytest.raises(ConfigError):
             SweepConfig(radii=(1e-2, 5e-3, 2e-3, 1e-3, 5e-4))
+        # only None selects the default ladder; an empty tuple is too short
+        with pytest.raises(ConfigError, match="at least 5 radii"):
+            SweepConfig(radii=())
 
     def test_rejects_points_on_the_cut(self):
         with pytest.raises(ConfigError):

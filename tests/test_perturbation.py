@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from virtlev.errors import SamplingFailure
+from virtlev.errors import ConfigError, SamplingFailure
 from virtlev.perturbation import (
     BifurcationCurve,
     bifurcation_csv,
@@ -78,6 +78,10 @@ class TestSquareWell:
         assert curve.loglog_slope() == pytest.approx(2.0, abs=0.05)
         assert np.all(np.abs(curve.energies - curve.predicted)
                       <= curve.cubic_constant * curve.couplings**3 * (1 + 1e-12))
+
+    def test_no_coupling_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="at least one coupling"):
+            square_well_curve([])
 
     def test_csv_roundtrip(self):
         curve = square_well_curve([0.02, 0.01])
@@ -167,6 +171,10 @@ class TestEmbeddedFamily:
         fam = embedded_family_check(1.0, n=8)
         assert fam.residual_max <= 1e-6
         assert fam.monotone_growth
+
+    def test_empty_family_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="n >= 1"):
+            embedded_family_check(0.0, n=0)
 
     def test_csv(self):
         fam = embedded_family_check(0.0, n=3)
