@@ -10,7 +10,7 @@ from .free_resolvent import Approach, SpectralParameter
 from .jost import JostPair, Potential1D
 from .lap_sweep import OperatorSpec, SweepConfig
 from .reports import Classification, ThresholdReport
-from .weighted_space import Grid1D, IndexGrid, KernelOperator, RadialGrid
+from .weighted_space import Grid1D, KernelOperator, RadialGrid
 
 __version__ = "0.1.0"
 
@@ -18,7 +18,6 @@ __all__ = [
     "Approach",
     "Classification",
     "Grid1D",
-    "IndexGrid",
     "JostPair",
     "KernelOperator",
     "OperatorSpec",

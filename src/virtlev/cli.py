@@ -134,7 +134,8 @@ def _parse_bool(raw: str) -> bool:
 def _resolve(args) -> dict:
     """Flags beat config-file entries beat built-in defaults.
 
-    A config-file value passes the same type and choices as its flag.
+    A config-file value passes the same type and choices as its flag; one
+    that fails its type is a ConfigError naming the key.
     """
     options = _COMMANDS[args.command][2]
     file_values = _load_config_file(args.config) if args.config else {}
@@ -142,7 +143,12 @@ def _resolve(args) -> dict:
     for key, (default, kind, flag) in options.items():
         value = getattr(args, key)
         if value is None and key in file_values:
-            value = (_parse_bool if kind is bool else kind)(file_values[key])
+            raw = file_values[key]
+            try:
+                value = (_parse_bool if kind is bool else kind)(raw)
+            except ValueError:
+                raise ConfigError(f"config key {key}: invalid {kind.__name__} value: "
+                                  f"{raw!r}") from None
             choices = flag.get("choices")
             if choices and value not in choices:
                 raise ConfigError(

@@ -298,7 +298,12 @@ def zero_operator_rank_probe(dim: int = 24, ranks=(1, 2, 3), radii=None,
     spectral projection of B at eigenvalue 0 is exactly -P0 / z, so its norm
     along any ray grows like 1/|z|.  Returns the fitted exponents, all ~1.
     """
-    radii = tuple(radii or (10.0 ** (-1 - 0.5 * k) for k in range(7)))
+    if radii is None:
+        radii = (10.0 ** (-1 - 0.5 * k) for k in range(7))
+    radii = tuple(radii)
+    if len(radii) < 2:
+        raise ConfigError(f"the rank probe fits a slope through at least 2 radii, "
+                          f"got {len(radii)}")
     rng = np.random.default_rng(seed)
     fitted = {}
     for rank in ranks:

@@ -22,9 +22,9 @@ Both, and the 1D kernel, have the form left(r_<) right(r_>) exp(-w |r - rho|).
 free_semiseparable_kernel holds the only copy of their generators and applies
 them in O(n) on a grid; the 2D generators are scipy's scaled AMOS Bessel
 functions ive/kve, accurate near the positive axis and free of overflow.
-The pointwise radial_reduced_kernel_2d/_3d fold the phase of exp(-w |r - rho|)
+The pointwise radial_reduced_kernel_2d folds the phase of exp(-w |r - rho|)
 into those generators, e^{i Im(w) r} onto left and its conjugate onto right,
-and take one real exp(-Re(w) |r - rho|) per pair.
+and takes one real exp(-Re(w) |r - rho|) per pair.
 """
 
 from __future__ import annotations
@@ -185,19 +185,21 @@ def free_semiseparable_kernel(d: int, grid, w) -> SemiseparableKernel:
     return SemiseparableKernel(grid, left, right, np.exp(-w * grid.spacing))
 
 
-def _reduced_kernel(d: int, r, rho, w):
-    """left(r_<) right(r_>) exp(-w |r - rho|) at every broadcast pair (r, rho).
+def radial_reduced_kernel_2d(r, rho, w):
+    """s-wave reduced 2D kernel sqrt(r rho) I0(w r_<) K0(w r_>), Re w >= 0,
+    at every broadcast pair (r, rho).
 
     exp(-w |r - rho|) = exp(-Re(w) |r - rho|) e^{i Im(w) r_<} e^{-i Im(w) r_>}:
-    the unit phases ride on the generators, once per point, so each pair
-    costs one product and one real exponential, and nothing can overflow.
+    the Bessel generators and the unit phases are evaluated once per r and
+    once per rho, so each pair costs one product and one real exponential,
+    and nothing can overflow.
     """
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
     w = complex(w)
 
     def folded(x):
-        left, right = _generators(d, x, w)
+        left, right = _generators(2, x, w)
         phase = np.exp(1j * w.imag * x)
         return left * phase, right * phase.conj()
 
@@ -210,24 +212,6 @@ def _reduced_kernel(d: int, r, rho, w):
     decay *= -w.real
     out *= np.exp(decay, out=decay)
     return out[()]
-
-
-def radial_reduced_kernel_3d(r, rho, w):
-    """s-wave reduced 3D kernel sinh(w r_<) exp(-w r_>) / w on u = r f.
-
-    Evaluated in the overflow-free form -expm1(-2 w r_<) exp(-w(r_> - r_<)) / (2w);
-    at w = 0 this is exactly r_<.
-    """
-    return _reduced_kernel(3, r, rho, w)
-
-
-def radial_reduced_kernel_2d(r, rho, w):
-    """s-wave reduced 2D kernel sqrt(r rho) I0(w r_<) K0(w r_>), Re w >= 0.
-
-    Bessel functions and the phase e^{i Im(w) r} are evaluated once per r and
-    once per rho; each pair takes one product and one real exp(-Re(w) |r - rho|).
-    """
-    return _reduced_kernel(2, r, rho, w)
 
 
 def build_free_kernel_operator(d: int, grid, p: SpectralParameter) -> SemiseparableKernel:

@@ -271,24 +271,3 @@ def classify_threshold_1d(pot: Potential1D, tol: float = 1e-6) -> ThresholdRepor
     diagnostics["green_kernel"] = green_kernel(pair)
     return ThresholdReport(Classification.REGULAR, rank=0, diagnostics=diagnostics)
 
-
-def critical_square_well_coupling(grid: Grid1D, lo: float = 1.0, hi: float = 4.0,
-                                  tol: float = 1e-10) -> float:
-    """Coupling g* where the square well -g 1_[-1,1] acquires a zero-energy
-    resonance, located by bisection on the zero-energy Wronskian."""
-    def w_of(g):
-        return jost_pair(Potential1D.square_well(g, grid)).wronskian.real
-
-    flo, fhi = w_of(lo), w_of(hi)
-    if flo * fhi > 0:
-        raise ValueError("bracket does not straddle a Wronskian zero")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = w_of(mid)
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)

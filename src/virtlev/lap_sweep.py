@@ -16,9 +16,9 @@ free difference equation is matched exactly at the grid edge, so no
 artificial reflection pollutes small-|z| norms.
 
 Resolvent engines: free kinds apply free_resolvent's O(n) semiseparable
-kernels; every other kind solves with one LAPACK LU of H - z (gttrf/gtcon
-when tridiagonal, getrf/gecon for a matrix, plus a Sherman-Morrison update
-for the rank-one kind), and an ill-conditioned LU raises NearSpectrum.
+kernels; every other kind solves with one tridiagonal LAPACK LU of H - z
+(gttrf/gtcon, plus a Sherman-Morrison update for the rank-one kind), and an
+ill-conditioned LU raises NearSpectrum.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .jost import Potential1D
 from .reports import Classification, ThresholdReport
 from .weighted_space import (
     Grid1D,
-    IndexGrid,
     KernelOperator,
     RadialGrid,
     _power_iteration_norm,
@@ -57,7 +56,6 @@ class OperatorKind(enum.Enum):
     SCHRODINGER_1D = "schrod1d"
     SCHRODINGER_3D_RADIAL = "schrod3d"
     RANK_ONE_PERTURBED_1D = "rankone1d"
-    MATRIX = "matrix"
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,6 @@ class OperatorSpec:
     potential: Potential1D | None = None
     radial_potential: Callable | None = field(default=None, repr=False)
     radial_support: float = 0.0
-    matrix: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def free1d(cls, grid: Grid1D) -> "OperatorSpec":
@@ -99,21 +96,8 @@ class OperatorSpec:
     def rank_one_perturbed_1d(cls, grid: Grid1D) -> "OperatorSpec":
         return cls(OperatorKind.RANK_ONE_PERTURBED_1D, grid=grid)
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "OperatorSpec":
-        m = np.asarray(m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigError("matrix operator must be square")
-        return cls(OperatorKind.MATRIX, grid=IndexGrid(m.shape[0]), matrix=m)
-
-    @property
-    def is_differential(self) -> bool:
-        return self.kind is not OperatorKind.MATRIX
-
     def check_resolution(self, z: complex) -> None:
         """Enforce h <= min(0.01, wavelength / 20) at the swept point."""
-        if not self.is_differential:
-            return
         h = self.grid.spacing
         k_osc = abs(np.imag(np.sqrt(complex(-z))))
         limit = _MAX_GRID_SPACING
@@ -125,8 +109,6 @@ class OperatorSpec:
             )
 
     def refined(self) -> "OperatorSpec":
-        if self.kind is OperatorKind.MATRIX:
-            return self
         fine = self.grid.refined()
         pot = self.potential
         if pot is not None:
@@ -148,8 +130,13 @@ class SweepConfig:
     def __post_init__(self):
         radii = default_radii() if self.radii is None else self.radii
         object.__setattr__(self, "radii", tuple(sorted(map(float, radii), reverse=True)))
+        for name in ("z0", "angle", "s", "sp"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} = {getattr(self, name)} is not finite")
         if len(self.radii) < 5:
             raise ConfigError("at least 5 radii are required")
+        if not all(0.0 < r < np.inf for r in self.radii):
+            raise ConfigError("radii must be finite and positive")
         if max(self.radii) / min(self.radii) < 1e3 * (1 - 1e-9):
             raise ConfigError("radii must span at least three decades")
         if self.flavor not in ("weighted_l2", "l1_linf"):
@@ -268,12 +255,10 @@ def discrete_hamiltonian(op: OperatorSpec, z: complex) -> "scipy.sparse.csc_matr
     """Sparse matrix of (H - z) with transparent boundary closure.
 
     The bands of `_tridiagonal`; the rank-one kind adds the indicator
-    projection 1_[-1,1] <1_[-1,1], .>, and the matrix kind is M - z.
+    projection 1_[-1,1] <1_[-1,1], .>.
     """
     import scipy.sparse as sp  # imported here: no resolvent engine needs it
 
-    if op.kind is OperatorKind.MATRIX:
-        return sp.csc_matrix(op.matrix - z * np.eye(op.matrix.shape[0]))
     t = sp.diags(_tridiagonal(op, z), [-1, 0, 1], format="csc")
     if op.kind is OperatorKind.RANK_ONE_PERTURBED_1D:
         col = sp.csc_matrix(_indicator_vector(op.grid)[:, None])
@@ -287,8 +272,6 @@ def apply_shifted_operator(op: OperatorSpec, z: complex, u: np.ndarray) -> np.nd
     if op.kind is OperatorKind.FREE_2D_RADIAL:
         raise ConfigError("no difference operator is attached to the 2D kernel model")
     u = np.asarray(u)
-    if op.kind is OperatorKind.MATRIX:
-        return op.matrix @ u - z * u
     dl, d, du = _tridiagonal(op, z)
     out = d * u
     out[1:] += dl * u[:-1]
@@ -314,29 +297,20 @@ def _band_norm1(dl, d, du) -> float:
 
 
 class _SolverEngine:
-    """Resolvent kernel T^{-1} / h from one LAPACK LU of T = H - z.
-
-    Tridiagonal kinds factor with zgttrf and check zgtcon, the matrix kind
-    factors with zgetrf and checks zgecon.  `solve(b, trans)` applies T^{-1},
-    or T^{-H} for trans="C"; matvec, rmatvec, max_abs_entry and entries all
-    go through it.
+    """Resolvent kernel T^{-1} / h from one LAPACK LU of the tridiagonal
+    T = H - z, factored with zgttrf and checked with zgtcon.  `solve(b, trans)`
+    applies T^{-1}, or T^{-H} for trans="C"; matvec, rmatvec, max_abs_entry
+    and entries all go through it.
     """
 
     def __init__(self, op: OperatorSpec, z: complex):
         self.grid_in = self.grid_out = op.grid
         self.h = op.grid.spacing
         self.n = op.grid.n_points
-        if op.kind is OperatorKind.MATRIX:
-            a = op.matrix - z * np.eye(self.n)
-            lu, piv, info = lapack.zgetrf(a)
-            _check_condition(info, lambda: lapack.zgecon(lu, np.linalg.norm(a, 1))[0])
-            self.solve = lambda b, trans="N": lapack.zgetrs(lu, piv, b,
-                                                            trans="NTC".index(trans))[0]
-        else:
-            bands = _tridiagonal(op, z)
-            *factors, info = lapack.zgttrf(*bands)
-            _check_condition(info, lambda: lapack.zgtcon(*factors, _band_norm1(*bands))[0])
-            self.solve = lambda b, trans="N": lapack.zgttrs(*factors, b, trans=trans)[0]
+        bands = _tridiagonal(op, z)
+        *factors, info = lapack.zgttrf(*bands)
+        _check_condition(info, lambda: lapack.zgtcon(*factors, _band_norm1(*bands))[0])
+        self.solve = lambda b, trans="N": lapack.zgttrs(*factors, b, trans=trans)[0]
 
     def matvec(self, g):
         return self.solve(g) / self.h
@@ -503,7 +477,7 @@ def classify(op: OperatorSpec, cfg: SweepConfig, tol_alpha: float = 0.1,
     keeps the coarse and refined sweeps; the state comes from the coarse one.
     """
     sweeps = [sweep(op, cfg)]
-    if refine and op.is_differential:
+    if refine:
         sweeps.append(sweep(op.refined(), cfg))
     report = _classify_from_sweep(sweeps[0], tol_alpha)
     report.diagnostics["aborted"] = sweeps[0].aborted

@@ -279,7 +279,8 @@ def embedded_family_check(zeta0: float, n: int = 8, residual_tol: float = 1e-6,
             f"eigen-residual {np.max(residuals):.3g} exceeds {residual_tol:.1g}"
         )
     grid = grid or RadialGrid(10.0, 1000)
-    radii = tuple(radii or (1e-1 * 10 ** (-0.5 * k) for k in range(7)))
+    if radii is None:
+        radii = tuple(1e-1 * 10 ** (-0.5 * k) for k in range(7))
     cfg = SweepConfig(z0=zeta0**2, angle=np.pi / 2, radii=radii, s=2.0, sp=2.0)
     op = OperatorSpec.schrodinger3d_radial(
         grid, lambda rr: embedded_potential_3d(zeta0, rr)[1], support=1.0)

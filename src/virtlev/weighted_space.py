@@ -89,25 +89,6 @@ class RadialGrid:
         return RadialGrid(self.max_radius, factor * self.n_points)
 
 
-@dataclass(frozen=True)
-class IndexGrid:
-    """Integer positions 1..n with unit spacing, for sequence-space operators."""
-
-    n_points: int
-
-    def __post_init__(self):
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
-
-    @property
-    def spacing(self) -> float:
-        return 1.0
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        return np.arange(1, self.n_points + 1, dtype=float)
-
-
 def weight(x, s: float):
     """Polynomial weight <x>^s = (1 + x^2)^(s/2); accepts scalars or arrays."""
     return (1.0 + np.square(np.asarray(x, dtype=float))) ** (s / 2.0)

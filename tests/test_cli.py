@@ -232,6 +232,14 @@ class TestErrorChannels:
         (["suite", "--only", "0,3"], "outside 1..10: [0]"),
         (["bifurcate", "--g", ","], "at least one coupling"),
         (["embedded", "--count", "0"], "n >= 1"),
+        (["sweep", "--s", "nan"], "s = nan is not finite"),
+        (["sweep", "--s", "inf"], "s = inf is not finite"),
+        (["sweep", "--sp", "nan"], "sp = nan is not finite"),
+        (["sweep", "--ray", "inf"], "angle = inf is not finite"),
+        (["sweep", "--z0", "nan"], "z0 = (nan+0j) is not finite"),
+        (["sweep", "--r0", "0"], "radii must be finite and positive"),
+        (["sweep", "--ratio", "0"], "radii must be finite and positive"),
+        (["sweep", "--r0", "-1"], "radii must be finite and positive"),
     ])
     def test_config_error_exit_2(self, capsys, argv, fragment):
         code, out, err = run_cli(argv, capsys)
@@ -239,6 +247,20 @@ class TestErrorChannels:
         payload = json.loads(err.strip().splitlines()[0])
         assert payload["error"] == "config"
         assert fragment in payload["message"]
+
+    @pytest.mark.parametrize("command,line,message", [
+        ("sweep", "count = abc", "config key count: invalid int value: 'abc'"),
+        ("sweep", "r0 = small", "config key r0: invalid float value: 'small'"),
+        ("jost", "n = 1.5", "config key n: invalid int value: '1.5'"),
+    ])
+    def test_config_value_of_the_wrong_type_names_its_key(self, capsys, tmp_path,
+                                                          command, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err.strip().splitlines()[-1]) == {"error": "config",
+                                                           "message": message}
 
     def test_computational_error_exit_1(self, capsys):
         code, _, err = run_cli(["kernel", "--d", "1", "--z", "0",

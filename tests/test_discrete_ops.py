@@ -232,3 +232,10 @@ def test_zero_operator_is_not_regularizable():
     for rank, exps in probe.items():
         for e in exps:
             assert e >= 0.9  # 1/|z| growth for every sampled finite-rank B
+
+
+@pytest.mark.parametrize("radii", [(), (1e-2,)])
+def test_rank_probe_needs_two_radii(radii):
+    # only None selects the default ladder
+    with pytest.raises(ConfigError, match="at least 2 radii"):
+        zero_operator_rank_probe(dim=4, ranks=(1,), trials=1, radii=radii)

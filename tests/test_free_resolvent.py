@@ -18,11 +18,11 @@ from virtlev.free_resolvent import (
     SpectralParameter,
     _generators,
     build_free_kernel_operator,
+    free_semiseparable_kernel,
     kernel_1d,
     kernel_2d,
     kernel_3d,
     radial_reduced_kernel_2d,
-    radial_reduced_kernel_3d,
     sqrt_minus_z,
 )
 from virtlev.weighted_space import Grid1D, RadialGrid, l1_to_linf_norm
@@ -149,67 +149,46 @@ def test_kernel_symmetry_and_conjugation_random():
         assert np.conj(kernel_2d(r, p)) == pytest.approx(kernel_2d(r, pc), rel=1e-12)
 
 
+def reduced_3d_entries(grid, w):
+    """Dense s-wave reduced 3D kernel on a RadialGrid, from the O(n) generators."""
+    return free_semiseparable_kernel(3, grid, w).entries
+
+
 class TestReducedRadialKernels:
     def test_3d_reduction_matches_interval_integral(self):
-        # the s-wave kernel equals (1/2) int_{|r-rho|}^{r+rho} e^{-w t} dt
+        # the s-wave kernel equals (1/2) int_{|r-rho|}^{r+rho} e^{-w t} dt;
+        # (r, rho) are sampled among the points of the grid
+        grid = RadialGrid(5.0, 500)
         rng = np.random.default_rng(7)
         for _ in range(40):
-            r, rho = 5 * rng.random() + 0.01, 5 * rng.random() + 0.01
+            i, j = rng.integers(0, grid.n_points, 2)
+            r, rho = grid.points[i], grid.points[j]
             w = complex(2 * rng.random() + 0.01, rng.random() - 0.5)
             lo, hi = abs(r - rho), r + rho
             re, _ = quad(lambda t: np.real(np.exp(-w * t)) / 2, lo, hi)
             im, _ = quad(lambda t: np.imag(np.exp(-w * t)) / 2, lo, hi)
-            assert complex(radial_reduced_kernel_3d(r, rho, w)) == pytest.approx(
+            assert complex(reduced_3d_entries(grid, w)[i, j]) == pytest.approx(
                 complex(re, im), rel=1e-10, abs=1e-12)
 
     def test_3d_reduction_threshold_is_min(self):
-        assert radial_reduced_kernel_3d(2.0, 3.0, 0.0) == pytest.approx(2.0)
-        assert radial_reduced_kernel_3d(3.0, 2.0, 0.0) == pytest.approx(2.0)
+        k = reduced_3d_entries(RadialGrid(4.0, 4), 0.0)  # points 1, 2, 3, 4
+        assert k[1, 2] == pytest.approx(2.0)
+        assert k[2, 1] == pytest.approx(2.0)
 
     def test_3d_small_argument_branch_is_smooth(self):
         # expm1 keeps the kernel accurate on both sides of |2 w r_<| = 1e-4
         for u in (0.99e-4, 1.01e-4):
             w = u / 2.0
-            a = complex(radial_reduced_kernel_3d(1.0, 2.0, w))
+            a = complex(reduced_3d_entries(RadialGrid(3.0, 3), w)[0, 1])  # r = 1, rho = 2
             exact = np.sinh(w) * np.exp(-2 * w) / w
             assert a == pytest.approx(exact, rel=1e-10)
-
-    def test_2d_reduction_symmetry(self):
-        vals1 = radial_reduced_kernel_2d(1.3, 0.4, 0.5)
-        vals2 = radial_reduced_kernel_2d(0.4, 1.3, 0.5)
-        assert complex(vals1) == pytest.approx(complex(vals2), rel=1e-14)
-
-
-def _pairwise_reference(d, r, rho, w):
-    """The unfolded formula: both generator products, selected by r <= rho,
-    times the complex exp(-w |r - rho|) of every pair."""
-    r, rho, w = np.asarray(r, dtype=float), np.asarray(rho, dtype=float), complex(w)
-    left_r, right_r = _generators(d, r, w)
-    left_rho, right_rho = _generators(d, rho, w)
-    near = np.where(r <= rho, left_r * right_rho, left_rho * right_r)
-    return near * np.exp(-w * np.abs(r - rho))
-
-
-REDUCED = {2: radial_reduced_kernel_2d, 3: radial_reduced_kernel_3d}
-# real, complex, on the positive cut (Re w = 0) and Im(w)-dominant; Im(w) R <= 15
-FOLD_WS = (1e-3, 5.0, 0.5 - 0.5j, 1.2 + 1.5j, -0.8j, 1e-2 + 0.7j)
-
-
-class TestFoldedPhase:
-    @pytest.mark.parametrize("w", FOLD_WS)
-    @pytest.mark.parametrize("d", (2, 3))
-    def test_full_grid_matches_pairwise_formula(self, d, w):
-        r = RadialGrid(10.0, 1000).points
-        got = REDUCED[d](r[:, None], r[None, :], w)
-        ref = _pairwise_reference(d, r[:, None], r[None, :], w)
-        assert got.dtype == complex and got.shape == (1000, 1000)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("w", [0.01 - 20.0j, 30.0 - 20.0j, 50.0])
     def test_3d_grid_against_mpmath(self, w):
         # sinh(w r_<) exp(-w r_>) / w with Im(w) dominant or Re(w) R = 2000
-        r = RadialGrid(40.0, 1000).points
-        k = radial_reduced_kernel_3d(r[:, None], r[None, :], w)
+        grid = RadialGrid(40.0, 1000)
+        r = grid.points
+        k = reduced_3d_entries(grid, w)
         assert np.all(np.isfinite(k))
         rng = np.random.default_rng(9)
         i = rng.integers(0, 1000, 48)
@@ -225,22 +204,50 @@ class TestFoldedPhase:
         assert np.all(np.abs(got - ref)[normal] <= 1e-12 * np.abs(ref[normal]))
         assert np.all(np.abs(got[~normal]) <= 1e-280)
 
-    @pytest.mark.parametrize("d", (2, 3))
-    def test_shapes(self, d):
-        kern, w = REDUCED[d], 0.7 - 1.1j
+    def test_2d_reduction_symmetry(self):
+        vals1 = radial_reduced_kernel_2d(1.3, 0.4, 0.5)
+        vals2 = radial_reduced_kernel_2d(0.4, 1.3, 0.5)
+        assert complex(vals1) == pytest.approx(complex(vals2), rel=1e-14)
+
+
+def _pairwise_reference(r, rho, w):
+    """The unfolded formula: both generator products, selected by r <= rho,
+    times the complex exp(-w |r - rho|) of every pair."""
+    r, rho, w = np.asarray(r, dtype=float), np.asarray(rho, dtype=float), complex(w)
+    left_r, right_r = _generators(2, r, w)
+    left_rho, right_rho = _generators(2, rho, w)
+    near = np.where(r <= rho, left_r * right_rho, left_rho * right_r)
+    return near * np.exp(-w * np.abs(r - rho))
+
+
+# real, complex, on the positive cut (Re w = 0) and Im(w)-dominant; Im(w) R <= 15
+FOLD_WS = (1e-3, 5.0, 0.5 - 0.5j, 1.2 + 1.5j, -0.8j, 1e-2 + 0.7j)
+
+
+class TestFoldedPhase:
+    @pytest.mark.parametrize("w", FOLD_WS)
+    def test_full_grid_matches_pairwise_formula(self, w):
+        r = RadialGrid(10.0, 1000).points
+        got = radial_reduced_kernel_2d(r[:, None], r[None, :], w)
+        ref = _pairwise_reference(r[:, None], r[None, :], w)
+        assert got.dtype == complex and got.shape == (1000, 1000)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_shapes(self):
+        w = 0.7 - 1.1j
         rng = np.random.default_rng(2)
         for r, rho in ((1.3, 0.4), (np.array(0.4), np.array(1.3)),
                        (4 * rng.random(7) + 0.01, 4 * rng.random(7) + 0.01),
                        ((4 * rng.random(5) + 0.01)[:, None], (4 * rng.random(3) + 0.01)[None, :])):
-            got = kern(r, rho, w)
-            ref = _pairwise_reference(d, r, rho, w)
+            got = radial_reduced_kernel_2d(r, rho, w)
+            ref = _pairwise_reference(r, rho, w)
             assert np.shape(got) == np.shape(ref) and np.asarray(got).dtype == complex
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         # unsorted radii: every entry depends on its own pair only
         r = RadialGrid(10.0, 200).points
         perm = rng.permutation(r.size)
-        full = kern(r[:, None], r[None, :], w)
-        shuffled = kern(r[perm][:, None], r[None, :], w)
+        full = radial_reduced_kernel_2d(r[:, None], r[None, :], w)
+        shuffled = radial_reduced_kernel_2d(r[perm][:, None], r[None, :], w)
         assert np.max(np.abs(shuffled - full[perm])) <= 1e-15 * np.max(np.abs(full))
 
     def test_grid_build_keeps_one_real_temporary(self):

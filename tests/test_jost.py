@@ -12,7 +12,6 @@ from virtlev.errors import (
 from virtlev.jost import (
     Potential1D,
     classify_threshold_1d,
-    critical_square_well_coupling,
     green_kernel,
     jost_pair,
     jost_solve,
@@ -186,6 +185,24 @@ class TestClassification:
     def test_complex_wells_classify(self):
         report = classify_threshold_1d(Potential1D.square_well(1.0 + 1.0j, GRID))
         assert report.classification is Classification.REGULAR
+
+
+def critical_square_well_coupling(grid, lo=1.0, hi=4.0, tol=1e-10):
+    """Coupling g* where the square well -g 1_[-1,1] acquires a zero-energy
+    resonance, located by bisection on the zero-energy Wronskian."""
+    def w_of(g):
+        return jost_pair(Potential1D.square_well(g, grid)).wronskian.real
+
+    flo = w_of(lo)
+    assert flo * w_of(hi) <= 0, "bracket does not straddle a Wronskian zero"
+    while hi - lo >= tol:
+        mid = 0.5 * (lo + hi)
+        fm = w_of(mid)
+        if flo * fm <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
 
 
 def test_critical_coupling_matches_closed_form():

@@ -176,6 +176,11 @@ class TestEmbeddedFamily:
         with pytest.raises(ConfigError, match="n >= 1"):
             embedded_family_check(0.0, n=0)
 
+    def test_empty_radii_are_a_config_error(self):
+        # only None selects the default ladder
+        with pytest.raises(ConfigError, match="at least 5 radii"):
+            embedded_family_check(0.0, n=2, radii=())
+
     def test_csv(self):
         fam = embedded_family_check(0.0, n=3)
         text = embedded_csv(fam)

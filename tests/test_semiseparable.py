@@ -12,7 +12,6 @@ from virtlev.free_resolvent import (
     SpectralParameter,
     kernel_1d,
     radial_reduced_kernel_2d,
-    radial_reduced_kernel_3d,
 )
 from virtlev.jost import Potential1D, classify_threshold_1d, green_kernel, jost_pair
 from virtlev.lap_sweep import OperatorSpec, _make_engine
@@ -63,9 +62,10 @@ def test_free_entries_match_closed_form(z):
     p = SpectralParameter.interior(z)
     w = np.sqrt(complex(-z))
     x, r = GRID.points[:, None], RADIAL.points[:, None]
+    r_lo, r_hi = np.minimum(r, r.T), np.maximum(r, r.T)
     cases = ((OperatorSpec.free1d(GRID), kernel_1d(x, x.T, p)),
              (OperatorSpec.free2d_radial(RADIAL), radial_reduced_kernel_2d(r, r.T, w)),
-             (OperatorSpec.free3d_radial(RADIAL), radial_reduced_kernel_3d(r, r.T, w)))
+             (OperatorSpec.free3d_radial(RADIAL), np.sinh(w * r_lo) * np.exp(-w * r_hi) / w))
     for op, ref in cases:
         assert rel_err(_make_engine(op, z).entries, ref) <= 1e-12, op.kind
 

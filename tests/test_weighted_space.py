@@ -10,7 +10,6 @@ from virtlev.errors import DimensionMismatch, DiscretizationFailure, InvalidOper
 from virtlev.free_resolvent import SpectralParameter, build_free_kernel_operator
 from virtlev.weighted_space import (
     Grid1D,
-    IndexGrid,
     KernelOperator,
     RadialGrid,
     SemiseparableKernel,
@@ -152,7 +151,7 @@ def test_svd_norm_same_for_dense_and_semiseparable(d):
 
 
 def test_power_iteration_reports_convergence(monkeypatch):
-    g = IndexGrid(3)  # unit spacing; s = 0 makes every weight 1
+    g = Grid1D(1.0, 3)  # unit spacing; s = 0 makes every weight 1
     k = KernelOperator(g, g, np.diag([3.0, 1.0, 0.5]))
     sigma, v, u, its, ok = _power_iteration_norm(k, 0.0, 0.0)
     assert ok and 2 < its < 100
@@ -204,12 +203,6 @@ def test_kernel_operator_validation():
     bad[3, 4] = np.nan
     with pytest.raises(InvalidOperator):
         KernelOperator(g, g, bad)
-
-
-def test_index_grid_unit_spacing():
-    g = IndexGrid(5)
-    assert g.spacing == 1.0
-    assert list(g.points) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_apply_matches_quadrature():
