@@ -255,7 +255,7 @@ def criterion_8() -> CriterionResult:
     for name, pot, expected in _suite_potentials(grid):
         if name not in ("zero", "bump", "resonant"):
             continue
-        form = cr.QuadraticForm.from_potential_line(pot.sample)
+        form = cr.QuadraticForm(Grid1D(320.0, 12801), pot.sample)
         rr = cr.null_state_iteration(form, compact_radius=1.0, conv_tol=0.05)
         want = (cr.Dichotomy.NULL_STATE if expected is Classification.VIRTUAL
                 else cr.Dichotomy.WEIGHTED_GAP)

@@ -29,8 +29,9 @@ from . import discrete_ops as do
 from . import jost
 from . import lap_sweep as ls
 from . import perturbation as pt
-from .errors import ConfigError, VirtlevError
+from .errors import ConfigError, InvalidOperator, VirtlevError
 from .free_resolvent import Approach, SpectralParameter, kernel_1d, kernel_2d, kernel_3d
+from .reports import csv_table
 from .weighted_space import Grid1D, RadialGrid
 
 
@@ -191,6 +192,9 @@ _APPROACHES = {
 
 
 def _cmd_kernel(cfg) -> int:
+    for key in ("x", "y", "r"):
+        if not np.isfinite(cfg[key]):
+            raise ConfigError(f"{key} = {cfg[key]} is not finite")
     p = SpectralParameter(_parse_complex(cfg["z"]), _APPROACHES[cfg["approach"]])
     if cfg["d"] == 1:
         value = kernel_1d(cfg["x"], cfg["y"], p)
@@ -198,7 +202,10 @@ def _cmd_kernel(cfg) -> int:
         value = kernel_2d(cfg["r"], p)
     else:
         value = kernel_3d(cfg["r"], p)
-    print(_fmt_complex(complex(value)))
+    value = complex(value)
+    if not np.isfinite(value):
+        raise InvalidOperator(f"the kernel value {value} is not finite")
+    print(_fmt_complex(value))
     return 0
 
 
@@ -216,11 +223,10 @@ def _cmd_jost(cfg) -> int:
     print(json.dumps(payload))
     if cfg["out"]:
         pair = report.diagnostics["jost_pair"]
-        rows = ["x,theta_plus_re,theta_plus_im,theta_minus_re,theta_minus_im"]
-        for x, tp, tm in zip(grid.points, pair.theta_plus, pair.theta_minus):
-            rows.append(f"{x:.15g},{tp.real:.15g},{tp.imag:.15g},"
-                        f"{tm.real:.15g},{tm.imag:.15g}")
-        _write_output(_echo_header(cfg) + "\n".join(rows) + "\n", cfg["out"])
+        table = csv_table(["x", "theta_plus_re", "theta_plus_im", "theta_minus_re",
+                           "theta_minus_im"],
+                          zip(grid.points, pair.theta_plus, pair.theta_minus))
+        _write_output(_echo_header(cfg) + table, cfg["out"])
     return 0
 
 
@@ -289,10 +295,9 @@ def _cmd_shift(cfg) -> int:
     }
     print(json.dumps(payload))
     if cfg["out"]:
-        rows = ["index,psi_re,psi_im"]
-        for idx, v in enumerate(lvl.psi.entries, start=1):
-            rows.append(f"{idx},{v.real:.15g},{v.imag:.15g}")
-        _write_output(_echo_header(cfg) + "\n".join(rows) + "\n", cfg["out"])
+        table = csv_table(["index", "psi_re", "psi_im"],
+                          enumerate(lvl.psi.entries, start=1))
+        _write_output(_echo_header(cfg) + table, cfg["out"])
     return 0
 
 
@@ -308,17 +313,15 @@ def _cmd_embedded(cfg) -> int:
 
 
 def _cmd_critical(cfg) -> int:
-    case, radius = cfg["case"], cfg["R"]
-    npts = cfg["n"] if cfg["n"] is not None else (12800 if case == "free3d" else 12801)
-    if case == "free1d":
-        form = cr.QuadraticForm.free_line(radius, npts)
-    elif case == "free3d":
-        form = cr.QuadraticForm.free_radial3d(radius, npts)
+    case, radius, npts = cfg["case"], cfg["R"], cfg["n"]
+    if case == "potential" and not cfg["potential"]:
+        raise ConfigError("critical --case potential requires --potential")
+    if case == "free3d":
+        grid = RadialGrid(radius, 12800 if npts is None else npts)
     else:
-        if not cfg["potential"]:
-            raise ConfigError("critical --case potential requires --potential")
-        pot = parse_potential(cfg["potential"], Grid1D(radius, npts))
-        form = cr.QuadraticForm.from_potential_line(pot.sample, radius, npts)
+        grid = Grid1D(radius, 12801 if npts is None else npts)
+    form = (cr.QuadraticForm(grid, parse_potential(cfg["potential"], grid).sample)
+            if case == "potential" else cr.QuadraticForm(grid))
     result = cr.null_state_iteration(form, compact_radius=cfg["K"],
                                      j_max=cfg["jmax"])
     payload = {"verdict": result.verdict.value,

@@ -13,20 +13,23 @@ one-parameter family w = c <x>^{-4}: the largest admissible c is the bottom
 c* of the pencil (T, diag <x>^{-4}), one symmetric tridiagonal eigenvalue,
 and half of it is reported so the margin is strictly positive.
 
-All operators are Dirichlet truncations on uniform grids; verdicts are
-re-checked under doubling of the truncation radius.
+A form is a grid and one real potential sampler.  All forms are Dirichlet
+truncations on uniform grids, and the grid's type sets the edges; verdicts
+are re-checked under doubling of the truncation radius.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, InvalidOperator
+from .reports import csv_table
 from .weighted_space import Grid1D, RadialGrid, cell_average, weight
 
 
@@ -38,39 +41,41 @@ def _zero(t):
 class QuadraticForm:
     """Discrete form a[u] = h sum |du/h|^2 + h sum V u^2 with Dirichlet edges.
 
-    Forms built from a potential `sampler` keep it, so `with_doubled_radius`
-    can resample V on the doubled grid.
+    V is the cell average `v` of the real potential `sampler` on `grid`.  The
+    grid's type sets the edges: a Grid1D line is Dirichlet at both ends, a
+    RadialGrid half-line at r = 0 (implicitly) and at r = R.
     """
 
-    kind: str  # "line" | "radial3d"
-    grid: object
-    v: np.ndarray = field(repr=False)
-    sampler: Callable | None = field(default=None, compare=False, repr=False)
+    grid: Grid1D | RadialGrid
+    sampler: Callable = field(default=_zero, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("line", "radial3d"):
-            raise ValueError("kind must be 'line' or 'radial3d'")
-        if self.v.shape != self.grid.points.shape:
-            raise ValueError("potential samples must match the grid")
+        # 1/h^2 and the weight <x>^-4 (every |x| < n h) stay normal floats
+        h, extent = self.grid.spacing, self.grid.spacing * self.grid.n_points
+        if not (h > 1e-75 and extent < 1e75):
+            raise ConfigError(f"grid spacing {h:.3g} and extent {extent:.3g} must lie in "
+                              "(1e-75, 1e75)")
         lam = self.smallest_eigenvalue()
         if lam < -1e-10:
             raise InvalidOperator(
                 f"form is not nonnegative: smallest eigenvalue {lam:.3g}"
             )
 
-    # interior = grid points with Dirichlet zeros outside
+    @cached_property
+    def v(self) -> np.ndarray:
+        return cell_average(self.sampler, self.grid.points, self.grid.spacing, real=True)
+
     def _interior(self):
-        if self.kind == "line":
-            return slice(1, -1)
-        return slice(0, -1)  # radial: r=0 Dirichlet is implicit, drop r=R
+        """Grid points with Dirichlet zeros outside: both line edges drop;
+        on the half-line r = 0 is implicit and r = R drops."""
+        return slice(1, -1) if isinstance(self.grid, Grid1D) else slice(0, -1)
 
     def tridiagonal(self, extra_potential: np.ndarray | None = None):
         h = self.grid.spacing
         v = self.v if extra_potential is None else self.v + extra_potential
         sl = self._interior()
         d = 2.0 / h**2 + v[sl]
-        n_int = d.size
-        e = np.full(n_int - 1, -1.0 / h**2)
+        e = np.full(d.size - 1, -1.0 / h**2)
         return d, e
 
     def smallest_eigenpair(self, extra_potential: np.ndarray | None = None):
@@ -119,38 +124,18 @@ class QuadraticForm:
 
     @staticmethod
     def free_line(half_width: float = 320.0, n_points: int = 12801) -> "QuadraticForm":
-        return QuadraticForm.from_potential_line(_zero, half_width, n_points)
-
-    @staticmethod
-    def from_potential_line(sampler: Callable, half_width: float = 320.0,
-                            n_points: int = 12801) -> "QuadraticForm":
-        grid = Grid1D(half_width, n_points)
-        v = cell_average(sampler, grid.points, grid.spacing, real=True)
-        return QuadraticForm("line", grid, v, sampler)
+        return QuadraticForm(Grid1D(half_width, n_points))
 
     @staticmethod
     def free_radial3d(max_radius: float = 320.0, n_points: int = 12800) -> "QuadraticForm":
-        return QuadraticForm.from_potential_radial3d(_zero, max_radius, n_points)
-
-    @staticmethod
-    def from_potential_radial3d(sampler: Callable, max_radius: float = 320.0,
-                                n_points: int = 12800) -> "QuadraticForm":
-        grid = RadialGrid(max_radius, n_points)
-        v = cell_average(sampler, grid.points, grid.spacing, real=True)
-        return QuadraticForm("radial3d", grid, v, sampler)
-
-    def radius(self) -> float:
-        return (self.grid.half_width if self.kind == "line"
-                else self.grid.max_radius)
+        return QuadraticForm(RadialGrid(max_radius, n_points))
 
     def with_doubled_radius(self) -> "QuadraticForm":
-        if self.sampler is None:
-            raise InvalidOperator("form was not built from a potential sampler")
-        if self.kind == "line":
-            return QuadraticForm.from_potential_line(
-                self.sampler, 2.0 * self.radius(), 2 * (self.grid.n_points - 1) + 1)
-        return QuadraticForm.from_potential_radial3d(
-            self.sampler, 2.0 * self.radius(), 2 * self.grid.n_points)
+        """The same potential on a grid of twice the radius and the same spacing."""
+        g = self.grid
+        doubled = (Grid1D(2.0 * g.half_width, 2 * g.n_points - 1) if isinstance(g, Grid1D)
+                   else RadialGrid(2.0 * g.max_radius, 2 * g.n_points))
+        return QuadraticForm(doubled, self.sampler)
 
 
 class Dichotomy(enum.Enum):
@@ -212,6 +197,8 @@ def null_state_iteration(form: QuadraticForm, compact_radius: float = 1.0,
     """
     if j_max < 1:
         raise ConfigError(f"j_max = {j_max} must be at least 1")
+    if not 0.0 < compact_radius < np.inf:
+        raise ConfigError(f"compact_radius = {compact_radius} must be finite and positive")
     result = _dichotomy_once(form, compact_radius, j_max, conv_tol)
     if stability_check and result.verdict is not Dichotomy.INCONCLUSIVE:
         bigger = form.with_doubled_radius()
@@ -264,7 +251,4 @@ def _dichotomy_once(form: QuadraticForm, compact_radius: float, j_max: int,
 
 
 def trace_csv(result: DichotomyResult) -> str:
-    lines = ["j,lambda,sup_dist_to_limit"]
-    for j, lam, dist in result.trace:
-        lines.append(f"{j},{lam:.15g},{dist:.15g}")
-    return "\n".join(lines) + "\n"
+    return csv_table(["j", "lambda", "sup_dist_to_limit"], result.trace)

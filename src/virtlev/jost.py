@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DiscretizationFailure,
     InvalidOperator,
     UnsupportedSpectralPoint,
@@ -251,8 +252,10 @@ def classify_threshold_1d(pot: Potential1D, tol: float = 1e-6) -> ThresholdRepor
     |W| <= tol * scale is Virtual with the bounded Jost solution as the
     (sup-normalized) virtual state; |W| in [tol, 100 tol] * scale is flagged
     Inconclusive instead of being misclassified.  `diagnostics["jost_pair"]`
-    keeps the solved pair.
+    keeps the solved pair.  `tol` must be finite and nonnegative.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"tol = {tol} must be finite and nonnegative")
     pair = jost_pair(pot, 0.0)
     scale = 1.0 + float(np.max(np.abs(pair.theta_plus)) * np.max(np.abs(pair.theta_minus)))
     aw = abs(pair.wronskian)

@@ -10,10 +10,12 @@ Virtual states are recovered from the top singular direction of the
 resolvent at the smallest radius and certified by a residual check against
 the discretized operator.
 
-Discretized Schrödinger operators use second-order finite differences with
-transparent boundary closures: the outgoing/decaying lattice solution of the
-free difference equation is matched exactly at the grid edge, so no
-artificial reflection pollutes small-|z| norms.
+An operator is its kind, its grid and one potential sampler.  Discretized
+Schrödinger operators use second-order finite differences with transparent
+boundary closures: the outgoing/decaying lattice solution of the free
+difference equation is matched exactly at the grid edge, so no artificial
+reflection pollutes small-|z| norms.  The grid's type sets the edges: both
+ends of a Grid1D line, r = R of a RadialGrid half-line (r = 0 is Dirichlet).
 
 Resolvent engines: free kinds apply free_resolvent's O(n) semiseparable
 kernels; every other kind solves with one tridiagonal LAPACK LU of H - z
@@ -33,7 +35,7 @@ from scipy.linalg import lapack
 from .errors import ConfigError, FitError, NearSpectrum
 from .free_resolvent import free_semiseparable_kernel
 from .jost import Potential1D
-from .reports import Classification, ThresholdReport
+from .reports import Classification, ThresholdReport, csv_table
 from .weighted_space import (
     Grid1D,
     KernelOperator,
@@ -60,41 +62,49 @@ class OperatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A model operator a sweep can be run against."""
+    """A model operator a sweep can be run against: -Lap + V on `grid`, with V
+    the cell average of `sampler` (None: V = 0)."""
 
     kind: OperatorKind
-    grid: object = None
-    potential: Potential1D | None = None
-    radial_potential: Callable | None = field(default=None, repr=False)
-    radial_support: float = 0.0
+    grid: Grid1D | RadialGrid
+    sampler: Callable | None = field(default=None, repr=False)
 
     @classmethod
     def free1d(cls, grid: Grid1D) -> "OperatorSpec":
-        return cls(OperatorKind.FREE_1D, grid=grid)
+        return cls(OperatorKind.FREE_1D, grid)
 
     @classmethod
     def free2d_radial(cls, grid: RadialGrid) -> "OperatorSpec":
-        return cls(OperatorKind.FREE_2D_RADIAL, grid=grid)
+        return cls(OperatorKind.FREE_2D_RADIAL, grid)
 
     @classmethod
     def free3d_radial(cls, grid: RadialGrid) -> "OperatorSpec":
-        return cls(OperatorKind.FREE_3D_RADIAL, grid=grid)
+        return cls(OperatorKind.FREE_3D_RADIAL, grid)
 
     @classmethod
     def schrodinger1d(cls, potential: Potential1D) -> "OperatorSpec":
-        return cls(OperatorKind.SCHRODINGER_1D, grid=potential.grid, potential=potential)
+        return cls(OperatorKind.SCHRODINGER_1D, potential.grid, potential.sample)
 
     @classmethod
     def schrodinger3d_radial(cls, grid: RadialGrid, v_of_r: Callable,
                              support: float) -> "OperatorSpec":
+        """V = v_of_r on (0, support], zero beyond; support ends inside the grid."""
         if support >= grid.max_radius:
             raise ConfigError("potential support must end inside the radial grid")
-        return cls(OperatorKind.SCHRODINGER_3D_RADIAL, grid=grid,
-                   radial_potential=v_of_r, radial_support=support)
+
+        def sampler(t_):
+            t_ = np.asarray(t_)
+            inside = (t_ <= support) & (t_ > 0)
+            out = np.zeros(t_.shape, dtype=complex)
+            if np.any(inside):
+                out[inside] = np.asarray(v_of_r(t_[inside]), dtype=complex)
+            return out
+
+        return cls(OperatorKind.SCHRODINGER_3D_RADIAL, grid, sampler)
 
     @classmethod
     def rank_one_perturbed_1d(cls, grid: Grid1D) -> "OperatorSpec":
-        return cls(OperatorKind.RANK_ONE_PERTURBED_1D, grid=grid)
+        return cls(OperatorKind.RANK_ONE_PERTURBED_1D, grid)
 
     def check_resolution(self, z: complex) -> None:
         """Enforce h <= min(0.01, wavelength / 20) at the swept point."""
@@ -109,11 +119,7 @@ class OperatorSpec:
             )
 
     def refined(self) -> "OperatorSpec":
-        fine = self.grid.refined()
-        pot = self.potential
-        if pot is not None:
-            pot = Potential1D(pot.support_radius, pot.func, fine)
-        return replace(self, grid=fine, potential=pot)
+        return replace(self, grid=self.grid.refined())
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,11 @@ def _direction(angle: float) -> complex:
 
 def default_radii(r0: float = 1e-2, ratio: float = 10.0 ** -0.5,
                   count: int = 9) -> tuple:
-    return tuple(r0 * ratio ** k for k in range(count))
+    """r0 ratio^k for k < count; a ratio whose powers overflow is a ConfigError."""
+    try:
+        return tuple(r0 * ratio ** k for k in range(count))
+    except OverflowError:
+        raise ConfigError(f"ratio = {ratio}: the radii r0 ratio^k overflow") from None
 
 
 @dataclass
@@ -211,41 +221,26 @@ def _indicator_vector(grid: Grid1D) -> np.ndarray:
                         grid.points, grid.spacing).real
 
 
-_LINE_KINDS = (OperatorKind.FREE_1D, OperatorKind.SCHRODINGER_1D,
-               OperatorKind.RANK_ONE_PERTURBED_1D)
-_RADIAL_KINDS = (OperatorKind.FREE_3D_RADIAL, OperatorKind.SCHRODINGER_3D_RADIAL)
-
-
 def _tridiagonal(op: OperatorSpec, z: complex):
     """Bands (dl, d, du) of the tridiagonal part of (H - z).
 
-    Line kinds carry the lattice outgoing/decaying matching u_outside =
-    lam u_edge at both edges; the radial half-line has a Dirichlet condition
-    at r = 0 and the matching at r = R.  The rank-one kind's indicator
-    projection is not part of the bands.
+    The grid's type sets the edges: a Grid1D line carries the lattice
+    outgoing/decaying matching u_outside = lam u_edge at both edges; a
+    RadialGrid half-line has a Dirichlet condition at r = 0 and the matching
+    at r = R.  The rank-one kind's indicator projection is not part of the
+    bands.
     """
-    if op.kind not in _LINE_KINDS + _RADIAL_KINDS:
+    if op.kind is OperatorKind.FREE_2D_RADIAL:
         raise ConfigError(f"no discrete Hamiltonian for kind {op.kind}")
     grid = op.grid
     h = grid.spacing
     n = grid.n_points
-    v = np.zeros(n, dtype=complex)
-    if op.potential is not None:
-        v = cell_average(op.potential.sample, grid.points, h)
-    elif op.radial_potential is not None:
-        def sampler(t_):
-            t_ = np.asarray(t_)
-            inside = (t_ <= op.radial_support) & (t_ > 0)
-            out = np.zeros(t_.shape, dtype=complex)
-            if np.any(inside):
-                out[inside] = np.asarray(op.radial_potential(t_[inside]), dtype=complex)
-            return out
-
-        v = cell_average(sampler, grid.points, h)
+    v = (np.zeros(n, dtype=complex) if op.sampler is None
+         else cell_average(op.sampler, grid.points, h))
     d = (2.0 / h**2 + v - z).astype(complex)
     edge = _dtn_root(z, h) / h**2
     d[-1] -= edge
-    if op.kind in _LINE_KINDS:
+    if isinstance(grid, Grid1D):
         d[0] -= edge
     off = np.full(n - 1, -1.0 / h**2, dtype=complex)
     return off, d, off.copy()
@@ -269,8 +264,6 @@ def discrete_hamiltonian(op: OperatorSpec, z: complex) -> "scipy.sparse.csc_matr
 def apply_shifted_operator(op: OperatorSpec, z: complex, u: np.ndarray) -> np.ndarray:
     """(H - z) u for residual checks of candidate states, in O(n) from the
     bands of `_tridiagonal` (plus h 1 <1, u> for the rank-one kind)."""
-    if op.kind is OperatorKind.FREE_2D_RADIAL:
-        raise ConfigError("no difference operator is attached to the 2D kernel model")
     u = np.asarray(u)
     dl, d, du = _tridiagonal(op, z)
     out = d * u
@@ -538,7 +531,5 @@ def _classify_from_sweep(result: SweepResult, tol_alpha: float) -> ThresholdRepo
 
 def sweep_csv(result: SweepResult) -> str:
     """CSV rows `radius,norm,z_re,z_im` at 15 significant digits."""
-    lines = ["radius,norm,z_re,z_im"]
-    for p in result.points:
-        lines.append(f"{p.radius:.15g},{p.norm:.15g},{p.z.real:.15g},{p.z.imag:.15g}")
-    return "\n".join(lines) + "\n"
+    return csv_table(["radius", "norm", "z_re", "z_im"],
+                     ((p.radius, p.norm, p.z) for p in result.points))

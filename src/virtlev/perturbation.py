@@ -28,7 +28,7 @@ from .errors import (
     SamplingFailure,
 )
 from .lap_sweep import OperatorSpec, SweepConfig, classify, fit_exponent, sweep
-from .reports import Classification, ThresholdReport
+from .reports import Classification, ThresholdReport, csv_table
 from .weighted_space import Grid1D, RadialGrid, linear_fit
 
 
@@ -130,10 +130,8 @@ def square_well_curve(couplings) -> BifurcationCurve:
 
 
 def bifurcation_csv(curve: BifurcationCurve) -> str:
-    lines = ["g,E,E_predicted"]
-    for g, e, p in zip(curve.couplings, curve.energies, curve.predicted):
-        lines.append(f"{g:.15g},{e:.15g},{p:.15g}")
-    return "\n".join(lines) + "\n"
+    return csv_table(["g", "E", "E_predicted"],
+                     zip(curve.couplings, curve.energies, curve.predicted))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +270,8 @@ def embedded_family_check(zeta0: float, n: int = 8, residual_tol: float = 1e-6,
     """
     if n < 1:
         raise ConfigError(f"embedded family needs n >= 1 members, got n = {n}")
+    if abs(zeta0) >= 1e150:  # zeta0^2 and the family's potential stay finite
+        raise ConfigError(f"zeta0 = {zeta0}: |zeta0| must be below 1e150")
     zetas = [zeta0 + (1.0 + 1.0j) / j for j in range(1, n + 1)]
     residuals = np.array([eigen_residual_3d(zt) for zt in zetas])
     if np.max(residuals) > residual_tol:
@@ -292,11 +292,9 @@ def embedded_family_check(zeta0: float, n: int = 8, residual_tol: float = 1e-6,
 
 
 def embedded_csv(family: EmbeddedFamily) -> str:
-    lines = ["j,zeta_re,zeta_im,residual"]
-    for j, (zt, res) in enumerate(zip(family.zetas, family.residuals), start=1):
-        zt = complex(zt)
-        lines.append(f"{j},{zt.real:.15g},{zt.imag:.15g},{res:.15g}")
-    return "\n".join(lines) + "\n"
+    return csv_table(["j", "zeta_re", "zeta_im", "residual"],
+                     ((j, complex(zt), res) for j, (zt, res)
+                      in enumerate(zip(family.zetas, family.residuals), start=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Classification verdicts shared by the Wronskian and sweep classifiers."""
+"""Classification verdicts shared by the Wronskian and sweep classifiers, and
+the one CSV table format of every tabular output."""
 
 from __future__ import annotations
 
@@ -35,10 +36,6 @@ class ThresholdReport:
     diagnostics: dict = field(default_factory=dict)
     sweeps: list | None = field(default=None, repr=False)  # SweepResults classified, coarse first
 
-    @property
-    def is_virtual(self) -> bool:
-        return self.classification is Classification.VIRTUAL
-
     def verdict_line(self) -> str:
         if self.classification is Classification.VIRTUAL:
             tag = "log" if self.divergence == "log" else f"alpha~{self.alpha:.3g}" if self.alpha is not None else "rank>=1"
@@ -46,3 +43,16 @@ class ThresholdReport:
         if self.classification is Classification.REGULAR:
             return "Regular" + (f" (alpha~{self.alpha:.3g})" if self.alpha is not None else "")
         return "Inconclusive"
+
+
+def csv_table(columns, rows) -> str:
+    """CSV text: the header `columns`, then one line per row; ints print as
+    they are, floats at 15 significant digits, a complex cell as two columns."""
+    def cells(row):
+        for v in row:
+            if isinstance(v, complex):
+                yield from (f"{v.real:.15g}", f"{v.imag:.15g}")
+            else:
+                yield str(v) if isinstance(v, int) else f"{v:.15g}"
+
+    return "\n".join([",".join(columns), *(",".join(cells(r)) for r in rows)]) + "\n"

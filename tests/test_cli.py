@@ -240,6 +240,16 @@ class TestErrorChannels:
         (["sweep", "--r0", "0"], "radii must be finite and positive"),
         (["sweep", "--ratio", "0"], "radii must be finite and positive"),
         (["sweep", "--r0", "-1"], "radii must be finite and positive"),
+        (["sweep", "--ratio", "1e300"], "the radii r0 ratio^k overflow"),
+        (["critical", "--R", "1e300"], "must lie in (1e-75, 1e75)"),
+        (["embedded", "--zeta0", "1e300"], "|zeta0| must be below 1e150"),
+        (["kernel", "--x", "nan"], "x = nan is not finite"),
+        (["kernel", "--d", "2", "--r", "inf"], "r = inf is not finite"),
+        (["jost", "--tol", "nan"], "tol = nan must be finite and nonnegative"),
+        (["jost", "--tol", "inf"], "tol = inf must be finite and nonnegative"),
+        *((["critical", "--K", k, "--R", "80", "--n", "3201"],
+           f"compact_radius = {float(k)} must be finite and positive")
+          for k in ("nan", "inf", "0", "-1")),
     ])
     def test_config_error_exit_2(self, capsys, argv, fragment):
         code, out, err = run_cli(argv, capsys)
@@ -268,6 +278,14 @@ class TestErrorChannels:
         assert code == 1
         payload = json.loads(err.strip().splitlines()[0])
         assert payload["error"] == "ThresholdSingularity"
+
+    def test_non_finite_kernel_value_exit_1(self, capsys):
+        # scipy's complex kv returns nan+nanj this far out
+        code, out, err = run_cli(["kernel", "--d", "2", "--r", "1e300"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[0]) == {
+            "error": "InvalidOperator",
+            "message": "the kernel value (nan+nanj) is not finite"}
 
     def test_missing_potential_exit_2(self, capsys):
         code, _, err = run_cli(["sweep", "--op", "schrod1d"], capsys)

@@ -13,7 +13,7 @@ from virtlev.criticality import (
     trace_csv,
 )
 from virtlev.errors import ConfigError, InvalidOperator
-from virtlev.weighted_space import weight
+from virtlev.weighted_space import Grid1D, RadialGrid, weight
 
 
 def resonant_potential(x):
@@ -44,14 +44,12 @@ class TestForm:
 
     def test_negative_form_rejected(self):
         with pytest.raises(InvalidOperator):
-            QuadraticForm.from_potential_line(
-                lambda x: np.where(np.abs(np.asarray(x)) <= 1, -5.0, 0.0),
-                40.0, 1601)
+            QuadraticForm(Grid1D(40.0, 1601),
+                          lambda x: np.where(np.abs(np.asarray(x)) <= 1, -5.0, 0.0))
 
     def test_complex_potential_rejected(self):
         with pytest.raises(InvalidOperator):
-            QuadraticForm.from_potential_line(
-                lambda x: 1j * np.ones(np.shape(x)), 40.0, 1601)
+            QuadraticForm(Grid1D(40.0, 1601), lambda x: 1j * np.ones(np.shape(x)))
 
 
 class TestDoubling:
@@ -60,27 +58,21 @@ class TestDoubling:
          lambda: QuadraticForm.free_line(80.0, 3201)),
         (lambda: QuadraticForm.free_radial3d(40.0, 1600),
          lambda: QuadraticForm.free_radial3d(80.0, 3200)),
-        (lambda: QuadraticForm.from_potential_line(bump_potential, 40.0, 1601),
-         lambda: QuadraticForm.from_potential_line(bump_potential, 80.0, 3201)),
-        (lambda: QuadraticForm.from_potential_radial3d(bump_potential, 40.0, 1600),
-         lambda: QuadraticForm.from_potential_radial3d(bump_potential, 80.0, 3200)),
+        (lambda: QuadraticForm(Grid1D(40.0, 1601), bump_potential),
+         lambda: QuadraticForm(Grid1D(80.0, 3201), bump_potential)),
+        (lambda: QuadraticForm(RadialGrid(40.0, 1600), bump_potential),
+         lambda: QuadraticForm(RadialGrid(80.0, 3200), bump_potential)),
     ], ids=["free_line", "free_radial3d", "line", "radial3d"])
     def test_every_constructor_doubles(self, build, doubled):
         form, want = build(), doubled()
         got = form.with_doubled_radius()
-        assert got.kind == want.kind and got.grid == want.grid
+        assert got.grid == want.grid
         assert got.sampler is form.sampler
         assert np.array_equal(got.v, want.v)
 
     def test_free_forms_have_exactly_zero_potential(self):
         assert np.all(QuadraticForm.free_line(40.0, 1601).v == 0.0)
         assert np.all(QuadraticForm.free_radial3d(40.0, 1600).v == 0.0)
-
-    def test_form_built_from_samples_cannot_double(self):
-        grid = QuadraticForm.free_line(40.0, 1601).grid
-        form = QuadraticForm("line", grid, np.zeros(grid.n_points))
-        with pytest.raises(InvalidOperator):
-            form.with_doubled_radius()
 
 
 class TestWeightedGap:
@@ -112,6 +104,21 @@ class TestWeightedGap:
         assert form.smallest_eigenvalue(-(1.0 - 1e-6) * c_star * base) > 0
         assert form.smallest_eigenvalue(-(1.0 + 1e-6) * c_star * base) < 0
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+    def test_meaningless_window_is_a_config_error(self, radius):
+        # an empty window, or one covering the whole grid, gave a verdict
+        with pytest.raises(ConfigError, match="must be finite and positive"):
+            null_state_iteration(QuadraticForm.free_line(80.0, 3201),
+                                 compact_radius=radius)
+
+    @pytest.mark.parametrize("grid", [Grid1D(1e300, 12801), Grid1D(np.inf, 101),
+                                      RadialGrid(1e100, 1600), Grid1D(1e-300, 12801)],
+                             ids=["overflow", "inf", "radial", "underflow"])
+    def test_grid_outside_the_float_range_is_a_config_error(self, grid):
+        # h^2 overflowed (a traceback), or <x>^-4 underflowed (a RuntimeWarning)
+        with pytest.raises(ConfigError, match="must lie in"):
+            QuadraticForm(grid)
+
     def test_no_perturbation_is_a_config_error(self):
         with pytest.raises(ConfigError, match="j_max = 0"):
             null_state_iteration(QuadraticForm.free_line(80.0, 3201), j_max=0)
@@ -128,8 +135,8 @@ class TestWeightedGap:
     def test_no_positive_gap_raises(self):
         # smallest eigenvalue -5e-11: accepted as nonnegative, but c* < 0
         free = QuadraticForm.free_line(40.0, 1601)
-        form = QuadraticForm("line", free.grid, np.full(
-            free.grid.n_points, -free.smallest_eigenvalue() - 5e-11))
+        shift = -free.smallest_eigenvalue() - 5e-11
+        form = QuadraticForm(free.grid, lambda t: np.full(np.shape(t), shift))
         assert -1e-10 <= form.smallest_eigenvalue() < 0
         with pytest.raises(InvalidOperator):
             _weighted_gap_search(form)
@@ -156,12 +163,12 @@ class TestDichotomy:
         assert res.diagnostics["doubled_verdict"] == "weighted_gap"
 
     def test_nonnegative_bump_weighted_gap(self):
-        form = QuadraticForm.from_potential_line(bump_potential)
+        form = QuadraticForm(Grid1D(320.0, 12801), bump_potential)
         res = null_state_iteration(form)
         assert res.verdict is Dichotomy.WEIGHTED_GAP
 
     def test_resonant_potential_null_state(self):
-        form = QuadraticForm.from_potential_line(resonant_potential)
+        form = QuadraticForm(Grid1D(320.0, 12801), resonant_potential)
         res = null_state_iteration(form, compact_radius=1.0, conv_tol=0.05)
         assert res.verdict is Dichotomy.NULL_STATE
         # the null state is the bounded zero-energy solution 1 + bump
@@ -177,9 +184,9 @@ class TestDichotomy:
         cases = [
             (QuadraticForm.free_line(80.0, 3201), Dichotomy.NULL_STATE),
             (QuadraticForm.free_radial3d(80.0, 3200), Dichotomy.WEIGHTED_GAP),
-            (QuadraticForm.from_potential_line(bump_potential, 80.0, 3201),
+            (QuadraticForm(Grid1D(80.0, 3201), bump_potential),
              Dichotomy.WEIGHTED_GAP),
-            (QuadraticForm.from_potential_line(resonant_potential, 80.0, 3201),
+            (QuadraticForm(Grid1D(80.0, 3201), resonant_potential),
              Dichotomy.NULL_STATE),
         ]
         for form, expected in cases:

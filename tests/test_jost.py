@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from virtlev.errors import (
+    ConfigError,
     DiscretizationFailure,
     InvalidOperator,
     UnsupportedSpectralPoint,
@@ -185,6 +186,13 @@ class TestClassification:
     def test_complex_wells_classify(self):
         report = classify_threshold_1d(Potential1D.square_well(1.0 + 1.0j, GRID))
         assert report.classification is Classification.REGULAR
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_meaningless_tolerance_is_a_config_error(self, tol, monkeypatch):
+        # nan read Regular and inf Virtual for a regular well; nothing is solved
+        monkeypatch.setattr("virtlev.jost.jost_pair", None)
+        with pytest.raises(ConfigError, match="must be finite and nonnegative"):
+            classify_threshold_1d(Potential1D.square_well(1.0, GRID), tol=tol)
 
 
 def critical_square_well_coupling(grid, lo=1.0, hi=4.0, tol=1e-10):
