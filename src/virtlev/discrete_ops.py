@@ -24,7 +24,9 @@ from .weighted_space import decay_band, first_order_recursion, linear_fit
 
 #: default truncation length and the tail band absorbing truncation effects
 DEFAULT_LENGTH = 512
-DEFAULT_TAIL_BAND = 64
+TAIL_BAND = 64
+_CHECK_TOL = 1e-4  # shift_boundary_value's self-check, relative to max(1, |x|_l1)
+_SV_TOL = 1e-8  # relative singular-value cut of virtual_state_space_dimension
 #: inverse-iteration steps virtual_state_space_dimension may take
 _INVERSE_ITERATIONS = 4
 
@@ -91,12 +93,11 @@ def shift_resolvent_apply(x: SeqVector, z: complex) -> SeqVector:
     return SeqVector(y, "linf")
 
 
-def shift_boundary_value(x: SeqVector, z0: complex,
-                         check_tol: float = 1e-4) -> SeqVector:
+def shift_boundary_value(x: SeqVector, z0: complex) -> SeqVector:
     """Boundary value of the resolvent at |z0| = 1 (absolutely convergent on l1).
 
     Self-check: the value must agree with the resolvent at (1 + 1e-6) z0 to
-    check_tol * max(1, |x|_l1) in sup norm.
+    _CHECK_TOL * max(1, |x|_l1) in sup norm.
     """
     z0 = complex(z0)
     if abs(abs(z0) - 1.0) > 1e-12:
@@ -106,7 +107,7 @@ def shift_boundary_value(x: SeqVector, z0: complex,
     y = _geometric_sum(x.entries, 1.0 / z0)
     probe = _geometric_sum(x.entries, 1.0 / ((1.0 + 1e-6) * z0))
     dev = float(np.max(np.abs(y - probe)))
-    if dev > check_tol * max(1.0, x.norm()):
+    if dev > _CHECK_TOL * max(1.0, x.norm()):
         raise DiscretizationFailure(
             f"boundary value deviates from the near-circle resolvent by {dev:.3g}"
         )
@@ -135,7 +136,6 @@ class ShiftVirtualLevel:
     functional_index: int
     psi: SeqVector
     residual: float
-    tail_band: int
 
     def apply_operator(self, v: np.ndarray) -> np.ndarray:
         """A v = L v - phi * ((L v - z0 v)_{j*} / phi_{j*}) on the truncation."""
@@ -148,21 +148,20 @@ class ShiftVirtualLevel:
 
 
 def build_shift_virtual_level(z0: complex, phi: SeqVector,
-                              functional_index: int | None = None,
-                              tail_band: int = DEFAULT_TAIL_BAND) -> ShiftVirtualLevel:
+                              functional_index: int | None = None) -> ShiftVirtualLevel:
     """Manufacture a virtual level of A = L - K(L - z0 I) at |z0| = 1.
 
     K = phi (x) lam is rank one with lam(phi) = 1, lam = <e_j*, .> / phi_j*;
     by default j* is the largest-modulus entry of phi, so the normalization
     never degenerates.  The virtual state is the boundary value of the shift
     resolvent applied to phi; its residual is measured in sup norm off the
-    trailing tail band.
+    trailing TAIL_BAND entries.
     """
     z0 = complex(z0)
     n = phi.entries.size
-    if n <= tail_band:
+    if n <= TAIL_BAND:
         raise ConfigError(f"sequence length n = {n} must exceed the tail band of "
-                          f"{tail_band} entries")
+                          f"{TAIL_BAND} entries")
     if np.max(np.abs(phi.entries)) == 0.0:
         raise DegenerateFunctional("phi must be nonzero")
     if functional_index is None:
@@ -173,22 +172,20 @@ def build_shift_virtual_level(z0: complex, phi: SeqVector,
             f"normalizing functional vanishes: phi_{functional_index} = 0"
         )
     psi = shift_boundary_value(phi, z0)
-    lvl = ShiftVirtualLevel(z0, phi, functional_index, psi, 0.0, tail_band)
+    lvl = ShiftVirtualLevel(z0, phi, functional_index, psi, 0.0)
     resid_vec = lvl.apply_operator(psi.entries) - z0 * psi.entries
-    resid = float(np.max(np.abs(resid_vec[: n - tail_band])))
-    lvl.residual = resid
+    lvl.residual = float(np.max(np.abs(resid_vec[: n - TAIL_BAND])))
     return lvl
 
 
-def virtual_state_space_dimension(lvl: ShiftVirtualLevel,
-                                  sv_tol: float = 1e-8) -> int:
+def virtual_state_space_dimension(lvl: ShiftVirtualLevel) -> int:
     """Numerical dimension of the decaying null space of (A - z0 I).
 
     The operator rows off the tail band, stacked on an identity block that
     pins the tail to zero, form S: boundary-value states are finitely
     supported once phi is, while the pure geometric solutions of
     (L - z0) v = 0 violate the decay block.  The dimension is the number of
-    singular values of S at most sv_tol * sigma_max(S).  S is never formed:
+    singular values of S at most _SV_TOL * sigma_max(S).  S is never formed:
     S = S0 - u r with S0 upper bidiagonal (diagonal -z0 above the tail band
     and 1 on it, superdiagonal 1 above the tail band), u = phi with its tail
     rows zeroed and r = M[j*] / phi_j*, M = L - z0 I, nonzero only in columns
@@ -197,7 +194,7 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel,
     Certification: sigma_max(S) lies between the largest column 2-norm and
     sqrt(|S|_1 |S|_inf).  A rank-one update moves the smallest singular
     value only, so sigma_(n-1)(S) >= sigma_min(S0), bounded below in closed
-    form by 1 / sqrt(|S0^-1|_1 |S0^-1|_inf); above sv_tol * sigma_max the
+    form by 1 / sqrt(|S0^-1|_1 |S0^-1|_inf); above _SV_TOL * sigma_max the
     count is 0 or 1.  It is 0 when the Sherman-Morrison bound
     |S^-1| <= |S0^-1| + |S0^-1 u| |S0^-H r^H| / |1 - r S0^-1 u| keeps
     sigma_min(S) above the threshold, and 1 when inverse iteration on S^H S
@@ -206,7 +203,7 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel,
     that neither check decides raises DiscretizationFailure.
     """
     n = lvl.psi.entries.size
-    p = n - lvl.tail_band  # rows above the tail band
+    p = n - TAIL_BAND  # rows above the tail band
     j = lvl.functional_index - 1
     z0 = lvl.z0
     diag = np.where(np.arange(n) < p, -z0, 1.0 + 0.0j)
@@ -237,7 +234,7 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel,
     row_abs = abs_diag + np.r_[abs_sup, 0.0] + np.sum(touched, axis=1)
     lo = float(np.sqrt(np.max(col_sq)))
     hi = float(np.sqrt(np.max(col_abs) * np.max(row_abs)))
-    threshold_lo, threshold_hi = sv_tol * lo, sv_tol * hi
+    threshold_lo, threshold_hi = _SV_TOL * lo, _SV_TOL * hi
 
     # |S0^-1|: entries of its top block have modulus |z0|^-(k+1) on the k-th
     # superdiagonal; the tail identity adds 1 to the first tail column and

@@ -28,6 +28,9 @@ from .errors import (
 from .reports import Classification, ThresholdReport
 from .weighted_space import Grid1D, SemiseparableKernel
 
+_DEV_TOL = 1e-4  # largest Wronskian drift across the grid, relative to max(1, |W|)
+_W_TOL = 1e-8  # smallest |W| / (1 + sup|theta+| sup|theta-|) of a Green kernel
+
 
 @dataclass(frozen=True)
 class Potential1D:
@@ -197,13 +200,12 @@ def _wronskian_profile(tp, tm, grid: Grid1D):
     return w, complex(w0), dev
 
 
-def wronskian(pair_or_thetas, grid: Grid1D | None = None,
-              dev_tol: float = 1e-4) -> complex:
+def wronskian(pair_or_thetas, grid: Grid1D | None = None) -> complex:
     """W[theta+, theta-] at x = 0 via fourth-order finite differences.
 
     W(x) must be constant for the stationary equation; the maximum drift
     across the grid (away from detected potential discontinuities) is checked
-    against dev_tol * max(1, |W|) and raised as DiscretizationFailure when
+    against _DEV_TOL * max(1, |W|) and raised as DiscretizationFailure when
     exceeded.
     """
     if isinstance(pair_or_thetas, JostPair):
@@ -214,7 +216,7 @@ def wronskian(pair_or_thetas, grid: Grid1D | None = None,
         if grid is None:
             raise ValueError("grid required when passing raw samples")
     _, w0, dev = _wronskian_profile(tp, tm, grid)
-    if dev > dev_tol * max(1.0, abs(w0)):
+    if dev > _DEV_TOL * max(1.0, abs(w0)):
         raise DiscretizationFailure(
             f"Wronskian drifts by {dev:.3g} across the grid (W(0) = {w0:.6g})"
         )
@@ -229,16 +231,16 @@ def jost_pair(pot: Potential1D, z=0.0) -> JostPair:
     return JostPair(tp, tm, complex(z), w0, dev, pot.grid)
 
 
-def green_kernel(pair: JostPair, w_tol: float = 1e-8) -> SemiseparableKernel:
+def green_kernel(pair: JostPair) -> SemiseparableKernel:
     """Two-sided Green kernel theta-(x_<) theta+(x_>) / W on the grid.
 
     Returned as an O(n) semiseparable operator with left = theta- / W,
     right = theta+ and decay 1; `.entries` builds the n^2 matrix only on
-    request.  Requires |W| above w_tol * (1 + sup|theta+| sup|theta-|): at a
+    request.  Requires |W| above _W_TOL * (1 + sup|theta+| sup|theta-|): at a
     virtual level the Wronskian vanishes and no such kernel exists.
     """
     scale = 1.0 + float(np.max(np.abs(pair.theta_plus)) * np.max(np.abs(pair.theta_minus)))
-    if abs(pair.wronskian) <= w_tol * scale:
+    if abs(pair.wronskian) <= _W_TOL * scale:
         raise VirtualLevelError(
             "Wronskian is zero: the Jost solutions are linearly dependent"
         )

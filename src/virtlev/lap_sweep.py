@@ -49,6 +49,8 @@ from .weighted_space import (
 _MAX_GRID_SPACING = 0.01  # resolution contract for differential operators
 _COND_LIMIT = 1e14
 _MAX_ABS_BLOCK = 64  # identity columns per solve in _SolverEngine.max_abs_entry
+_TOL_ALPHA = 0.1  # a power-law exponent above this (fit r^2 >= 0.95) is Virtual
+_STATE_TOL = 0.02  # largest weighted relative residual of a reported state
 
 
 class OperatorKind(enum.Enum):
@@ -384,8 +386,16 @@ def sweep(op: OperatorSpec, cfg: SweepConfig) -> SweepResult:
 
     Points are evaluated in order, each power iteration warm-started from the
     previous singular vector; the last left one is kept.  A near-spectrum
-    failure aborts the sweep and returns the radii already computed.
+    failure aborts the sweep and returns the radii already computed; weights
+    that over- or underflow on the grid are a ConfigError.
     """
+    if cfg.flavor == "weighted_l2":  # <x>^t is monotone in |x|: check the grid's edge
+        exponents = np.array([cfg.s, -cfg.s, cfg.sp, -cfg.sp])
+        with np.errstate(all="ignore"):
+            w = weight(np.max(np.abs(op.grid.points)), exponents)
+        if not np.all(np.isfinite(w) & (w != 0.0)):
+            raise ConfigError(f"s = {cfg.s}, sp = {cfg.sp}: the weights <x>^(+-s) and "
+                              f"<x>^(+-sp) are not finite nonzero floats on the grid")
     points: list[SweepPoint] = []
     aborted = None
     v0 = u = None
@@ -439,8 +449,8 @@ def _as_arrays(points):
     return arr[:, 0], arr[:, 1]
 
 
-def _extract_state(op: OperatorSpec, result: SweepResult, state_tol: float):
-    """Candidate virtual state from the left singular vector a full sweep kept."""
+def _extract_state(op: OperatorSpec, result: SweepResult):
+    """Candidate state (None above _STATE_TOL) and residual from a full sweep."""
     u_out = result.left_vector
     if op.kind is OperatorKind.FREE_2D_RADIAL or result.aborted or u_out is None:
         return None, None
@@ -454,16 +464,15 @@ def _extract_state(op: OperatorSpec, result: SweepResult, state_tol: float):
     resid = apply_shifted_operator(op, complex(cfg.z0), psi)
     w_f = weight(op.grid.points, -cfg.sp)
     rel = np.linalg.norm(w_f * resid) / max(np.linalg.norm(w_f * psi), 1e-300)
-    if rel <= state_tol:
+    if rel <= _STATE_TOL:
         return psi, float(rel)
     return None, float(rel)
 
 
-def classify(op: OperatorSpec, cfg: SweepConfig, tol_alpha: float = 0.1,
-             refine: bool = True, state_tol: float = 0.02) -> ThresholdReport:
+def classify(op: OperatorSpec, cfg: SweepConfig, refine: bool = True) -> ThresholdReport:
     """Regular/Virtual/Inconclusive verdict for the threshold cfg.z0.
 
-    Power-law exponent above tol_alpha (with a credible fit) is Virtual;
+    Power-law exponent above _TOL_ALPHA (with a credible fit) is Virtual;
     logarithmic growth is Virtual flagged "log"; flat norms are Regular.
     The verdict must survive one grid refinement (h -> h/2) with converged
     power iterations, otherwise the report is Inconclusive.  `report.sweeps`
@@ -472,7 +481,7 @@ def classify(op: OperatorSpec, cfg: SweepConfig, tol_alpha: float = 0.1,
     sweeps = [sweep(op, cfg)]
     if refine:
         sweeps.append(sweep(op.refined(), cfg))
-    report = _classify_from_sweep(sweeps[0], tol_alpha)
+    report = _classify_from_sweep(sweeps[0])
     report.diagnostics["aborted"] = sweeps[0].aborted
     report.sweeps = sweeps
     stalled = [p.radius for s in sweeps for p in s.points if not p.converged]
@@ -480,13 +489,13 @@ def classify(op: OperatorSpec, cfg: SweepConfig, tol_alpha: float = 0.1,
         return _inconclusive(report, "power iteration did not converge at radius "
                                      f"{stalled[0]:.6g}")
     if len(sweeps) == 2:
-        fine = _classify_from_sweep(sweeps[1], tol_alpha).classification
+        fine = _classify_from_sweep(sweeps[1]).classification
         report.diagnostics["refined_classification"] = fine.value
         if fine is not report.classification:
             return _inconclusive(report, "verdict unstable under grid refinement",
                                  fine=fine.value)
     if report.classification is Classification.VIRTUAL:
-        psi, resid = _extract_state(op, sweeps[0], state_tol)
+        psi, resid = _extract_state(op, sweeps[0])
         if psi is not None:
             report.rank = 1
             report.states = [psi]
@@ -496,37 +505,30 @@ def classify(op: OperatorSpec, cfg: SweepConfig, tol_alpha: float = 0.1,
 
 def _inconclusive(report: ThresholdReport, reason: str, **diag) -> ThresholdReport:
     return ThresholdReport(
-        Classification.INCONCLUSIVE, alpha=report.alpha, alpha_r2=report.alpha_r2,
-        norms=report.norms, sweeps=report.sweeps,
+        Classification.INCONCLUSIVE, alpha=report.alpha, sweeps=report.sweeps,
         diagnostics={"reason": reason, "coarse": report.classification.value, **diag})
 
 
-def _classify_from_sweep(result: SweepResult, tol_alpha: float) -> ThresholdReport:
-    pts = list(zip(result.radii(), result.norms()))
-    if len(pts) < 4:
-        return ThresholdReport(Classification.INCONCLUSIVE, norms=pts,
-                               diagnostics={"reason": "sweep too short",
-                                            "aborted": result.aborted})
-    alpha, r2p = fit_exponent(pts)
-    lslope, lr2 = fit_log_divergence(pts)
+def _classify_from_sweep(result: SweepResult) -> ThresholdReport:
+    if len(result.points) < 4:
+        return ThresholdReport(Classification.INCONCLUSIVE,
+                               diagnostics={"reason": "sweep too short"})
+    alpha, r2p = fit_exponent(result)
+    lslope, lr2 = fit_log_divergence(result)
     norms = result.norms()
     growth = float(norms[-1] / norms[0])  # smallest radius last
     diag = {"alpha": alpha, "alpha_r2": r2p, "log_slope": lslope,
             "log_r2": lr2, "growth": growth}
-    if alpha > tol_alpha and r2p >= 0.95:
+    if alpha > _TOL_ALPHA and r2p >= 0.95:
         logflag = lr2 > r2p and alpha < 0.3 and growth < 10.0
-        return ThresholdReport(Classification.VIRTUAL, alpha=alpha, alpha_r2=r2p,
-                               divergence="log" if logflag else "power",
-                               norms=pts, diagnostics=diag)
-    if alpha <= tol_alpha:
+        return ThresholdReport(Classification.VIRTUAL, alpha=alpha,
+                               divergence="log" if logflag else "power", diagnostics=diag)
+    if alpha <= _TOL_ALPHA:
         if growth >= 1.5 and lr2 >= 0.98 and lslope > 0:
-            return ThresholdReport(Classification.VIRTUAL, alpha=alpha,
-                                   alpha_r2=r2p, divergence="log", norms=pts,
+            return ThresholdReport(Classification.VIRTUAL, alpha=alpha, divergence="log",
                                    diagnostics=diag)
-        return ThresholdReport(Classification.REGULAR, rank=0, alpha=alpha,
-                               alpha_r2=r2p, norms=pts, diagnostics=diag)
-    return ThresholdReport(Classification.INCONCLUSIVE, alpha=alpha,
-                           alpha_r2=r2p, norms=pts, diagnostics=diag)
+        return ThresholdReport(Classification.REGULAR, rank=0, alpha=alpha, diagnostics=diag)
+    return ThresholdReport(Classification.INCONCLUSIVE, alpha=alpha, diagnostics=diag)
 
 
 def sweep_csv(result: SweepResult) -> str:

@@ -31,30 +31,38 @@ from .lap_sweep import OperatorSpec, SweepConfig, classify, fit_exponent, sweep
 from .reports import Classification, ThresholdReport, csv_table
 from .weighted_space import Grid1D, RadialGrid, linear_fit
 
+_QUAD_POINTS = 20001  # trapezoid nodes of the matching system's integral row
+_RANK_ONE_GRID = Grid1D(20.0, 4001)  # both sweeps of rank_one_regularized_threshold
+_EIGEN_R_MAX, _EIGEN_N, _EIGEN_BAND = 3.0, 15000, 2  # eigen_residual_3d's stencil
+_RESIDUAL_TOL = 1e-6  # largest eigen-residual embedded_family_check accepts
+_EMBEDDED_GRID = RadialGrid(10.0, 1000)  # the limit operator embedded_family_check sweeps
+
 
 # ---------------------------------------------------------------------------
 # shallow square well
 
 
-def _even_sector_roots(g: float) -> list[float]:
-    """All roots kappa of kappa = q tan q, q = sqrt(g - kappa^2), kappa in (0, sqrt(g)).
+def _smallest_even_root(g: float) -> float | None:
+    """Smallest root kappa > 0 of kappa = q tan q, q = sqrt(g - kappa^2), or None.
 
-    Scanned in the q variable: on each branch (m pi, m pi + pi/2) of tan the
-    function f(q) = q tan q - sqrt(g - q^2) starts negative, so a root exists
-    there exactly when f is positive at the bracket's right end.
+    Scanned in q down from sqrt(g), as higher branches (m pi, m pi + pi/2) of
+    tan hold smaller kappa: f(q) = q tan q - sqrt(g - q^2) starts negative on
+    each, so a root exists there exactly when f is positive at its right end.
     """
     sg = float(np.sqrt(g))
 
     def f(q):
         return q * np.tan(q) - np.sqrt(max(g - q * q, 0.0))
 
-    roots_q = []
-    m = 0
-    while m * np.pi < sg:
+    top = int(sg / np.pi)  # the highest branch, or one above it bracketing nothing
+    for m in range(top, -1, -1):
         lo = m * np.pi
         hi = min(m * np.pi + np.pi / 2, sg)
         eps = 1e-13 * max(1.0, hi)
         a, b = lo + eps, hi - eps
+        if m < top and not b > a:  # only the branch cut short by sqrt(g) may be empty
+            raise ConfigError(f"coupling g = {g:g}: the branch of q tan q at "
+                              f"q = {lo:.6g} is too narrow to bracket in floats")
         if b > a and f(b) > 0:
             for _ in range(200):
                 mid = 0.5 * (a + b)
@@ -64,10 +72,11 @@ def _even_sector_roots(g: float) -> list[float]:
                     b = mid
                 if b - a < 1e-15 * max(1.0, b):
                     break
-            roots_q.append(0.5 * (a + b))
-        m += 1
-    kappas = [float(np.sqrt(max(g - q * q, 0.0))) for q in roots_q]
-    return sorted(k for k in kappas if k > 0)
+            q = 0.5 * (a + b)
+            kappa = float(np.sqrt(max(g - q * q, 0.0)))
+            if kappa > 0:
+                return kappa
+    return None
 
 
 def square_well_eigenvalue(g: float) -> float:
@@ -80,15 +89,14 @@ def square_well_eigenvalue(g: float) -> float:
     """
     if not g > 0:
         raise ValueError("coupling g must be positive")
-    if g >= (np.pi / 2) ** 2:
-        warnings.warn(
-            "coupling beyond the shallow-well regime: returning the smallest-kappa branch",
-            stacklevel=2,
-        )
-    roots = _even_sector_roots(g)
-    if not roots:
+    if not np.isfinite(g):
+        raise ConfigError(f"coupling g = {g} is not finite")
+    kappa = _smallest_even_root(g)
+    if kappa is None:
         raise NoBoundState(f"no root of the bound-state equation in (0, sqrt({g}))")
-    kappa = roots[0]
+    if g >= (np.pi / 2) ** 2:
+        warnings.warn("coupling beyond the shallow-well regime: returning the "
+                      "smallest-kappa branch", stacklevel=2)
     sg = np.sqrt(g)
     for _ in range(60):
         q = np.sqrt(max(g - kappa * kappa, 1e-300))
@@ -138,15 +146,15 @@ def bifurcation_csv(curve: BifurcationCurve) -> str:
 # rank-one regularized 1D Laplacian
 
 
-def rank_one_matching_system(quad_points: int = 20001):
+def rank_one_matching_system():
     """Matching system for bounded solutions of u'' = c 1_[-1,1], c = int u.
 
     A bounded solution must be constant outside [-1, 1] and a + b x + c x^2/2
     inside; derivative continuity at the two edges and the self-consistency
     of c give a 3x3 linear system in (a, b, c).  The integral row is computed
-    by quadrature of the basis rather than written down.
+    by quadrature of the basis on _QUAD_POINTS nodes rather than written down.
     """
-    xs = np.linspace(-1.0, 1.0, quad_points)
+    xs = np.linspace(-1.0, 1.0, _QUAD_POINTS)
     basis = np.vstack([np.ones_like(xs), xs, xs * xs / 2.0])
     integrals = np.trapezoid(basis, xs, axis=1)
     rows = np.array([
@@ -159,19 +167,17 @@ def rank_one_matching_system(quad_points: int = 20001):
     return rows, det, normalized
 
 
-def rank_one_regularized_threshold(grid: Grid1D | None = None,
-                                   radii=None) -> ThresholdReport:
+def rank_one_regularized_threshold() -> ThresholdReport:
     """Certify that the rank-one projection regularizes the 1D threshold.
 
     (i) the homogeneous matching system is verified nonsingular; (ii) the
-    discretized operator sweeps Regular at z0 = 0; removing the perturbation
-    must sweep Virtual.  A conflict between (i) and (ii) raises.
+    operator on _RANK_ONE_GRID sweeps Regular at z0 = 0 (default radii);
+    removing the perturbation must sweep Virtual.  A conflict raises.
     """
-    grid = grid or Grid1D(20.0, 4001)
-    cfg = SweepConfig(z0=0.0, angle=np.pi, radii=radii, s=2.0, sp=2.0)
+    cfg = SweepConfig(z0=0.0, angle=np.pi, s=2.0, sp=2.0)
     _, det, det_normalized = rank_one_matching_system()
-    perturbed = classify(OperatorSpec.rank_one_perturbed_1d(grid), cfg)
-    free = classify(OperatorSpec.free1d(grid), cfg)
+    perturbed = classify(OperatorSpec.rank_one_perturbed_1d(_RANK_ONE_GRID), cfg)
+    free = classify(OperatorSpec.free1d(_RANK_ONE_GRID), cfg)
     nonsingular = abs(det_normalized) > 0.1
     if nonsingular != (perturbed.classification is Classification.REGULAR):
         raise ClassificationConflict(
@@ -226,47 +232,43 @@ def embedded_potential_3d(zeta, r):
 class EmbeddedFamily:
     """Eigen-family zeta_j -> zeta0 with residuals and divergence evidence."""
 
-    zeta0: float
     zetas: list
     residuals: np.ndarray
     sweep_result: object
     monotone_growth: bool
     alpha: float
-    alpha_r2: float
 
     @property
     def residual_max(self) -> float:
         return float(np.max(self.residuals))
 
 
-def eigen_residual_3d(zeta, r_max: float = 3.0, n: int = 15000,
-                      band: int = 2) -> float:
+def eigen_residual_3d(zeta) -> float:
     """Sup-norm finite-difference residual of the explicit eigen-triple.
 
-    Checked on the reduced function u = r psi with Dirichlet u(0) = 0; a
-    band of `band` cells around the interface r = 1 is excluded because V
-    jumps there and the pointwise stencil is discretization-limited.
+    Checked on u = r psi, u(0) = 0, over _EIGEN_N cells up to _EIGEN_R_MAX;
+    _EIGEN_BAND cells around r = 1 are excluded because V jumps there and
+    the pointwise stencil is discretization-limited.
     """
-    h = r_max / n
-    r = h * np.arange(1, n + 1)
+    h = _EIGEN_R_MAX / _EIGEN_N
+    r = h * np.arange(1, _EIGEN_N + 1)
     psi, v = embedded_potential_3d(zeta, r)
     u = r * psi
     zeta = complex(zeta)
     upad = np.concatenate([[0.0], u])  # u(0) = 0 exactly
     resid = (-(upad[2:] - 2 * upad[1:-1] + upad[:-2]) / h**2
              + (v[:-1] - zeta**2) * u[:-1])
-    keep = np.abs(r[:-1] - 1.0) > band * h
+    keep = np.abs(r[:-1] - 1.0) > _EIGEN_BAND * h
     return float(np.max(np.abs(resid[keep])))
 
 
-def embedded_family_check(zeta0: float, n: int = 8, residual_tol: float = 1e-6,
-                          grid: RadialGrid | None = None,
-                          radii=None) -> EmbeddedFamily:
+def embedded_family_check(zeta0: float, n: int = 8, radii=None) -> EmbeddedFamily:
     """Residual-verify the eigen-family and sweep the limit operator.
 
     zeta_j = zeta0 + (1 + i)/j keeps z_j = zeta_j^2 inside the upper
-    half-plane even at zeta0 = 0.  The sweep approaches z0 = zeta0^2 from
-    above; unbounded growth there is the expected signature.
+    half-plane even at zeta0 = 0; residuals must stay below _RESIDUAL_TOL.
+    The sweep on _EMBEDDED_GRID approaches z0 = zeta0^2 from above;
+    unbounded growth there is the expected signature.
     """
     if n < 1:
         raise ConfigError(f"embedded family needs n >= 1 members, got n = {n}")
@@ -274,21 +276,18 @@ def embedded_family_check(zeta0: float, n: int = 8, residual_tol: float = 1e-6,
         raise ConfigError(f"zeta0 = {zeta0}: |zeta0| must be below 1e150")
     zetas = [zeta0 + (1.0 + 1.0j) / j for j in range(1, n + 1)]
     residuals = np.array([eigen_residual_3d(zt) for zt in zetas])
-    if np.max(residuals) > residual_tol:
-        raise ModelViolation(
-            f"eigen-residual {np.max(residuals):.3g} exceeds {residual_tol:.1g}"
-        )
-    grid = grid or RadialGrid(10.0, 1000)
+    if np.max(residuals) > _RESIDUAL_TOL:
+        raise ModelViolation(f"eigen-residual {np.max(residuals):.3g} exceeds "
+                             f"{_RESIDUAL_TOL:.1g}")
     if radii is None:
         radii = tuple(1e-1 * 10 ** (-0.5 * k) for k in range(7))
     cfg = SweepConfig(z0=zeta0**2, angle=np.pi / 2, radii=radii, s=2.0, sp=2.0)
     op = OperatorSpec.schrodinger3d_radial(
-        grid, lambda rr: embedded_potential_3d(zeta0, rr)[1], support=1.0)
+        _EMBEDDED_GRID, lambda rr: embedded_potential_3d(zeta0, rr)[1], support=1.0)
     result = sweep(op, cfg)
     norms = result.norms()
     monotone = bool(len(norms) >= 2 and np.all(np.diff(norms) > 0))
-    alpha, r2 = fit_exponent(result)
-    return EmbeddedFamily(zeta0, zetas, residuals, result, monotone, alpha, r2)
+    return EmbeddedFamily(zetas, residuals, result, monotone, fit_exponent(result)[0])
 
 
 def embedded_csv(family: EmbeddedFamily) -> str:

@@ -21,7 +21,7 @@ class ThresholdReport:
 
     `alpha` is the fitted divergence exponent of resolvent norms (None for
     classifiers that do not sweep), `divergence` distinguishes power-law from
-    logarithmic growth, and `norms` keeps the raw (radius, norm) samples.
+    logarithmic growth, and `sweeps` keeps the raw samples a sweep classifier fitted.
     Virtual verdicts carry the detected rank and sup-normalized states when
     the search resolved them.
     """
@@ -30,9 +30,7 @@ class ThresholdReport:
     rank: int | None = None
     states: list[np.ndarray] | None = None
     alpha: float | None = None
-    alpha_r2: float | None = None
     divergence: str | None = None
-    norms: list[tuple[float, float]] | None = None
     diagnostics: dict = field(default_factory=dict)
     sweeps: list | None = field(default=None, repr=False)  # SweepResults classified, coarse first
 

@@ -28,6 +28,8 @@ from .errors import DimensionMismatch, DiscretizationFailure, InvalidOperator
 _PI_SEED = 12345
 #: iteration cap of every power iteration
 _POWER_MAX_ITER = 20000
+_POWER_TOL = 1e-8  # relative change of the norm estimate that counts as settled
+_REFINE_FACTOR = 2  # spacing ratio of a grid to its refined() grid
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,8 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not 0.0 < self.half_width < np.inf:
+            raise ValueError("half_width must be finite and positive")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("n_points must be odd and >= 3")
 
@@ -56,8 +58,8 @@ class Grid1D:
         x[(self.n_points - 1) // 2] = 0.0  # exact center
         return x
 
-    def refined(self, factor: int = 2) -> "Grid1D":
-        return Grid1D(self.half_width, factor * (self.n_points - 1) + 1)
+    def refined(self) -> "Grid1D":
+        return Grid1D(self.half_width, _REFINE_FACTOR * (self.n_points - 1) + 1)
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,8 @@ class RadialGrid:
     n_points: int
 
     def __post_init__(self):
-        if not self.max_radius > 0:
-            raise ValueError("max_radius must be positive")
+        if not 0.0 < self.max_radius < np.inf:
+            raise ValueError("max_radius must be finite and positive")
         if self.n_points < 3:
             raise ValueError("n_points must be >= 3")
 
@@ -85,8 +87,8 @@ class RadialGrid:
     def points(self) -> np.ndarray:
         return self.spacing * np.arange(1, self.n_points + 1)
 
-    def refined(self, factor: int = 2) -> "RadialGrid":
-        return RadialGrid(self.max_radius, factor * self.n_points)
+    def refined(self) -> "RadialGrid":
+        return RadialGrid(self.max_radius, _REFINE_FACTOR * self.n_points)
 
 
 def weight(x, s: float):
@@ -320,15 +322,14 @@ class SemiseparableKernel:
         return float(np.max(np.abs(peaks)))
 
 
-def _power_iteration_norm(op, s_in: float, s_out: float, tol: float = 1e-8,
-                          v0: np.ndarray | None = None):
+def _power_iteration_norm(op, s_in: float, s_out: float, v0: np.ndarray | None = None):
     """Norm of op as a map L2_{s_in} -> L2_{-s_out} by power iteration on M^H M.
 
     M = sqrt(h_in h_out) w_out K w_in with w = <x>^{-s} is applied through
     op.matvec / op.rmatvec, so K is never formed.  Deterministic: the start
     vector is `v0` (a warm start) or comes from a fixed seed.  Converges when
-    the estimate is stable to `tol` relative on two consecutive iterations,
-    and stops at _POWER_MAX_ITER, read at call time.  Returns (sigma, v, u,
+    the estimate is stable to _POWER_TOL relative on two consecutive iterations,
+    and stops at _POWER_MAX_ITER, both read at call time.  Returns (sigma, v, u,
     iterations, converged): the right/left singular vector approximations,
     the number of matvecs, and whether the stopping test was met.
     """
@@ -357,7 +358,7 @@ def _power_iteration_norm(op, s_in: float, s_out: float, tol: float = 1e-8,
         if nv == 0.0:
             break
         v = vn / nv
-        if sigma_prev > 0 and abs(sigma - sigma_prev) <= tol * sigma:
+        if sigma_prev > 0 and abs(sigma - sigma_prev) <= _POWER_TOL * sigma:
             hits += 1
         else:
             hits = 0
@@ -365,15 +366,15 @@ def _power_iteration_norm(op, s_in: float, s_out: float, tol: float = 1e-8,
     return sigma, v, w / sigma, iterations, hits >= 2
 
 
-def operator_norm_weighted(op, s_in: float, s_out: float, tol: float = 1e-8) -> float:
+def operator_norm_weighted(op, s_in: float, s_out: float) -> float:
     """Norm of the kernel operator as a map L2_{s_in} -> L2_{-s_out}.
 
     Equals the largest singular value of M_ij = <x_i>^{-s_out} K_ij <y_j>^{-s_in} h
     (with h replaced by sqrt(h_in h_out) when the grids differ).  Up to 2000
     points that is a full SVD of M; beyond, _power_iteration_norm on the
     operator's matvec/rmatvec, so a semiseparable kernel stays O(n) in memory.
-    A power iteration that reaches its cap unconverged raises
-    DiscretizationFailure rather than return its last estimate.
+    A power iteration that reaches its cap before settling to _POWER_TOL
+    raises DiscretizationFailure rather than return its last estimate.
     """
     if max(op.grid_in.n_points, op.grid_out.n_points) <= 2000:
         w_out = weight(op.grid_out.points, -s_out)
@@ -383,11 +384,11 @@ def operator_norm_weighted(op, s_in: float, s_out: float, tol: float = 1e-8) -> 
         if not np.all(np.isfinite(m)):
             raise InvalidOperator("rescaled operator has non-finite entries")
         return float(np.linalg.svd(m, compute_uv=False)[0])
-    sigma, _, _, _, converged = _power_iteration_norm(op, s_in, s_out, tol)
+    sigma, _, _, _, converged = _power_iteration_norm(op, s_in, s_out)
     if not converged:
         raise DiscretizationFailure(
             f"power iteration stopped at its cap of {_POWER_MAX_ITER} iterations "
-            f"before the norm estimate settled to tol = {tol:g}")
+            f"before the norm estimate settled to tol = {_POWER_TOL:g}")
     return sigma
 
 

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -250,11 +251,21 @@ class TestErrorChannels:
         *((["critical", "--K", k, "--R", "80", "--n", "3201"],
            f"compact_radius = {float(k)} must be finite and positive")
           for k in ("nan", "inf", "0", "-1")),
+        (["bifurcate", "--g", "inf"], "coupling g = inf is not finite"),
+        (["bifurcate", "--g", "1e300"], "at q = 1e+150 is too narrow to bracket"),
+        (["bifurcate", "--g", "1e26"], "at q = 1e+13 is too narrow to bracket"),
+        (["jost", "--R", "inf"], "half_width must be finite and positive"),
+        (["sweep", "--s", "1e300"], "s = 1e+300, sp = 1e+300: the weights <x>^(+-s)"),
+        (["sweep", "--sp", "1e300"], "s = 2.0, sp = 1e+300: the weights"),
+        (["sweep", "--s", "400"], "sp = 400.0: the weights <x>^(+-s) and <x>^(+-sp) are not"),
     ])
     def test_config_error_exit_2(self, capsys, argv, fragment):
-        code, out, err = run_cli(argv, capsys)
-        assert code == 2 and out == ""
-        payload = json.loads(err.strip().splitlines()[0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv, capsys)
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and out == "" and err.count("\n") == 1
+        payload = json.loads(err)
         assert payload["error"] == "config"
         assert fragment in payload["message"]
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from virtlev.discrete_ops import (
+    TAIL_BAND,
     SeqVector,
     build_shift_virtual_level,
     shift_boundary_value,
@@ -20,7 +21,7 @@ from virtlev.errors import ConfigError, DegenerateFunctional, OutsideResolventSe
 
 def _dense_dimension(lvl, sv_tol=1e-8):
     """Oracle: the SVD count of the stacked operator rows and tail block."""
-    n, m = lvl.psi.entries.size, lvl.tail_band
+    n, m = lvl.psi.entries.size, TAIL_BAND
     j, phi = lvl.functional_index - 1, lvl.phi.entries
     shifted = np.eye(n, k=1, dtype=complex) - lvl.z0 * np.eye(n)
     a_mat = (shifted - np.outer(phi, shifted[j] / phi[j]))[: n - m]
@@ -138,7 +139,7 @@ class TestVirtualLevel:
     def test_state_space_dimension_matches_operator_columns(self, z0, values, index):
         lvl = build_shift_virtual_level(z0, SeqVector.from_values(values, n=160),
                                         functional_index=index)
-        n, m = 160, lvl.tail_band
+        n, m = 160, TAIL_BAND
         eye = np.eye(n, dtype=complex)
         cols = np.array([lvl.apply_operator(e) - lvl.z0 * e for e in eye]).T[: n - m]
         tail = np.hstack([np.zeros((m, n - m)), np.eye(m)])
@@ -171,7 +172,7 @@ class TestVirtualLevel:
             z0 = np.exp(2j * np.pi * rng.random())
             lvl = build_shift_virtual_level(z0, SeqVector.from_values(values, n=n))
             if case % 4 == 3:
-                index = int(rng.integers(n - lvl.tail_band + 1, n + 1))
+                index = int(rng.integers(n - TAIL_BAND + 1, n + 1))
                 phi = lvl.phi.entries.copy()
                 phi[index - 1] = rng.standard_normal() + 1j * rng.standard_normal()
                 lvl = replace(lvl, phi=SeqVector(phi), functional_index=index)

@@ -395,7 +395,6 @@ class TestOneSweepPerVerdict:
     def test_report_keeps_the_classified_sweeps(self):
         rep = classify(self.OP, self.CFG)
         coarse, fine = rep.sweeps
-        assert np.array_equal(coarse.norms(), [n for _, n in rep.norms])
         assert np.array_equal(coarse.norms(), sweep(self.OP, self.CFG).norms())
         assert np.array_equal(fine.norms(), sweep(self.OP.refined(), self.CFG).norms())
         assert len(classify(self.OP, self.CFG, refine=False).sweeps) == 1
@@ -419,9 +418,9 @@ class TestOneSweepPerVerdict:
         assert rep.classification is Classification.VIRTUAL
         assert rep.states is None and rep.sweeps[0].left_vector is None
         res = sweep(self.OP, self.CFG)
-        assert ls._extract_state(self.OP, res, 0.02)[0] is not None
+        assert ls._extract_state(self.OP, res)[0] is not None
         res.aborted = "near spectrum"
-        assert ls._extract_state(self.OP, res, 0.02) == (None, None)
+        assert ls._extract_state(self.OP, res) == (None, None)
 
     def test_points_record_their_power_iteration(self):
         res = sweep(self.OP, self.CFG)
@@ -460,7 +459,7 @@ class TestBulkSpectrum:
         assert (norms.max() - norms.min()) / norms.min() < 0.01
 
 
-def test_state_phase_does_not_follow_last_bit_ties():
+def test_state_phase_does_not_follow_last_bit_ties(monkeypatch):
     # an odd state peaks at +-x with equal modulus; a 1-ulp bump on either
     # side must not flip the sign of the reported state
     grid = Grid1D(2.0, 401)
@@ -473,12 +472,13 @@ def test_state_phase_does_not_follow_last_bit_ties():
     assert odd[peak] == -odd[mirror]
     op = OperatorSpec.free1d(grid)
     cfg = SweepConfig(sp=0.0)  # unit weight: psi is the vector itself
+    monkeypatch.setattr(ls, "_STATE_TOL", np.inf)  # keep psi whatever its residual
     states = []
     for k in (None, peak, mirror):
         u = odd.copy()
         if k is not None:
             u[k] = np.nextafter(u[k].real, np.sign(u[k].real) * np.inf)
-        psi, _ = ls._extract_state(op, ls.SweepResult([], cfg, None, u), np.inf)
+        psi, _ = ls._extract_state(op, ls.SweepResult([], cfg, None, u))
         states.append(psi)
     for psi in states[1:]:
         assert np.max(np.abs(psi - states[0])) <= 1e-15

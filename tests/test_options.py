@@ -1,0 +1,100 @@
+"""Every parameter default in the package is an option some caller sets.
+
+The test walks `src/virtlev` with `ast`, collects each function parameter
+that has a default (methods, nested functions and lambdas included), named
+`module.qualified_name.parameter`, and compares that set with OPTIONS, which
+says who sets each one.  A new default fails here until the ledger names its
+caller; a value that only one caller uses belongs in a module constant.
+"""
+
+import ast
+from pathlib import Path
+
+import virtlev
+
+OPTIONS = {
+    "acceptance._result.artifacts": "criteria 1, 2, 3, 7 and 8 (their CSV artifacts)",
+    "acceptance.run_all.only": "cli suite --only; tests",
+    "cli.main.argv": "tests and the benchmark; None reads sys.argv",
+    "criticality.QuadraticForm.tridiagonal.extra_potential":
+        "smallest_eigenpair, smallest_eigenvalue",
+    "criticality.QuadraticForm.smallest_eigenpair.extra_potential": "_dichotomy_once",
+    "criticality.QuadraticForm.smallest_eigenvalue.extra_potential": "hardy_gap_check",
+    "criticality.QuadraticForm.smallest_eigenvalue.weight": "_weighted_gap_search; tests",
+    "criticality.QuadraticForm.free_line.half_width": "tests (criterion 8 takes 320)",
+    "criticality.QuadraticForm.free_line.n_points": "tests (criterion 8 takes 12801)",
+    "criticality.QuadraticForm.free_radial3d.max_radius": "tests (criterion 8 takes 320)",
+    "criticality.QuadraticForm.free_radial3d.n_points": "tests (criterion 8 takes 12800)",
+    "criticality.null_state_iteration.compact_radius": "cli critical --K; criterion 8",
+    "criticality.null_state_iteration.j_max": "cli critical --jmax; tests",
+    "criticality.null_state_iteration.conv_tol": "criterion 8; tests",
+    "criticality.null_state_iteration.stability_check": "tests",
+    "discrete_ops.SeqVector.basis.n": "no caller sets it yet",
+    "discrete_ops.SeqVector.from_values.n": "cli shift --n; tests",
+    "discrete_ops.SeqVector.from_values.flavor": "tests",
+    "discrete_ops.SeqVector.from_values.tail": "no caller sets it yet",
+    "discrete_ops.truncated_resolvent_matrix.n": "criterion 6; the benchmark; tests",
+    "discrete_ops.build_shift_virtual_level.functional_index": "tests",
+    "discrete_ops.virtual_state_space_dimension.s0_solve.trans": "its S0^-H solves",
+    "discrete_ops.zero_operator_rank_probe.dim": "tests",
+    "discrete_ops.zero_operator_rank_probe.ranks": "tests",
+    "discrete_ops.zero_operator_rank_probe.radii": "tests",
+    "discrete_ops.zero_operator_rank_probe.trials": "tests",
+    "discrete_ops.zero_operator_rank_probe.seed": "tests",
+    "jost.Potential1D.square_well.half_width": "cli parse_potential (well:a=)",
+    "jost.Potential1D.square_well.center": "cli parse_potential (well:center=); criterion 4",
+    "jost.Potential1D.bump.amplitude": "cli parse_potential (bump:amp=); criterion 4",
+    "jost.Potential1D.bump.half_width": "cli parse_potential (bump:a=)",
+    "jost.Potential1D.bump.center": "cli parse_potential (bump:center=)",
+    "jost.jost_solve.z": "jost_pair",
+    "jost.jost_solve.side": "jost_pair",
+    "jost.wronskian.grid": "tests (raw samples need their grid)",
+    "jost.jost_pair.z": "classify_threshold_1d; tests",
+    "jost.classify_threshold_1d.tol": "cli jost --tol; tests",
+    "lap_sweep.default_radii.r0": "cli sweep --r0",
+    "lap_sweep.default_radii.ratio": "cli sweep --ratio",
+    "lap_sweep.default_radii.count": "cli sweep --count",
+    "lap_sweep._SolverEngine.__init__.<lambda>.trans": "rmatvec (trans='C')",
+    "lap_sweep._RankOneEngine.__init__.solve.trans": "rmatvec (trans='C')",
+    "lap_sweep.classify.refine": "the benchmark; tests",
+    "perturbation.embedded_family_check.n": "cli embedded --count; criterion 7",
+    "perturbation.embedded_family_check.radii": "tests",
+    "perturbation.matrix_nullity_by_perturbation.trials": "cli nullity --trials; criterion 9",
+    "perturbation.matrix_nullity_by_perturbation.rng_seed": "cli nullity --seed; criterion 9",
+    "weighted_space.weighted_l2_norm.s": "tests",
+    "weighted_space.cell_average.real": "QuadraticForm.v",
+    "weighted_space.first_order_recursion.backward":
+        "SemiseparableKernel.matvec, discrete_ops._geometric_sum",
+    "weighted_space.first_order_recursion.overwrite": "SemiseparableKernel.matvec",
+    "weighted_space._power_iteration_norm.v0": "lap_sweep.sweep (warm start)",
+}
+
+
+def _collect(node, prefix: str, out: set) -> None:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            out.update(f"{name}.{a.arg}" for a in defaulted)
+            _collect(child, name, out)
+        elif isinstance(child, ast.ClassDef):
+            _collect(child, f"{prefix}.{child.name}", out)
+        else:
+            _collect(child, prefix, out)
+
+
+def defaulted_parameters() -> set:
+    out = set()
+    for path in sorted(Path(virtlev.__file__).parent.glob("*.py")):
+        _collect(ast.parse(path.read_text(encoding="utf-8")), path.stem, out)
+    return out
+
+
+def test_every_parameter_default_is_in_the_ledger():
+    found = defaulted_parameters()
+    assert sorted(found - OPTIONS.keys()) == [], "defaults missing from OPTIONS"
+    assert sorted(OPTIONS.keys() - found) == [], "OPTIONS names defaults that are gone"

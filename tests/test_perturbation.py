@@ -230,10 +230,19 @@ class TestMatrixNullity:
 
 
 def test_deep_well_multiple_even_branches():
-    from virtlev.perturbation import _even_sector_roots
-    roots = _even_sector_roots(12.0)  # sqrt(12) > pi: two even branches
-    assert len(roots) == 2
+    # sqrt(12) > pi: both even branches hold a root, and the scan returns the
+    # smaller kappa, which lies on the upper branch q in (pi, 3 pi / 2)
+    from scipy.optimize import brentq
+
+    from virtlev.perturbation import _smallest_even_root
+    kappa = _smallest_even_root(12.0)
+    q = np.sqrt(12.0 - kappa**2)
+    assert np.pi < q < 1.5 * np.pi
+    assert q * np.tan(q) == pytest.approx(kappa, rel=1e-10)
+    q_low = brentq(lambda t: t * np.tan(t) - np.sqrt(12.0 - t * t), 1e-9,
+                   np.pi / 2 - 1e-9)
+    assert np.sqrt(12.0 - q_low**2) > kappa
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         e = square_well_eigenvalue(12.0)
-    assert e == pytest.approx(-roots[0] ** 2, rel=1e-12)
+    assert e == pytest.approx(-kappa**2, rel=1e-12)

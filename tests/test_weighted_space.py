@@ -35,6 +35,11 @@ def test_grid_validation():
         Grid1D(-1.0, 101)
     with pytest.raises(ValueError):
         RadialGrid(0.0, 10)
+    # an infinite extent made inf - inf points and a RuntimeWarning downstream
+    for grid_type in (Grid1D, RadialGrid):
+        for extent in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                grid_type(extent, 101)
 
 
 def test_radial_grid_excludes_origin():
