@@ -1,7 +1,8 @@
 """The ten-point acceptance battery, shared by pytest and the CLI `suite`.
 
 Each criterion returns a CriterionResult with a PASS/FAIL flag and a detail
-string carrying the measured numbers at the stated tolerances.  Nothing here
+string carrying the measured numbers at the stated tolerances; run_all
+records the wall time of each criterion it runs.  Nothing here
 tunes itself: tolerances are hard-coded to the contract values.
 """
 
@@ -22,7 +23,7 @@ from .errors import ConfigError
 from .free_resolvent import (SpectralParameter, build_free_kernel_operator,
                              kernel_1d, kernel_2d, kernel_3d)
 from .reports import Classification
-from .weighted_space import Grid1D, RadialGrid, operator_norm_weighted
+from .weighted_space import Grid1D, KernelOperator, RadialGrid, operator_norm_weighted
 
 SWEEP_RADII = tuple(1e-2 * 10 ** (-0.5 * k) for k in range(7))  # 1e-2 .. 1e-5
 SUITE_RADII = tuple(3e-2 * 10 ** (-0.5 * k) for k in range(7))  # 3e-2 .. 3e-5
@@ -34,22 +35,20 @@ class CriterionResult:
     name: str
     passed: bool
     details: str
-    runtime: float
     artifacts: dict | None = None
+    runtime: float | None = None  # wall seconds, measured by run_all
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} criterion {self.number} ({self.name}): {self.details}"
 
 
-def _result(number, name, passed, details, t0, artifacts=None) -> CriterionResult:
-    return CriterionResult(number, name, bool(passed), details,
-                           time.perf_counter() - t0, artifacts)
+def _result(number, name, passed, details, artifacts=None) -> CriterionResult:
+    return CriterionResult(number, name, bool(passed), details, artifacts)
 
 
 def criterion_1() -> CriterionResult:
     """Free 1D resolvent norms diverge like r^-1/2 in L2_2 -> L2_-2."""
-    t0 = time.perf_counter()
     op = ls.OperatorSpec.free1d(Grid1D(20.0, 4001))
     cfg = ls.SweepConfig(z0=0.0, angle=np.pi, radii=SWEEP_RADII, s=2.0, sp=2.0)
     res = ls.sweep(op, cfg)
@@ -57,7 +56,7 @@ def criterion_1() -> CriterionResult:
     ok = 0.45 <= alpha <= 0.55 and r2 >= 0.99 and res.aborted is None
     return _result(1, "1D threshold divergence", ok,
                    f"alpha={alpha:.4f} (need [0.45,0.55]), r2={r2:.5f} (need >=0.99)",
-                   t0, {"sweep_1d.csv": ls.sweep_csv(res)})
+                   {"sweep_1d.csv": ls.sweep_csv(res)})
 
 
 def criterion_2() -> CriterionResult:
@@ -72,7 +71,6 @@ def criterion_2() -> CriterionResult:
     (uniform boundedness and monotone approach to a finite limit) are
     measured alongside.
     """
-    t0 = time.perf_counter()
     op = ls.OperatorSpec.free3d_radial(RadialGrid(30.0, 3000))
     cfg = ls.SweepConfig(z0=0.0, angle=np.pi, radii=SWEEP_RADII, s=1.1, sp=1.1)
     res = ls.sweep(op, cfg)
@@ -85,12 +83,11 @@ def criterion_2() -> CriterionResult:
                    f"variation={100 * variation:.1f}% (need <=5%), alpha={alpha:.4f} "
                    f"(need <=0.05); boundedness+monotone approach to a limit: "
                    f"{bounded_and_monotone}",
-                   t0, {"sweep_3d.csv": ls.sweep_csv(res)})
+                   {"sweep_3d.csv": ls.sweep_csv(res)})
 
 
 def criterion_3() -> CriterionResult:
     """Square-well bifurcation law E = -g^2 + O(g^3)."""
-    t0 = time.perf_counter()
     gs = [0.04, 0.02, 0.01, 0.005]
     curve = pt.square_well_curve(gs)
     ratios = np.abs(curve.energies / (-curve.couplings**2) - 1.0)
@@ -100,7 +97,7 @@ def criterion_3() -> CriterionResult:
     return _result(3, "square-well bifurcation law", ratio_ok and slope_ok,
                    f"max |E/(-g^2)-1| / (3g) = {np.max(ratios / (3 * curve.couplings)):.3f} "
                    f"(need <=1), slope={slope:.4f} (need 2 +- 0.05)",
-                   t0, {"bifurcation.csv": pt.bifurcation_csv(curve)})
+                   {"bifurcation.csv": pt.bifurcation_csv(curve)})
 
 
 def _suite_potentials(grid: Grid1D):
@@ -140,7 +137,6 @@ def _suite_potentials(grid: Grid1D):
 
 def criterion_4() -> CriterionResult:
     """Wronskian dichotomy and agreement of the two classifiers."""
-    t0 = time.perf_counter()
     fine = Grid1D(16.0, 6401)
     pair0 = jost.jost_pair(jost.Potential1D(1.0, lambda x: np.zeros(np.shape(x)), fine))
     w0_ok = abs(pair0.wronskian) <= 1e-8
@@ -164,12 +160,11 @@ def criterion_4() -> CriterionResult:
               f"agreement on {11 - len(disagreements)}/11 potentials")
     if disagreements:
         detail += "; disagreements: " + "; ".join(disagreements)
-    return _result(4, "Wronskian dichotomy", ok, detail, t0)
+    return _result(4, "Wronskian dichotomy", ok, detail)
 
 
 def criterion_5() -> CriterionResult:
     """Rank-one regularization of the 1D threshold."""
-    t0 = time.perf_counter()
     rep = pt.rank_one_regularized_threshold()
     det_n = rep.diagnostics["matching_det_normalized"]
     det_ok = abs(det_n) > 0.1
@@ -186,12 +181,11 @@ def criterion_5() -> CriterionResult:
     return _result(5, "rank-one regularization", ok,
                    f"|det|={abs(det_n):.4f} (need >0.1), perturbed alpha={rep.alpha:.4f} "
                    f"(need <=0.1), free verdict virtual={free_ok}, "
-                   f"state dev={dev:.4f} (need <=0.05)", t0)
+                   f"state dev={dev:.4f} (need <=0.05)")
 
 
 def criterion_6() -> CriterionResult:
     """Shift operator: uniform resolvent bound and manufactured virtual states."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20210922)
     worst = 0.0
     for _ in range(100):
@@ -199,9 +193,9 @@ def criterion_6() -> CriterionResult:
         m = do.truncated_resolvent_matrix(z, 256)
         worst = max(worst, float(np.max(np.abs(m))))
     bound_ok = worst <= 1.0 + 1e-12
-    phis = [do.SeqVector.basis(1),
-            do.SeqVector.from_values([1.0, 0.5, 0.25]),
-            do.SeqVector.from_values([0.3 - 0.2j, 0.0, 0.7j])]
+    phis = [do.sequence([1.0]),
+            do.sequence([1.0, 0.5, 0.25]),
+            do.sequence([0.3 - 0.2j, 0.0, 0.7j])]
     worst_resid = 0.0
     for z0 in (1.0, 1j, np.exp(1j * np.pi / 4)):
         for phi in phis:
@@ -211,12 +205,11 @@ def criterion_6() -> CriterionResult:
     ok = bound_ok and resid_ok
     return _result(6, "shift operator", ok,
                    f"max l1->linf norm={worst:.15f} (need <=1+1e-12), "
-                   f"max residual={worst_resid:.2e} (need <=1e-10)", t0)
+                   f"max residual={worst_resid:.2e} (need <=1e-10)")
 
 
 def criterion_7() -> CriterionResult:
     """Embedded eigenvalue family and divergence at the limit point."""
-    t0 = time.perf_counter()
     details = []
     ok = True
     artifacts = {}
@@ -230,13 +223,12 @@ def criterion_7() -> CriterionResult:
                        f"(need <=1e-6), monotone growth={fam.monotone_growth}")
         artifacts[f"embedded_family_zeta{zeta0:g}.csv"] = pt.embedded_csv(fam)
         artifacts[f"embedded_sweep_zeta{zeta0:g}.csv"] = ls.sweep_csv(fam.sweep_result)
-    return _result(7, "embedded eigenvalue family", ok, "; ".join(details), t0,
+    return _result(7, "embedded eigenvalue family", ok, "; ".join(details),
                    artifacts)
 
 
 def criterion_8() -> CriterionResult:
     """Criticality dichotomy with R-doubling stability and cross-consistency."""
-    t0 = time.perf_counter()
     free = cr.QuadraticForm.free_line()
     r1 = cr.null_state_iteration(free, compact_radius=1.0)
     win = np.abs(free.grid.points) <= 1.0
@@ -267,7 +259,7 @@ def criterion_8() -> CriterionResult:
                    f"1D null-state dev={dev:.4f} (need <=0.05), 3D margin="
                    f"{r3.margin if r3.margin is not None else float('nan'):.3e} (need >0), "
                    f"stable={stable_ok}, cross: {', '.join(notes)}",
-                   t0, {"null_state_trace.csv": cr.trace_csv(r1)})
+                   {"null_state_trace.csv": cr.trace_csv(r1)})
 
 
 def criterion_9() -> CriterionResult:
@@ -279,7 +271,6 @@ def criterion_9() -> CriterionResult:
     under the 1e-12 detection threshold.  A marginal draw is retried once
     with more trials, as the sampling-failure contract prescribes.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(424242)
     failures = 0
     for trial in range(100):
@@ -306,13 +297,12 @@ def criterion_9() -> CriterionResult:
     ok = failures == 0 and jordan_ok
     return _result(9, "matrix nullity", ok,
                    f"agreement on {100 - failures}/100 planted matrices, "
-                   f"Jordan block -> {'1' if jordan_ok else 'wrong'}", t0)
+                   f"Jordan block -> {'1' if jordan_ok else 'wrong'}")
 
 
 def criterion_10() -> CriterionResult:
     """Numerical hygiene: inverse residuals, adjoint symmetry, kernel
     identities, determinism of emitted tables."""
-    t0 = time.perf_counter()
     notes = []
     ok = True
 
@@ -343,7 +333,6 @@ def criterion_10() -> CriterionResult:
     worst = 0.0
     for _ in range(20):
         m = rng.standard_normal((161, 161)) + 1j * rng.standard_normal((161, 161))
-        from .weighted_space import KernelOperator
         k = KernelOperator(grid, grid, m)
         kh = KernelOperator(grid, grid, m.conj().T)
         s, sp_ = 2.0 * rng.random(), 2.0 * rng.random()
@@ -385,7 +374,7 @@ def criterion_10() -> CriterionResult:
     det_ok = emit() == emit()
     ok = ok and det_ok
     notes.append(f"deterministic output={det_ok}")
-    return _result(10, "numerical hygiene", ok, "; ".join(notes), t0)
+    return _result(10, "numerical hygiene", ok, "; ".join(notes))
 
 
 ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
@@ -401,5 +390,8 @@ def run_all(only=None):
     for k, fn in enumerate(ALL_CRITERIA, start=1):
         if only and k not in only:
             continue
-        results.append(fn())
+        t0 = time.perf_counter()
+        res = fn()
+        res.runtime = time.perf_counter() - t0
+        results.append(res)
     return results

@@ -284,19 +284,19 @@ def _cmd_bifurcate(cfg) -> int:
 def _cmd_shift(cfg) -> int:
     z0 = _parse_complex(cfg["z0"])
     phi_entries = [_parse_complex(t) for t in cfg["phi"].split(";" if ";" in cfg["phi"] else ",")]
-    phi = do.SeqVector.from_values(phi_entries, n=cfg["n"])
+    phi = do.sequence(phi_entries, n=cfg["n"])
     lvl = do.build_shift_virtual_level(z0, phi)
     payload = {
         "z0": [z0.real, z0.imag],
         "residual": lvl.residual,
         "functional_index": lvl.functional_index,
-        "psi_head": [[v.real, v.imag] for v in lvl.psi.entries[:8]],
+        "psi_head": [[v.real, v.imag] for v in lvl.psi[:8]],
         "state_space_dimension": do.virtual_state_space_dimension(lvl),
     }
     print(json.dumps(payload))
     if cfg["out"]:
         table = csv_table(["index", "psi_re", "psi_im"],
-                          enumerate(lvl.psi.entries, start=1))
+                          enumerate(lvl.psi, start=1))
         _write_output(_echo_header(cfg) + table, cfg["out"])
     return 0
 

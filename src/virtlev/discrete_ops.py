@@ -1,7 +1,8 @@
 """The left shift on l2(N): explicit resolvent, boundary values on the unit
 circle, and a rank-one twist that manufactures a virtual level there.
 
-Everything lives on finite truncations of the index set; the backward
+Everything lives on finite truncations of the index set: a sequence is a
+complex array whose entry [i - 1] holds x_i (see `sequence`).  The backward
 recursion y_i = -z^{-1} x_i + z^{-1} y_{i+1} reproduces the Neumann series of
 the resolvent exactly, so the identity (L - z) y = x holds to machine
 precision on all but the last entry.
@@ -31,51 +32,20 @@ _SV_TOL = 1e-8  # relative singular-value cut of virtual_state_space_dimension
 _INVERSE_ITERATIONS = 4
 
 
-@dataclass(frozen=True)
-class SeqVector:
-    """Finite truncation of an N-indexed sequence with a declared norm flavor."""
-
-    entries: np.ndarray = field(repr=False)
-    flavor: str = "l1"
-    tail: float = 0.0  # declared bound on the truncated remainder
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", e)
-        if e.ndim != 1 or e.size == 0:
-            raise ValueError("entries must be a nonempty vector")
-        if self.flavor not in ("l1", "l2", "linf"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("entries must be finite")
-        if self.flavor == "l1" and not 0.0 <= self.tail <= 1e-12:
-            raise ValueError("l1 inputs must declare a tail bound <= 1e-12")
-
-    def norm(self) -> float:
-        if self.flavor == "l1":
-            return float(np.sum(np.abs(self.entries)))
-        if self.flavor == "l2":
-            return float(np.linalg.norm(self.entries))
-        return float(np.max(np.abs(self.entries)))
-
-    @classmethod
-    def basis(cls, index: int, n: int = DEFAULT_LENGTH) -> "SeqVector":
-        e = np.zeros(n, dtype=complex)
-        e[index - 1] = 1.0  # sequences are 1-indexed
-        return cls(e, "l1")
-
-    @classmethod
-    def from_values(cls, values, n: int = DEFAULT_LENGTH, flavor: str = "l1",
-                    tail: float = 0.0) -> "SeqVector":
-        if n <= 0:
-            raise ConfigError(f"sequence length n = {n} must be positive")
-        values = np.asarray(values, dtype=complex)
-        if values.size > n:
-            raise ConfigError(f"{values.size} leading entries do not fit a sequence "
-                              f"of length n = {n}")
-        e = np.zeros(n, dtype=complex)
-        e[: values.size] = values
-        return cls(e, flavor, tail)
+def sequence(values, n: int = DEFAULT_LENGTH) -> np.ndarray:
+    """Length-n truncation of the sequence whose leading entries are `values`
+    and whose remaining entries vanish, as a complex array (index 1 is [0])."""
+    if n <= 0:
+        raise ConfigError(f"sequence length n = {n} must be positive")
+    values = np.asarray(values, dtype=complex)
+    if values.size > n:
+        raise ConfigError(f"{values.size} leading entries do not fit a sequence "
+                          f"of length n = {n}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("entries must be finite")
+    x = np.zeros(n, dtype=complex)
+    x[: values.size] = values
+    return x
 
 
 def _geometric_sum(x: np.ndarray, zinv: complex) -> np.ndarray:
@@ -84,16 +54,15 @@ def _geometric_sum(x: np.ndarray, zinv: complex) -> np.ndarray:
     return -(zinv * first_order_recursion(decay_band(zinv, x.size), x, backward=True))
 
 
-def shift_resolvent_apply(x: SeqVector, z: complex) -> SeqVector:
+def shift_resolvent_apply(x: np.ndarray, z: complex) -> np.ndarray:
     """(L - z)^{-1} x for |z| > 1, mapping l1 into l_infinity."""
     z = complex(z)
     if abs(z) <= 1.0:
         raise OutsideResolventSet(f"|z| = {abs(z):.6g} is not > 1")
-    y = _geometric_sum(x.entries, 1.0 / z)
-    return SeqVector(y, "linf")
+    return _geometric_sum(np.asarray(x, dtype=complex), 1.0 / z)
 
 
-def shift_boundary_value(x: SeqVector, z0: complex) -> SeqVector:
+def shift_boundary_value(x: np.ndarray, z0: complex) -> np.ndarray:
     """Boundary value of the resolvent at |z0| = 1 (absolutely convergent on l1).
 
     Self-check: the value must agree with the resolvent at (1 + 1e-6) z0 to
@@ -102,16 +71,15 @@ def shift_boundary_value(x: SeqVector, z0: complex) -> SeqVector:
     z0 = complex(z0)
     if abs(abs(z0) - 1.0) > 1e-12:
         raise ValueError(f"|z0| = {abs(z0):.6g} must equal 1")
-    if x.flavor != "l1":
-        raise ValueError("boundary values require an l1 input")
-    y = _geometric_sum(x.entries, 1.0 / z0)
-    probe = _geometric_sum(x.entries, 1.0 / ((1.0 + 1e-6) * z0))
+    x = np.asarray(x, dtype=complex)
+    y = _geometric_sum(x, 1.0 / z0)
+    probe = _geometric_sum(x, 1.0 / ((1.0 + 1e-6) * z0))
     dev = float(np.max(np.abs(y - probe)))
-    if dev > _CHECK_TOL * max(1.0, x.norm()):
+    if dev > _CHECK_TOL * max(1.0, float(np.sum(np.abs(x)))):
         raise DiscretizationFailure(
             f"boundary value deviates from the near-circle resolvent by {dev:.3g}"
         )
-    return SeqVector(y, "linf")
+    return y
 
 
 def truncated_resolvent_matrix(z: complex, n: int = DEFAULT_LENGTH) -> np.ndarray:
@@ -132,9 +100,9 @@ class ShiftVirtualLevel:
     """Rank-one-regularized shift A = L - K(L - z0 I) with its virtual state."""
 
     z0: complex
-    phi: SeqVector
+    phi: np.ndarray = field(repr=False)
     functional_index: int
-    psi: SeqVector
+    psi: np.ndarray = field(repr=False)
     residual: float
 
     def apply_operator(self, v: np.ndarray) -> np.ndarray:
@@ -143,11 +111,11 @@ class ShiftVirtualLevel:
         lv = np.zeros_like(v)
         lv[:-1] = v[1:]
         w = lv - self.z0 * v
-        lam = w[self.functional_index - 1] / self.phi.entries[self.functional_index - 1]
-        return lv - self.phi.entries * lam
+        lam = w[self.functional_index - 1] / self.phi[self.functional_index - 1]
+        return lv - self.phi * lam
 
 
-def build_shift_virtual_level(z0: complex, phi: SeqVector,
+def build_shift_virtual_level(z0: complex, phi: np.ndarray,
                               functional_index: int | None = None) -> ShiftVirtualLevel:
     """Manufacture a virtual level of A = L - K(L - z0 I) at |z0| = 1.
 
@@ -158,22 +126,23 @@ def build_shift_virtual_level(z0: complex, phi: SeqVector,
     trailing TAIL_BAND entries.
     """
     z0 = complex(z0)
-    n = phi.entries.size
+    phi = np.asarray(phi, dtype=complex)
+    n = phi.size
     if n <= TAIL_BAND:
         raise ConfigError(f"sequence length n = {n} must exceed the tail band of "
                           f"{TAIL_BAND} entries")
-    if np.max(np.abs(phi.entries)) == 0.0:
+    if np.max(np.abs(phi)) == 0.0:
         raise DegenerateFunctional("phi must be nonzero")
     if functional_index is None:
-        functional_index = int(np.argmax(np.abs(phi.entries))) + 1
-    pj = phi.entries[functional_index - 1]
+        functional_index = int(np.argmax(np.abs(phi))) + 1
+    pj = phi[functional_index - 1]
     if pj == 0.0:
         raise DegenerateFunctional(
             f"normalizing functional vanishes: phi_{functional_index} = 0"
         )
     psi = shift_boundary_value(phi, z0)
     lvl = ShiftVirtualLevel(z0, phi, functional_index, psi, 0.0)
-    resid_vec = lvl.apply_operator(psi.entries) - z0 * psi.entries
+    resid_vec = lvl.apply_operator(psi) - z0 * psi
     lvl.residual = float(np.max(np.abs(resid_vec[: n - TAIL_BAND])))
     return lvl
 
@@ -202,7 +171,7 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel) -> int:
     from the candidate state S0^-1 u, finds |S x| / |x| below it.  A count
     that neither check decides raises DiscretizationFailure.
     """
-    n = lvl.psi.entries.size
+    n = lvl.psi.size
     p = n - TAIL_BAND  # rows above the tail band
     j = lvl.functional_index - 1
     z0 = lvl.z0
@@ -212,7 +181,7 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel) -> int:
     band[0, 1:] = sup
     band[1] = diag
     # u r is unchanged when phi is scaled, so scale phi_j* to 1: r = M[j*]
-    u = lvl.phi.entries / lvl.phi.entries[j]
+    u = lvl.phi / lvl.phi[j]
     u[p:] = 0.0
     cols = np.arange(j, min(j + 2, n))  # the columns r touches
     r = np.array([-z0, 1.0])[: cols.size]

@@ -197,25 +197,18 @@ def _wronskian_profile(tp, tm, grid: Grid1D):
     w0 = w[(len(w) - 1) // 2]  # x = 0 is the center of the interior slice
     good = _kink_mask(tp, len(w)) & _kink_mask(tm, len(w))
     dev = float(np.max(np.abs(w[good] - w0))) if np.any(good) else 0.0
-    return w, complex(w0), dev
+    return complex(w0), dev
 
 
-def wronskian(pair_or_thetas, grid: Grid1D | None = None) -> complex:
-    """W[theta+, theta-] at x = 0 via fourth-order finite differences.
+def wronskian(pair: JostPair) -> complex:
+    """W[theta+, theta-] at x = 0, as jost_pair recorded it.
 
-    W(x) must be constant for the stationary equation; the maximum drift
+    W(x) must be constant for the stationary equation; the recorded drift
     across the grid (away from detected potential discontinuities) is checked
     against _DEV_TOL * max(1, |W|) and raised as DiscretizationFailure when
     exceeded.
     """
-    if isinstance(pair_or_thetas, JostPair):
-        tp, tm, grid = (pair_or_thetas.theta_plus, pair_or_thetas.theta_minus,
-                        pair_or_thetas.grid)
-    else:
-        tp, tm = pair_or_thetas
-        if grid is None:
-            raise ValueError("grid required when passing raw samples")
-    _, w0, dev = _wronskian_profile(tp, tm, grid)
+    w0, dev = pair.wronskian, pair.wronskian_deviation
     if dev > _DEV_TOL * max(1.0, abs(w0)):
         raise DiscretizationFailure(
             f"Wronskian drifts by {dev:.3g} across the grid (W(0) = {w0:.6g})"
@@ -227,7 +220,7 @@ def jost_pair(pot: Potential1D, z=0.0) -> JostPair:
     """Solve both sides and record the Wronskian with its drift diagnostic."""
     tp = jost_solve(pot, z, "plus")
     tm = jost_solve(pot, z, "minus")
-    _, w0, dev = _wronskian_profile(tp, tm, pot.grid)
+    w0, dev = _wronskian_profile(tp, tm, pot.grid)
     return JostPair(tp, tm, complex(z), w0, dev, pot.grid)
 
 

@@ -299,7 +299,7 @@ class _SolverEngine:
     """
 
     def __init__(self, op: OperatorSpec, z: complex):
-        self.grid_in = self.grid_out = op.grid
+        self.grid = op.grid
         self.h = op.grid.spacing
         self.n = op.grid.n_points
         bands = _tridiagonal(op, z)
@@ -357,7 +357,7 @@ _FREE_DIMENSION = {OperatorKind.FREE_1D: 1, OperatorKind.FREE_2D_RADIAL: 2,
 
 
 def _make_engine(op: OperatorSpec, z: complex):
-    """Resolvent kernel of op at z: grid_in, grid_out, matvec, rmatvec (K^H),
+    """Resolvent kernel of op at z on op.grid: grid, matvec, rmatvec (K^H),
     max_abs_entry and dense entries.
 
     The free kernels (1D, radial 2D and radial 3D) are the semiseparable

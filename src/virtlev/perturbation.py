@@ -308,7 +308,10 @@ def matrix_nullity_by_perturbation(m: np.ndarray, trials: int = 64,
     Frobenius norm 1e-3; a determinant counts as nonzero above
     1e-12 * max(sigma_max, 1e-3)^n.  The answer must agree with the SVD
     nullity (singular values <= 1e-10 sigma_max), otherwise SamplingFailure.
+    `trials`, the number of candidates drawn per rank, must be at least 1.
     """
+    if trials < 1:
+        raise ConfigError(f"trials = {trials} must be at least 1")
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")

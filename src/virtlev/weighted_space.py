@@ -1,11 +1,11 @@
 """Grids, polynomial weights, cell averages, weighted L2 norms, line fits and
 operator-norm estimation.
 
-Operators are kernel matrices sampled on uniform grids: dense, or
+Operators are kernel matrices sampled on one uniform grid: dense, or
 semiseparable and applied in O(n) without ever forming the matrix.  Both,
-and the resolvent engines of lap_sweep, share one surface: grid_in,
-grid_out, matvec and rmatvec (K and K^H without the quadrature weight),
-max_abs_entry, and entries.  Integrals use the uniform-weight rule
+and the resolvent engines of lap_sweep, share one surface: grid, matvec and
+rmatvec (K and K^H without the quadrature weight h), max_abs_entry (the exact
+L1 -> Linf norm), and entries.  Integrals use the uniform-weight rule
 (trapezoid up to an O(h) endpoint term that is negligible for the decaying
 integrands this package works with).  Operator norms between weighted L2
 spaces reduce to the largest singular value of a diagonally rescaled
@@ -15,7 +15,7 @@ deterministic power iteration, which runs on matvec/rmatvec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -142,29 +142,27 @@ def linear_fit(x, y) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class KernelOperator:
-    """Dense kernel K(x_i, y_j) acting as f -> h * K @ f.
+    """Dense kernel K(x_i, y_j) on one grid, acting as f -> h * K @ f.
 
-    entries[i, j] samples the kernel at (x_i of grid_out, y_j of grid_in);
-    the quadrature weight is the spacing of grid_in.
+    Built as KernelOperator(grid, grid, entries): the second grid, that of
+    the y_j, must equal the first, and entries[i, j] samples K(x_i, y_j).
     """
 
-    grid_out: object
-    grid_in: object
+    grid: object
+    grid_in: InitVar[object]
     entries: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, grid_in):
+        if grid_in != self.grid:
+            raise DimensionMismatch(f"a kernel operator maps one grid to itself, "
+                                    f"not {grid_in} to {self.grid}")
         e = np.asarray(self.entries)
-        if e.shape != (self.grid_out.n_points, self.grid_in.n_points):
+        n = self.grid.n_points
+        if e.shape != (n, n):
             raise DimensionMismatch(
-                f"entries shape {e.shape} does not match grids "
-                f"({self.grid_out.n_points}, {self.grid_in.n_points})"
-            )
+                f"entries shape {e.shape} does not match grid ({n}, {n})")
         if not np.all(np.isfinite(e)):
             raise InvalidOperator("kernel entries must be finite")
-
-    @property
-    def quadrature_weight(self) -> float:
-        return self.grid_in.spacing
 
     def matvec(self, f: np.ndarray) -> np.ndarray:
         """K f without the quadrature weight."""
@@ -173,13 +171,6 @@ class KernelOperator:
     def rmatvec(self, f: np.ndarray) -> np.ndarray:
         """K^H f without the quadrature weight, with no transposed copy of K."""
         return np.conj(np.conj(f) @ self.entries)
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """Discretized integral operator: (Kf)(x_i) = h * sum_j K_ij f_j."""
-        f = np.asarray(f)
-        if f.shape[0] != self.grid_in.n_points:
-            raise DimensionMismatch("vector length does not match grid_in")
-        return self.quadrature_weight * self.matvec(f)
 
     def max_abs_entry(self) -> float:
         """sup |K(x, y)| over the grid, read from the stored entries."""
@@ -212,8 +203,8 @@ def first_order_recursion(band: np.ndarray, x, backward: bool = False,
 class SemiseparableKernel:
     """Kernel K_ij = left_min(i,j) right_max(i,j) decay^|i-j|, applied in O(n).
 
-    Same surface as KernelOperator (grid_in, grid_out, quadrature_weight,
-    matvec, rmatvec, apply, max_abs_entry, entries), but K is never stored:
+    Same surface as KernelOperator (grid, matvec, rmatvec, max_abs_entry,
+    entries) plus apply, but K is never stored:
     K f splits into the forward sum right_i sum_{j<=i} decay^(i-j) left_j f_j
     and the strictly upper sum left_i sum_{j>i} decay^(j-i) right_j f_j, two
     first-order recursions (Vandebril, Van Barel & Mastronardi, Matrix
@@ -251,18 +242,6 @@ class SemiseparableKernel:
         object.__setattr__(self, "_band", decay_band(decay, n))
         object.__setattr__(self, "_decayed_right", decay * right)
 
-    @property
-    def grid_in(self):
-        return self.grid
-
-    @property
-    def grid_out(self):
-        return self.grid
-
-    @property
-    def quadrature_weight(self) -> float:
-        return self.grid.spacing
-
     def matvec(self, f: np.ndarray) -> np.ndarray:
         """K f without the quadrature weight."""
         f = np.asarray(f)
@@ -284,8 +263,8 @@ class SemiseparableKernel:
         """Discretized integral operator: (Kf)(x_i) = h * sum_j K_ij f_j."""
         f = np.asarray(f)
         if f.shape[0] != self.grid.n_points:
-            raise DimensionMismatch("vector length does not match grid_in")
-        return self.quadrature_weight * self.matvec(f)
+            raise DimensionMismatch("vector length does not match the grid")
+        return self.grid.spacing * self.matvec(f)
 
     def _powers(self) -> np.ndarray:
         return self.decay ** np.arange(self.grid.n_points)
@@ -325,23 +304,24 @@ class SemiseparableKernel:
 def _power_iteration_norm(op, s_in: float, s_out: float, v0: np.ndarray | None = None):
     """Norm of op as a map L2_{s_in} -> L2_{-s_out} by power iteration on M^H M.
 
-    M = sqrt(h_in h_out) w_out K w_in with w = <x>^{-s} is applied through
-    op.matvec / op.rmatvec, so K is never formed.  Deterministic: the start
+    M = h w_out K w_in with w_out = <x>^{-s_out} and w_in = <x>^{-s_in} on
+    op.grid is applied through op.matvec / op.rmatvec, so K is never formed.  Deterministic: the start
     vector is `v0` (a warm start) or comes from a fixed seed.  Converges when
     the estimate is stable to _POWER_TOL relative on two consecutive iterations,
     and stops at _POWER_MAX_ITER, both read at call time.  Returns (sigma, v, u,
     iterations, converged): the right/left singular vector approximations,
     the number of matvecs, and whether the stopping test was met.
     """
-    w_in = weight(op.grid_in.points, -s_in)
-    w_out = weight(op.grid_out.points, -s_out)
-    scale = np.sqrt(op.grid_in.spacing * op.grid_out.spacing)
+    grid = op.grid
+    w_in = weight(grid.points, -s_in)
+    w_out = weight(grid.points, -s_out)
+    scale = grid.spacing
     if v0 is not None and np.linalg.norm(v0) > 0:
         v = np.asarray(v0, dtype=complex).copy()
     else:
         rng = np.random.default_rng(_PI_SEED)
-        n_in = op.grid_in.n_points
-        v = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
+        n = grid.n_points
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = v / np.linalg.norm(v)
     sigma = 0.0
     sigma_prev = -1.0
@@ -369,18 +349,18 @@ def _power_iteration_norm(op, s_in: float, s_out: float, v0: np.ndarray | None =
 def operator_norm_weighted(op, s_in: float, s_out: float) -> float:
     """Norm of the kernel operator as a map L2_{s_in} -> L2_{-s_out}.
 
-    Equals the largest singular value of M_ij = <x_i>^{-s_out} K_ij <y_j>^{-s_in} h
-    (with h replaced by sqrt(h_in h_out) when the grids differ).  Up to 2000
-    points that is a full SVD of M; beyond, _power_iteration_norm on the
-    operator's matvec/rmatvec, so a semiseparable kernel stays O(n) in memory.
+    Equals the largest singular value of M_ij = <x_i>^{-s_out} K_ij <x_j>^{-s_in} h
+    on the operator's grid.  Up to 2000 points that is a full SVD of M;
+    beyond, _power_iteration_norm on the operator's matvec/rmatvec, so a
+    semiseparable kernel stays O(n) in memory.
     A power iteration that reaches its cap before settling to _POWER_TOL
     raises DiscretizationFailure rather than return its last estimate.
     """
-    if max(op.grid_in.n_points, op.grid_out.n_points) <= 2000:
-        w_out = weight(op.grid_out.points, -s_out)
-        w_in = weight(op.grid_in.points, -s_in)
-        scale = np.sqrt(op.grid_in.spacing * op.grid_out.spacing)
-        m = (w_out[:, None] * op.entries) * (w_in[None, :] * scale)
+    grid = op.grid
+    if grid.n_points <= 2000:
+        w_out = weight(grid.points, -s_out)
+        w_in = weight(grid.points, -s_in)
+        m = (w_out[:, None] * op.entries) * (w_in[None, :] * grid.spacing)
         if not np.all(np.isfinite(m)):
             raise InvalidOperator("rescaled operator has non-finite entries")
         return float(np.linalg.svd(m, compute_uv=False)[0])
@@ -390,9 +370,3 @@ def operator_norm_weighted(op, s_in: float, s_out: float) -> float:
             f"power iteration stopped at its cap of {_POWER_MAX_ITER} iterations "
             f"before the norm estimate settled to tol = {_POWER_TOL:g}")
     return sigma
-
-
-def l1_to_linf_norm(op: KernelOperator) -> float:
-    """Exact L1 -> Linf operator norm of a kernel operator: sup |K(x, y)|,
-    from the operator's own max_abs_entry (O(n) for semiseparable kernels)."""
-    return op.max_abs_entry()

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -258,6 +259,8 @@ class TestErrorChannels:
         (["sweep", "--s", "1e300"], "s = 1e+300, sp = 1e+300: the weights <x>^(+-s)"),
         (["sweep", "--sp", "1e300"], "s = 2.0, sp = 1e+300: the weights"),
         (["sweep", "--s", "400"], "sp = 400.0: the weights <x>^(+-s) and <x>^(+-sp) are not"),
+        (["nullity", "--demo", "jordan3", "--trials", "0"], "trials = 0 must be at least 1"),
+        (["nullity", "--demo", "jordan3", "--trials", "-1"], "trials = -1 must be at least 1"),
     ])
     def test_config_error_exit_2(self, capsys, argv, fragment):
         with warnings.catch_warnings(record=True) as caught:
@@ -301,6 +304,47 @@ class TestErrorChannels:
     def test_missing_potential_exit_2(self, capsys):
         code, _, err = run_cli(["sweep", "--op", "schrod1d"], capsys)
         assert code == 2
+
+
+# flags that make the rest of a boundary case cheap to run
+_BOUNDARY_EXTRA = {
+    "nullity": ["--demo", "jordan3"],
+    "sweep": ["--R", "4", "--n", "401", "--no-classify"],
+    "critical": ["--R", "40", "--n", "1601"],
+}
+
+
+def boundary_cases():
+    """Every float option at nan and +-inf, every int option without choices
+    at 0 and -1, one flag per case, read from cli._COMMANDS."""
+    for command, (_, _, options) in cli._COMMANDS.items():
+        for key, (_, kind, flag) in options.items():
+            if kind is float:
+                values = ("nan", "inf", "-inf")
+            elif kind is int and "choices" not in flag:
+                values = ("0", "-1")
+            else:
+                continue
+            extra = [] if key in ("R", "n") else _BOUNDARY_EXTRA.get(command, [])
+            for value in values:
+                yield pytest.param([command, f"--{key}={value}", *extra],
+                                   id=f"{command} --{key}={value}")
+
+
+@pytest.mark.parametrize("argv", boundary_cases())
+def test_boundary_values_exit_0_with_finite_output_or_2_with_one_error_line(
+        capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err
+    if code == 0:
+        assert out.strip()
+        assert re.findall(r"(?i)\b(?:nan|inf(?:inity)?)\b", out) == []
+    else:
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "error" in json.loads(err)
 
 
 def test_byte_identical_output_across_runs(tmp_path):

@@ -100,10 +100,12 @@ class TestWronskian:
         assert shifted.wronskian == pytest.approx(base.wronskian, rel=1e-8)
 
     def test_drift_guard_raises(self):
-        pair = jost_pair(indicator_barrier())
-        ragged = pair.theta_plus + 1e-2 * np.sin(37.0 * GRID.points)
-        with pytest.raises(DiscretizationFailure):
-            wronskian((ragged, pair.theta_minus), GRID)
+        # 101 points on [-16, 16] resolve the unit well too coarsely: the
+        # recorded drift is 3.7e-4, above the 1e-4 tolerance
+        pair = jost_pair(Potential1D.square_well(1.0, Grid1D(16.0, 101)))
+        assert pair.wronskian_deviation > 1e-4 * max(1.0, abs(pair.wronskian))
+        with pytest.raises(DiscretizationFailure, match="Wronskian drifts by"):
+            wronskian(pair)
 
 
 class TestGreenKernel:

@@ -29,10 +29,7 @@ OPTIONS = {
     "criticality.null_state_iteration.j_max": "cli critical --jmax; tests",
     "criticality.null_state_iteration.conv_tol": "criterion 8; tests",
     "criticality.null_state_iteration.stability_check": "tests",
-    "discrete_ops.SeqVector.basis.n": "no caller sets it yet",
-    "discrete_ops.SeqVector.from_values.n": "cli shift --n; tests",
-    "discrete_ops.SeqVector.from_values.flavor": "tests",
-    "discrete_ops.SeqVector.from_values.tail": "no caller sets it yet",
+    "discrete_ops.sequence.n": "cli shift --n; tests",
     "discrete_ops.truncated_resolvent_matrix.n": "criterion 6; the benchmark; tests",
     "discrete_ops.build_shift_virtual_level.functional_index": "tests",
     "discrete_ops.virtual_state_space_dimension.s0_solve.trans": "its S0^-H solves",
@@ -48,7 +45,6 @@ OPTIONS = {
     "jost.Potential1D.bump.center": "cli parse_potential (bump:center=)",
     "jost.jost_solve.z": "jost_pair",
     "jost.jost_solve.side": "jost_pair",
-    "jost.wronskian.grid": "tests (raw samples need their grid)",
     "jost.jost_pair.z": "classify_threshold_1d; tests",
     "jost.classify_threshold_1d.tol": "cli jost --tol; tests",
     "lap_sweep.default_radii.r0": "cli sweep --r0",

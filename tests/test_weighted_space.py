@@ -14,7 +14,6 @@ from virtlev.weighted_space import (
     RadialGrid,
     SemiseparableKernel,
     _power_iteration_norm,
-    l1_to_linf_norm,
     operator_norm_weighted,
     weight,
     weighted_l2_norm,
@@ -181,14 +180,14 @@ def test_norm_monotone_under_domination():
 
 def test_l1_linf_norm_values():
     g = Grid1D(2.0, 41)
-    assert l1_to_linf_norm(KernelOperator(g, g, np.zeros((41, 41)))) == 0.0
+    assert KernelOperator(g, g, np.zeros((41, 41))).max_abs_entry() == 0.0
     gg = Grid1D(20.0, 2001)
     k = build_free_kernel_operator(1, gg, SpectralParameter.interior(-1.0))
-    assert l1_to_linf_norm(k) == pytest.approx(0.5, rel=1e-12)
+    assert k.max_abs_entry() == pytest.approx(0.5, rel=1e-12)
     # the threshold singularity forces sup = 1/(2 sqrt(eps))
     eps = 1e-4
     k2 = build_free_kernel_operator(1, gg, SpectralParameter.interior(-eps))
-    assert l1_to_linf_norm(k2) == pytest.approx(1.0 / (2 * np.sqrt(eps)), rel=1e-12)
+    assert k2.max_abs_entry() == pytest.approx(1.0 / (2 * np.sqrt(eps)), rel=1e-12)
 
 
 def test_bounded_entries_bound_l1_linf():
@@ -197,17 +196,25 @@ def test_bounded_entries_bound_l1_linf():
     for _ in range(20):
         bound = 10 * rng.random()
         m = bound * (2 * rng.random((21, 21)) - 1)
-        assert l1_to_linf_norm(KernelOperator(g, g, m)) <= bound + 1e-15
+        assert KernelOperator(g, g, m).max_abs_entry() <= bound + 1e-15
 
 
 def test_kernel_operator_validation():
     g = Grid1D(1.0, 11)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="does not match grid"):
         KernelOperator(g, g, np.zeros((11, 10)))
     bad = np.zeros((11, 11))
     bad[3, 4] = np.nan
     with pytest.raises(InvalidOperator):
         KernelOperator(g, g, bad)
+
+
+@pytest.mark.parametrize("other", [Grid1D(1.0, 13), Grid1D(2.0, 11), RadialGrid(1.0, 11)])
+def test_kernel_operator_refuses_two_grids(other):
+    g = Grid1D(1.0, 11)
+    assert KernelOperator(g, Grid1D(1.0, 11), np.zeros((11, 11))).grid == g
+    with pytest.raises(DimensionMismatch, match="maps one grid to itself"):
+        KernelOperator(g, other, np.zeros((11, 11)))
 
 
 def test_apply_matches_quadrature():
