@@ -109,13 +109,6 @@ class QuadraticForm:
                                 eigvals_only=True, tol=tol)
         return float(vals[0])
 
-    def apply_form(self, u: np.ndarray) -> float:
-        h = self.grid.spacing
-        u = np.asarray(u, dtype=float)
-        padded = np.concatenate([[0.0], u, [0.0]])  # Dirichlet beyond the edges
-        grad = np.sum(np.diff(padded) ** 2) / h
-        return float(grad + h * np.sum(self.v * u * u))
-
     def apply_operator(self, u: np.ndarray) -> np.ndarray:
         h = self.grid.spacing
         padded = np.concatenate([[0.0], u, [0.0]])
@@ -154,18 +147,6 @@ class DichotomyResult:
     residual: float | None = None
     trace: list = field(default_factory=list)  # rows (j, lambda_j, sup_dist_to_limit)
     diagnostics: dict = field(default_factory=dict)
-
-
-def hardy_gap_check(form: QuadraticForm, w: np.ndarray) -> tuple[bool, float]:
-    """Whether int w|u|^2 <= a[u] holds discretely; margin is the smallest
-    eigenvalue of H - w under Dirichlet truncation."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != form.grid.points.shape:
-        raise ValueError("weight samples must match the grid")
-    if np.any(w < 0):
-        raise ValueError("weight must be nonnegative")
-    mu = form.smallest_eigenvalue(extra_potential=-w)
-    return bool(mu >= -1e-10), mu
 
 
 def _weighted_gap_search(form: QuadraticForm) -> tuple[float, np.ndarray, float]:

@@ -21,7 +21,7 @@ from .errors import (
     DiscretizationFailure,
     OutsideResolventSet,
 )
-from .weighted_space import decay_band, first_order_recursion, linear_fit
+from .weighted_space import decay_band, first_order_recursion
 
 #: default truncation length and the tail band absorbing truncation effects
 DEFAULT_LENGTH = 512
@@ -54,14 +54,6 @@ def _geometric_sum(x: np.ndarray, zinv: complex) -> np.ndarray:
     return -(zinv * first_order_recursion(decay_band(zinv, x.size), x, backward=True))
 
 
-def shift_resolvent_apply(x: np.ndarray, z: complex) -> np.ndarray:
-    """(L - z)^{-1} x for |z| > 1, mapping l1 into l_infinity."""
-    z = complex(z)
-    if abs(z) <= 1.0:
-        raise OutsideResolventSet(f"|z| = {abs(z):.6g} is not > 1")
-    return _geometric_sum(np.asarray(x, dtype=complex), 1.0 / z)
-
-
 def shift_boundary_value(x: np.ndarray, z0: complex) -> np.ndarray:
     """Boundary value of the resolvent at |z0| = 1 (absolutely convergent on l1).
 
@@ -69,7 +61,7 @@ def shift_boundary_value(x: np.ndarray, z0: complex) -> np.ndarray:
     _CHECK_TOL * max(1, |x|_l1) in sup norm.
     """
     z0 = complex(z0)
-    if abs(abs(z0) - 1.0) > 1e-12:
+    if not abs(abs(z0) - 1.0) <= 1e-12:  # nan fails too
         raise ValueError(f"|z0| = {abs(z0):.6g} must equal 1")
     x = np.asarray(x, dtype=complex)
     y = _geometric_sum(x, 1.0 / z0)
@@ -123,7 +115,9 @@ def build_shift_virtual_level(z0: complex, phi: np.ndarray,
     by default j* is the largest-modulus entry of phi, so the normalization
     never degenerates.  The virtual state is the boundary value of the shift
     resolvent applied to phi; its residual is measured in sup norm off the
-    trailing TAIL_BAND entries.
+    trailing TAIL_BAND entries.  On the unit circle |psi|_inf <= |phi|_l1,
+    and with the default j* the residual is at most 4 |phi|_l1; a phi for
+    which that bound overflows is a ConfigError.
     """
     z0 = complex(z0)
     phi = np.asarray(phi, dtype=complex)
@@ -133,6 +127,10 @@ def build_shift_virtual_level(z0: complex, phi: np.ndarray,
                           f"{TAIL_BAND} entries")
     if np.max(np.abs(phi)) == 0.0:
         raise DegenerateFunctional("phi must be nonzero")
+    with np.errstate(over="ignore"):
+        bound = 4.0 * float(np.sum(np.abs(phi)))
+    if not np.isfinite(bound):
+        raise ConfigError(f"the residual bound 4 |phi|_l1 = {bound:.3g} is not a finite float")
     if functional_index is None:
         functional_index = int(np.argmax(np.abs(phi))) + 1
     pj = phi[functional_index - 1]
@@ -255,41 +253,3 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel) -> int:
         f"inverse iteration could not place sigma_min(S) on either side of "
         f"the threshold [{threshold_lo:.3g}, {threshold_hi:.3g}]")
 
-
-def zero_operator_rank_probe(dim: int = 24, ranks=(1, 2, 3), radii=None,
-                             trials: int = 3, seed: int = 0) -> dict:
-    """Evidence that no finite-rank B regularizes the zero operator at 0.
-
-    For sampled finite-rank B, the resolvent of Z + B compressed to the
-    spectral projection of B at eigenvalue 0 is exactly -P0 / z, so its norm
-    along any ray grows like 1/|z|.  Returns the fitted exponents, all ~1.
-    """
-    if radii is None:
-        radii = (10.0 ** (-1 - 0.5 * k) for k in range(7))
-    radii = tuple(radii)
-    if len(radii) < 2:
-        raise ConfigError(f"the rank probe fits a slope through at least 2 radii, "
-                          f"got {len(radii)}")
-    rng = np.random.default_rng(seed)
-    fitted = {}
-    for rank in ranks:
-        exps = []
-        for _ in range(trials):
-            b = np.zeros((dim, dim), dtype=complex)
-            for _ in range(rank):
-                b += np.outer(rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
-                              rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-            b /= np.linalg.norm(b)
-            vals, vecs = np.linalg.eig(b)
-            keep = np.abs(vals) <= 1e-8
-            # spectral projector onto the (generically semisimple) null part
-            vinv = np.linalg.inv(vecs)
-            p0 = (vecs[:, keep] @ vinv[keep, :])
-            norms = []
-            for r in radii:
-                z = r * np.exp(1j * np.pi / 3)
-                res = np.linalg.solve(b - z * np.eye(dim), p0)
-                norms.append(np.linalg.norm(res, 2))
-            exps.append(linear_fit(-np.log(np.array(radii)), np.log(np.array(norms)))[0])
-        fitted[rank] = exps
-    return fitted

@@ -71,18 +71,6 @@ class SpectralParameter:
     def interior(cls, z) -> "SpectralParameter":
         return cls(complex(z), Approach.INTERIOR)
 
-    @classmethod
-    def from_above(cls, z) -> "SpectralParameter":
-        return cls(complex(z), Approach.FROM_UPPER_HALF_PLANE)
-
-    @classmethod
-    def from_below(cls, z) -> "SpectralParameter":
-        return cls(complex(z), Approach.FROM_LOWER_HALF_PLANE)
-
-    @classmethod
-    def along_negative_axis(cls, z) -> "SpectralParameter":
-        return cls(complex(z), Approach.ALONG_NEGATIVE_AXIS)
-
 
 def _on_positive_cut(z: complex) -> bool:
     return z.imag == 0.0 and z.real > 0.0

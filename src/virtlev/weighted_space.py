@@ -1,5 +1,5 @@
-"""Grids, polynomial weights, cell averages, weighted L2 norms, line fits and
-operator-norm estimation.
+"""Grids, polynomial weights, cell averages, line fits and operator-norm
+estimation.
 
 Operators are kernel matrices sampled on one uniform grid: dense, or
 semiseparable and applied in O(n) without ever forming the matrix.  Both,
@@ -94,17 +94,6 @@ class RadialGrid:
 def weight(x, s: float):
     """Polynomial weight <x>^s = (1 + x^2)^(s/2); accepts scalars or arrays."""
     return (1.0 + np.square(np.asarray(x, dtype=float))) ** (s / 2.0)
-
-
-def weighted_l2_norm(f, grid, s: float = 0.0) -> float:
-    """Discrete weighted L2 norm (h * sum <x_i>^{2s} |f_i|^2)^(1/2)."""
-    f = np.asarray(f)
-    if f.shape != grid.points.shape:
-        raise DimensionMismatch(
-            f"sample length {f.shape} does not match grid {grid.points.shape}"
-        )
-    w = weight(grid.points, s)
-    return float(np.sqrt(grid.spacing * np.sum(np.abs(w * f) ** 2)))
 
 
 _CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(5)

@@ -261,6 +261,8 @@ class TestErrorChannels:
         (["sweep", "--s", "400"], "sp = 400.0: the weights <x>^(+-s) and <x>^(+-sp) are not"),
         (["nullity", "--demo", "jordan3", "--trials", "0"], "trials = 0 must be at least 1"),
         (["nullity", "--demo", "jordan3", "--trials", "-1"], "trials = -1 must be at least 1"),
+        *((["shift", "--z0", z0], "|z0| = nan must equal 1") for z0 in ("nan", "nan,0", "1,nan")),
+        (["shift", "--phi", "1e308,1e308"], "4 |phi|_l1 = inf is not a finite float"),
     ])
     def test_config_error_exit_2(self, capsys, argv, fragment):
         with warnings.catch_warnings(record=True) as caught:

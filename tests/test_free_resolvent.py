@@ -33,9 +33,10 @@ class TestBranchRoot:
         assert sqrt_minus_z(SpectralParameter.interior(-1.0)) == pytest.approx(1.0)
 
     def test_boundary_values(self):
-        assert sqrt_minus_z(SpectralParameter.from_above(1.0)) == pytest.approx(-1j)
-        assert sqrt_minus_z(SpectralParameter.from_below(1.0)) == pytest.approx(1j)
-        assert sqrt_minus_z(SpectralParameter.from_above(4.0)) == pytest.approx(-2j)
+        above, below = Approach.FROM_UPPER_HALF_PLANE, Approach.FROM_LOWER_HALF_PLANE
+        assert sqrt_minus_z(SpectralParameter(1.0, above)) == pytest.approx(-1j)
+        assert sqrt_minus_z(SpectralParameter(1.0, below)) == pytest.approx(1j)
+        assert sqrt_minus_z(SpectralParameter(4.0, above)) == pytest.approx(-2j)
 
     def test_off_axis_value(self):
         w = sqrt_minus_z(SpectralParameter.interior(2j))
@@ -60,7 +61,7 @@ class TestBranchRoot:
         # along rays z0 (1 + t e^{i theta}), theta in (0, pi), the principal
         # root approaches the upper-boundary value -i sqrt(z0)
         z0 = 2.5
-        target = sqrt_minus_z(SpectralParameter.from_above(z0))
+        target = sqrt_minus_z(SpectralParameter(z0, Approach.FROM_UPPER_HALF_PLANE))
         for theta in (0.3 * np.pi, 0.5 * np.pi, 0.9 * np.pi):
             prev = None
             for t in (1e-2, 1e-4, 1e-6):
@@ -85,12 +86,12 @@ class TestKernel1D:
 
     def test_no_kernel_at_zero(self):
         with pytest.raises(ThresholdSingularity):
-            kernel_1d(0.0, 1.0, SpectralParameter.along_negative_axis(0.0))
+            kernel_1d(0.0, 1.0, SpectralParameter(0.0, Approach.ALONG_NEGATIVE_AXIS))
 
 
 class TestKernel3D:
     def test_threshold_limit(self):
-        p0 = SpectralParameter.along_negative_axis(0.0)
+        p0 = SpectralParameter(0.0, Approach.ALONG_NEGATIVE_AXIS)
         assert kernel_3d(1.0, p0) == pytest.approx(1.0 / (4 * np.pi), rel=1e-14)
 
     def test_value_at_minus_one(self):
@@ -98,7 +99,7 @@ class TestKernel3D:
         assert kernel_3d(1.0, p) == pytest.approx(np.exp(-1.0) / (4 * np.pi), rel=1e-14)
 
     def test_outgoing_boundary_value(self):
-        p = SpectralParameter.from_above(1.0)
+        p = SpectralParameter(1.0, Approach.FROM_UPPER_HALF_PLANE)
         val = kernel_3d(2.0, p)
         assert val == pytest.approx(np.exp(2j) / (8 * np.pi), rel=1e-14)
         assert abs(val) == pytest.approx(1.0 / (8 * np.pi), rel=1e-14)
@@ -128,9 +129,9 @@ class TestKernel2D:
 
     def test_positive_axis_unsupported(self):
         with pytest.raises(UnsupportedSpectralPoint):
-            kernel_2d(1.0, SpectralParameter.from_above(1.0))
+            kernel_2d(1.0, SpectralParameter(1.0, Approach.FROM_UPPER_HALF_PLANE))
         with pytest.raises(UnsupportedSpectralPoint):
-            kernel_2d(1.0, SpectralParameter.along_negative_axis(0.0))
+            kernel_2d(1.0, SpectralParameter(0.0, Approach.ALONG_NEGATIVE_AXIS))
 
 
 def test_kernel_symmetry_and_conjugation_random():
@@ -317,7 +318,7 @@ class TestBuildOperator:
 
     def test_3d_threshold_operator_is_finite(self):
         g = RadialGrid(10.0, 500)
-        k = build_free_kernel_operator(3, g, SpectralParameter.along_negative_axis(0.0))
+        k = build_free_kernel_operator(3, g, SpectralParameter(0.0, Approach.ALONG_NEGATIVE_AXIS))
         assert np.all(np.isfinite(k.entries))
         r = g.points
         assert np.allclose(k.entries, np.minimum.outer(r, r))
@@ -325,10 +326,10 @@ class TestBuildOperator:
 
 def test_along_negative_axis_validation():
     with pytest.raises(ValueError):
-        SpectralParameter.along_negative_axis(1.0)
+        SpectralParameter(1.0, Approach.ALONG_NEGATIVE_AXIS)
     with pytest.raises(ValueError):
-        SpectralParameter.along_negative_axis(1j)
-    assert SpectralParameter.along_negative_axis(-2.0).z == -2.0
+        SpectralParameter(1j, Approach.ALONG_NEGATIVE_AXIS)
+    assert SpectralParameter(-2.0, Approach.ALONG_NEGATIVE_AXIS).z == -2.0
 
 
 def test_1d_weighted_norm_diverges_like_inverse_sqrt():
@@ -346,7 +347,7 @@ def test_1d_weighted_norm_diverges_like_inverse_sqrt():
 
 def test_1d_outgoing_oscillation_on_the_cut():
     # from the upper half-plane the kernel carries exp(i sqrt(z0) |x-y|)
-    p = SpectralParameter.from_above(4.0)
+    p = SpectralParameter(4.0, Approach.FROM_UPPER_HALF_PLANE)
     for d in (0.0, 0.7, 2.3):
         val = kernel_1d(d, 0.0, p)
         assert val == pytest.approx(np.exp(2j * d) / (-4j), rel=1e-14)

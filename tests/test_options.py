@@ -1,10 +1,18 @@
-"""Every parameter default in the package is an option some caller sets.
+"""Every parameter default in the package is an option some caller sets, and
+every public name is something the package itself runs.
 
-The test walks `src/virtlev` with `ast`, collects each function parameter
-that has a default (methods, nested functions and lambdas included), named
-`module.qualified_name.parameter`, and compares that set with OPTIONS, which
-says who sets each one.  A new default fails here until the ledger names its
-caller; a value that only one caller uses belongs in a module constant.
+The first test walks `src/virtlev` with `ast`, collects each function
+parameter that has a default (methods, nested functions and lambdas
+included), named `module.qualified_name.parameter`, and compares that set
+with OPTIONS, which says who sets each one.  A new default fails here until
+the ledger names its caller; a value that only one caller uses belongs in a
+module constant.
+
+The second collects each public module-level function and class and each
+public method of a public class, and asks that its name be referenced (as a
+name or an attribute) somewhere in `src/virtlev` outside its own definition.
+A name only a caller outside the package reaches must be in CALLERS, which
+names that caller; a helper only tests reach belongs in `tests/`.
 """
 
 import ast
@@ -19,7 +27,8 @@ OPTIONS = {
     "criticality.QuadraticForm.tridiagonal.extra_potential":
         "smallest_eigenpair, smallest_eigenvalue",
     "criticality.QuadraticForm.smallest_eigenpair.extra_potential": "_dichotomy_once",
-    "criticality.QuadraticForm.smallest_eigenvalue.extra_potential": "hardy_gap_check",
+    "criticality.QuadraticForm.smallest_eigenvalue.extra_potential":
+        "_weighted_gap_search; tests",
     "criticality.QuadraticForm.smallest_eigenvalue.weight": "_weighted_gap_search; tests",
     "criticality.QuadraticForm.free_line.half_width": "tests (criterion 8 takes 320)",
     "criticality.QuadraticForm.free_line.n_points": "tests (criterion 8 takes 12801)",
@@ -33,11 +42,6 @@ OPTIONS = {
     "discrete_ops.truncated_resolvent_matrix.n": "criterion 6; the benchmark; tests",
     "discrete_ops.build_shift_virtual_level.functional_index": "tests",
     "discrete_ops.virtual_state_space_dimension.s0_solve.trans": "its S0^-H solves",
-    "discrete_ops.zero_operator_rank_probe.dim": "tests",
-    "discrete_ops.zero_operator_rank_probe.ranks": "tests",
-    "discrete_ops.zero_operator_rank_probe.radii": "tests",
-    "discrete_ops.zero_operator_rank_probe.trials": "tests",
-    "discrete_ops.zero_operator_rank_probe.seed": "tests",
     "jost.Potential1D.square_well.half_width": "cli parse_potential (well:a=)",
     "jost.Potential1D.square_well.center": "cli parse_potential (well:center=); criterion 4",
     "jost.Potential1D.bump.amplitude": "cli parse_potential (bump:amp=); criterion 4",
@@ -57,13 +61,23 @@ OPTIONS = {
     "perturbation.embedded_family_check.radii": "tests",
     "perturbation.matrix_nullity_by_perturbation.trials": "cli nullity --trials; criterion 9",
     "perturbation.matrix_nullity_by_perturbation.rng_seed": "cli nullity --seed; criterion 9",
-    "weighted_space.weighted_l2_norm.s": "tests",
     "weighted_space.cell_average.real": "QuadraticForm.v",
     "weighted_space.first_order_recursion.backward":
         "SemiseparableKernel.matvec, discrete_ops._geometric_sum",
     "weighted_space.first_order_recursion.overwrite": "SemiseparableKernel.matvec",
     "weighted_space._power_iteration_norm.v0": "lap_sweep.sweep (warm start)",
 }
+
+CALLERS = {
+    "free_resolvent.radial_reduced_kernel_2d": "the benchmark",
+    "lap_sweep.discrete_hamiltonian": "the benchmark",
+    "lap_sweep.resolvent_matrix": "the benchmark",
+}
+
+
+def _modules():
+    for path in sorted(Path(virtlev.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _collect(node, prefix: str, out: set) -> None:
@@ -85,8 +99,8 @@ def _collect(node, prefix: str, out: set) -> None:
 
 def defaulted_parameters() -> set:
     out = set()
-    for path in sorted(Path(virtlev.__file__).parent.glob("*.py")):
-        _collect(ast.parse(path.read_text(encoding="utf-8")), path.stem, out)
+    for stem, tree in _modules():
+        _collect(tree, stem, out)
     return out
 
 
@@ -94,3 +108,37 @@ def test_every_parameter_default_is_in_the_ledger():
     found = defaulted_parameters()
     assert sorted(found - OPTIONS.keys()) == [], "defaults missing from OPTIONS"
     assert sorted(OPTIONS.keys() - found) == [], "OPTIONS names defaults that are gone"
+
+
+def _public_definitions(stem: str, tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{stem}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for child in node.body:
+                    if (isinstance(child, ast.FunctionDef)
+                            and not child.name.startswith("_")):
+                        yield f"{stem}.{node.name}.{child.name}", child
+
+
+def uncalled_public_names() -> set:
+    trees = dict(_modules())
+    references = {}  # name -> ids of the Name/Attribute nodes that use it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                references.setdefault(name, set()).add(id(node))
+    out = set()
+    for stem, tree in trees.items():
+        for qualified, node in _public_definitions(stem, tree):
+            own = {id(n) for n in ast.walk(node)}
+            if not references.get(node.name, set()) - own:
+                out.add(qualified)
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    found = uncalled_public_names()
+    assert sorted(found - CALLERS.keys()) == [], "public names nothing in src/ uses"
+    assert sorted(CALLERS.keys() - found) == [], "CALLERS names that src/ now uses"

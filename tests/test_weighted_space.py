@@ -1,4 +1,4 @@
-"""Grids, weights, weighted norms and operator-norm estimation."""
+"""Grids, weights and operator-norm estimation."""
 
 import tracemalloc
 
@@ -16,7 +16,6 @@ from virtlev.weighted_space import (
     _power_iteration_norm,
     operator_norm_weighted,
     weight,
-    weighted_l2_norm,
 )
 
 
@@ -60,27 +59,6 @@ def test_weight_inverse_identity():
         x = 20 * rng.random() - 10
         s = 8 * rng.random() - 4
         assert weight(x, s) * weight(x, -s) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_weighted_norm_zero_and_constant():
-    g = Grid1D(1.0, 2001)
-    assert weighted_l2_norm(np.zeros(g.n_points), g) == 0.0
-    ones = np.ones(g.n_points)
-    # int_{-1}^{1} 1 dx = 2, up to the uniform-rule endpoint term
-    assert weighted_l2_norm(ones, g, 0.0) == pytest.approx(np.sqrt(2.0), rel=1e-3)
-
-
-def test_weighted_norm_exponential_analytic():
-    # int exp(-2|x|) dx = 1 exactly
-    g = Grid1D(20.0, 24001)
-    f = np.exp(-np.abs(g.points))
-    assert weighted_l2_norm(f, g, 0.0) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_weighted_norm_dimension_error():
-    g = Grid1D(1.0, 11)
-    with pytest.raises(DimensionMismatch):
-        weighted_l2_norm(np.ones(10), g)
 
 
 def test_operator_norm_discrete_identity():
