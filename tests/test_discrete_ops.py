@@ -104,7 +104,12 @@ def test_resolvent_identity_exact():
     lv[:-1] = y[1:]
     resid = lv - z * y - x
     assert np.max(np.abs(resid[:-1])) < 1e-13
+
+
+def test_recursion_matches_dense_matrix():
     # the O(n) recursion against the dense matrix criterion 6 builds
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     for _ in range(50):
         z = (10.0 - 9.0 * rng.random()) * np.exp(2j * np.pi * rng.random())  # 1 < |z| <= 10
         dense = truncated_resolvent_matrix(z, x.size) @ x
@@ -145,6 +150,11 @@ class TestBoundaryValue:
     def test_requires_unit_circle(self):
         with pytest.raises(ValueError):
             shift_boundary_value(sequence([1.0]), 1.1)
+
+    def test_nan_z0_fails_unit_circle(self):
+        for z0 in (complex(np.nan, 0.0), complex(np.nan, np.nan), complex(1.0, np.nan)):
+            with pytest.raises(ValueError, match="must equal 1"):
+                shift_boundary_value(sequence([1.0]), z0)
 
 
 class TestVirtualLevel:
