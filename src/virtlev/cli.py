@@ -15,6 +15,8 @@ same types and choices.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import re
 import sys
@@ -66,7 +68,10 @@ def _parse_complex(text: str) -> complex:
     m = re.fullmatch(r"arg:(.+)", text)
     if m:
         return complex(np.exp(1j * _parse_angle(m.group(1))))
-    return complex(text.replace("i", "j"))
+    for spelling in (text, text.replace("i", "j")):  # plain first: 'inf' -> 'jnf'
+        with contextlib.suppress(ValueError):
+            return complex(spelling)
+    raise ConfigError(f"{text!r} is not a complex number")
 
 
 def parse_potential(spec: str, grid: Grid1D) -> jost.Potential1D:
@@ -79,16 +84,16 @@ def parse_potential(spec: str, grid: Grid1D) -> jost.Potential1D:
                 raise ConfigError(f"bad potential parameter {item!r}")
             key, val = item.split("=", 1)
             params[key.strip()] = val.strip()
-    if kind == "well":
-        g = _parse_complex(params.get("g", "1"))
+    if kind in ("well", "bump"):
+        key = "g" if kind == "well" else "amp"
+        value = _parse_complex(params.get(key, "1"))
+        if not np.isfinite(value):
+            raise ConfigError(f"potential {key} = {value} is not finite")
         a = float(params.get("a", "1"))
         center = float(params.get("center", "0"))
-        return jost.Potential1D.square_well(g, grid, half_width=a, center=center)
-    if kind == "bump":
-        amp = _parse_complex(params.get("amp", "1"))
-        a = float(params.get("a", "1"))
-        center = float(params.get("center", "0"))
-        return jost.Potential1D.bump(grid, amplitude=amp, half_width=a, center=center)
+        if kind == "well":
+            return jost.Potential1D.square_well(value, grid, half_width=a, center=center)
+        return jost.Potential1D.bump(grid, amplitude=value, half_width=a, center=center)
     if kind == "table":
         path = rest
         data = np.genfromtxt(path, delimiter=",", dtype=float)
@@ -451,6 +456,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # the parser keeps no state between parse_args calls
 def build_parser() -> _Parser:
     parser = _Parser(prog="virtlev",
                      description="virtual levels and LAP resolvent estimates, desk scale")

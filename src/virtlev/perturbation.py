@@ -315,6 +315,8 @@ def matrix_nullity_by_perturbation(m: np.ndarray, trials: int = 64,
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(m)):
+        raise ConfigError("matrix entries must be finite")
     n = m.shape[0]
     if n > 8:
         raise ValueError("brute-force scale: matrices up to 8x8 only")

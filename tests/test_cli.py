@@ -48,6 +48,8 @@ class TestParsers:
         assert _parse_complex("i") == 1j
         assert _parse_complex("-1,0.5") == complex(-1, 0.5)
         assert _parse_complex("arg:pi/4") == pytest.approx(np.exp(1j * np.pi / 4))
+        assert _parse_complex("2-3i") == 2 - 3j
+        assert _parse_complex("infinity") == complex(np.inf)
 
     def test_potential_formats(self, tmp_path):
         grid = Grid1D(8.0, 1601)
@@ -189,6 +191,7 @@ class TestSubcommands:
         monkeypatch.setitem(cli._COMMANDS, command,
                             (lambda cfg: seen.update(cfg) or 0, help_text, options))
         flags = {a.dest for a in subparsers()[command]._actions} - {"help", "config"}
+        assert cli.build_parser() is cli.build_parser()  # built once, dispatch stays live
         assert main([command]) == 0
         assert set(seen) == flags
         # each resolved default, read back from a config file, resolves to itself
@@ -263,6 +266,14 @@ class TestErrorChannels:
         (["nullity", "--demo", "jordan3", "--trials", "-1"], "trials = -1 must be at least 1"),
         *((["shift", "--z0", z0], "|z0| = nan must equal 1") for z0 in ("nan", "nan,0", "1,nan")),
         (["shift", "--phi", "1e308,1e308"], "4 |phi|_l1 = inf is not a finite float"),
+        (["shift", "--z0", "inf"], "|z0| = inf must equal 1"),
+        (["shift", "--phi", "1,inf"], "entries must be finite"),
+        (["shift", "--phi", "infinity"], "entries must be finite"),
+        (["kernel", "--z", "inf"], "z must be finite"),
+        (["sweep", "--z0", "inf"], "z0 = (inf+0j) is not finite"),
+        (["kernel", "--z", "abc"], "'abc' is not a complex number"),
+        (["jost", "--potential", "well:g=nan"], "potential g = (nan+0j) is not finite"),
+        (["jost", "--potential", "bump:amp=-inf"], "potential amp = (-inf+0j) is not finite"),
     ])
     def test_config_error_exit_2(self, capsys, argv, fragment):
         with warnings.catch_warnings(record=True) as caught:
@@ -273,6 +284,15 @@ class TestErrorChannels:
         payload = json.loads(err)
         assert payload["error"] == "config"
         assert fragment in payload["message"]
+
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    def test_non_finite_matrix_entry_exit_2(self, capsys, tmp_path, entry):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(f"1,0\n{entry},1\n")
+        code, out, err = run_cli(["nullity", "--matrix", str(matrix)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "config",
+                                   "message": "matrix entries must be finite"}
 
     @pytest.mark.parametrize("command,line,message", [
         ("sweep", "count = abc", "config key count: invalid int value: 'abc'"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from virtlev.cli import parse_potential
 from virtlev.errors import (
     ConfigError,
     DiscretizationFailure,
@@ -233,3 +234,54 @@ def test_translation_shifts_jost_solution():
     window = np.abs(x) <= 10.0
     interp = np.interp(x[window] - 2.0, x, base.real)
     assert np.max(np.abs(shifted[window].real - interp)) < 1e-6
+
+
+def _rk4_step(th, dth, h, z, v_start, v_mid, v_end):
+    """One RK4 step for theta'' = (V - z) theta on NumPy scalars."""
+    c_start = v_start - z
+    c_mid = v_mid - z
+    c_end = v_end - z
+    k1t, k1d = dth, c_start * th
+    k2t, k2d = dth + (h / 2) * k1d, c_mid * (th + (h / 2) * k1t)
+    k3t, k3d = dth + (h / 2) * k2d, c_mid * (th + (h / 2) * k2t)
+    k4t, k4d = dth + h * k3d, c_end * (th + h * k3t)
+    return (th + (h / 6) * (k1t + 2 * k2t + 2 * k3t + k4t),
+            dth + (h / 6) * (k1d + 2 * k2d + 2 * k3d + k4d))
+
+
+def numpy_scalar_jost_solve(pot, z, side):
+    """jost_solve's recurrence stepped one NumPy scalar `_rk4_step` at a time,
+    each step indexing the sampled potential: the reference for its bits."""
+    kappa = 0j if z == 0 else complex(np.sqrt(-complex(z)))
+    x, h, n = pot.grid.points, pot.grid.spacing, pot.grid.n_points
+    v_lo, v_hi = pot.sample(x - 1e-9 * h), pot.sample(x + 1e-9 * h)
+    v_half = pot.sample(x - h / 2.0)
+    theta = np.empty(n, dtype=complex)
+    guard = 1e-12 * max(1.0, pot.support_radius)
+    if side == "plus":
+        i0 = min(int(np.searchsorted(x, pot.support_radius - guard)), n - 1)
+        theta[i0:] = np.exp(-kappa * x[i0:])
+        th, dth = theta[i0], -kappa * theta[i0]
+        for i in range(i0, 0, -1):
+            th, dth = _rk4_step(th, dth, -h, z, v_lo[i], v_half[i], v_hi[i - 1])
+            theta[i - 1] = th
+    else:
+        i0 = max(int(np.searchsorted(x, -pot.support_radius + guard, side="right")) - 1, 0)
+        theta[: i0 + 1] = np.exp(kappa * x[: i0 + 1])
+        th, dth = theta[i0], kappa * theta[i0]
+        for i in range(i0, n - 1):
+            th, dth = _rk4_step(th, dth, h, z, v_hi[i], v_half[i + 1], v_lo[i + 1])
+            theta[i + 1] = th
+    return theta
+
+
+@pytest.mark.parametrize("grid", [Grid1D(2.0, 3), Grid1D(3.0, 61), Grid1D(8.0, 801)],
+                         ids=lambda g: f"n={g.n_points}")
+@pytest.mark.parametrize("z", [0.0, -0.3 + 0.2j, -2.0, 1e-3j])
+@pytest.mark.parametrize("spec", ["well:g=1", "well:g=1+1j", "bump:amp=0.5+0.5j",
+                                  "well:g=2,a=0.5,center=0.75"])
+def test_jost_solve_is_bitwise_the_numpy_scalar_recurrence(spec, z, grid):
+    pot = parse_potential(spec, grid)
+    for side in ("plus", "minus"):
+        ours = jost_solve(pot, z, side)
+        assert ours.tobytes() == numpy_scalar_jost_solve(pot, z, side).tobytes(), side

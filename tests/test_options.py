@@ -9,10 +9,15 @@ the ledger names its caller; a value that only one caller uses belongs in a
 module constant.
 
 The second collects each public module-level function and class and each
-public method of a public class, and asks that its name be referenced (as a
-name or an attribute) somewhere in `src/virtlev` outside its own definition.
-A name only a caller outside the package reaches must be in CALLERS, which
-names that caller; a helper only tests reach belongs in `tests/`.
+public method of a public class, and asks that something in `src/virtlev`
+outside its own definition use it.  A module-level name counts only where a
+load resolves to its module: a bare name in that module, a name bound by
+`from .<module> import <name>`, or `<alias>.<name>` where
+`from . import <module> [as <alias>]` binds the alias; an attribute of
+anything else (a dataclass field of the same name, say) does not.  A method
+counts wherever its name is referenced, as a name or an attribute.  A name
+only a caller outside the package reaches must be in CALLERS, which names
+that caller; a helper only tests reach belongs in `tests/`.
 """
 
 import ast
@@ -70,6 +75,7 @@ OPTIONS = {
 
 CALLERS = {
     "free_resolvent.radial_reduced_kernel_2d": "the benchmark",
+    "jost.wronskian": "tests; the drift guard ROADMAP item 3 wires in",
     "lap_sweep.discrete_hamiltonian": "the benchmark",
     "lap_sweep.resolvent_matrix": "the benchmark",
 }
@@ -121,19 +127,47 @@ def _public_definitions(stem: str, tree: ast.Module):
                         yield f"{stem}.{node.name}.{child.name}", child
 
 
+def _module_loads(stem: str, tree: ast.Module, out: dict) -> None:
+    """Add to out[(module, name)] the ids of the loads in `tree` (module
+    `stem`) that resolve to that module's top-level `name`."""
+    names = {}    # local name -> (module, name), from `from .<module> import`
+    modules = {}  # local alias -> module, from `from . import <module>`
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    modules[local] = alias.name
+                else:
+                    names[local] = (node.module, alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            target = names.get(node.id, (stem, node.id))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            target = (modules[node.value.id], node.attr)
+        else:
+            continue
+        out.setdefault(target, set()).add(id(node))
+
+
 def uncalled_public_names() -> set:
     trees = dict(_modules())
-    references = {}  # name -> ids of the Name/Attribute nodes that use it
-    for tree in trees.values():
+    by_name = {}  # name -> ids of the Name/Attribute nodes that use it (methods)
+    by_binding = {}  # (module, name) -> ids of the loads that resolve to it
+    for stem, tree in trees.items():
+        _module_loads(stem, tree, by_binding)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)):
                 name = node.id if isinstance(node, ast.Name) else node.attr
-                references.setdefault(name, set()).add(id(node))
+                by_name.setdefault(name, set()).add(id(node))
     out = set()
     for stem, tree in trees.items():
         for qualified, node in _public_definitions(stem, tree):
             own = {id(n) for n in ast.walk(node)}
-            if not references.get(node.name, set()) - own:
+            top_level = qualified == f"{stem}.{node.name}"
+            used = by_binding.get((stem, node.name)) if top_level else by_name.get(node.name)
+            if not (used or set()) - own:
                 out.add(qualified)
     return out
 
