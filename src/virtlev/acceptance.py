@@ -229,12 +229,12 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Criticality dichotomy with R-doubling stability and cross-consistency."""
-    free = cr.QuadraticForm.free_line()
+    free = cr.QuadraticForm.free_line(320.0, 12801)
     r1 = cr.null_state_iteration(free, compact_radius=1.0)
     win = np.abs(free.grid.points) <= 1.0
     dev = np.inf if r1.phi is None else float(np.max(np.abs(r1.phi[win] - 1.0)))
     null_ok = r1.verdict is cr.Dichotomy.NULL_STATE and dev <= 0.05
-    r3 = cr.null_state_iteration(cr.QuadraticForm.free_radial3d())
+    r3 = cr.null_state_iteration(cr.QuadraticForm(RadialGrid(320.0, 12800)))
     gap_ok = (r3.verdict is cr.Dichotomy.WEIGHTED_GAP and r3.margin is not None
               and r3.margin > 0)
     stable_ok = (r1.diagnostics.get("doubled_verdict") == "null_state"

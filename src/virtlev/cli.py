@@ -246,6 +246,9 @@ _SWEEP_OPS = {  # op -> (default R, default n, operator on the grid; None: --pot
 
 def _cmd_sweep(cfg) -> int:
     r_default, n_default, make_op = _SWEEP_OPS[cfg["op"]]
+    if make_op is not None and cfg["potential"] is not None:
+        raise ConfigError(f"sweep --op {cfg['op']} takes no potential; "
+                          "--op schrod1d does")
     radius = cfg["R"] if cfg["R"] is not None else r_default
     npts = cfg["n"] if cfg["n"] is not None else n_default
     if cfg["op"] in ("free2d", "free3d"):
@@ -321,6 +324,9 @@ def _cmd_critical(cfg) -> int:
     case, radius, npts = cfg["case"], cfg["R"], cfg["n"]
     if case == "potential" and not cfg["potential"]:
         raise ConfigError("critical --case potential requires --potential")
+    if case != "potential" and cfg["potential"] is not None:
+        raise ConfigError(f"critical --case {case} takes no potential; "
+                          "--case potential does")
     if case == "free3d":
         grid = RadialGrid(radius, 12800 if npts is None else npts)
     else:
@@ -390,7 +396,7 @@ _OUT = {"out": (None, str, {"help": "output path (CSV) or directory (suite)"})}
 _COMMANDS = {
     "kernel": (_cmd_kernel, "evaluate a free resolvent kernel pointwise", {
         "d": (1, int, {"choices": (1, 2, 3)}),
-        "z": ("-1", str, {"help": "spectral parameter: re[,im]"}),
+        "z": ("-1", str, {"help": "spectral parameter: re[,im]; write -1+2i as --z=-1+2i"}),
         "approach": ("interior", str, {"choices": tuple(_APPROACHES)}),
         "x": (0.0, float, {}),
         "y": (0.0, float, {}),
@@ -407,7 +413,7 @@ _COMMANDS = {
         **_OUT,
         "op": ("free1d", str, {"choices": tuple(_SWEEP_OPS)}),
         "potential": (None, str, {}),
-        "z0": ("0", str, {}),
+        "z0": ("0", str, {"help": "threshold: re[,im]; write -1+2i as --z0=-1+2i"}),
         "ray": ("pi", str, {"help": "approach angle: pi, pi/2, or radians"}),
         "r0": (1e-2, float, {}),
         "ratio": (10.0 ** -0.5, float, {}),
@@ -425,8 +431,9 @@ _COMMANDS = {
     }),
     "shift": (_cmd_shift, "manufactured virtual level of the left shift", {
         **_OUT,
-        "z0": ("1", str, {"help": "unit-circle point: re,im | 1 | i | arg:pi/4"}),
-        "phi": ("1", str, {"help": "comma list of leading entries"}),
+        "z0": ("1", str, {"help": "unit-circle point: re,im | 1 | i | arg:pi/4 "
+                                  "(write -i as --z0=-i)"}),
+        "phi": ("1", str, {"help": "comma list of leading entries; write -1,2 as --phi=-1,2"}),
         "n": (do.DEFAULT_LENGTH, int, {}),
     }),
     "embedded": (_cmd_embedded, "embedded eigenvalue family check", {

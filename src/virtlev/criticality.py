@@ -116,12 +116,8 @@ class QuadraticForm:
                 + self.v * u)
 
     @staticmethod
-    def free_line(half_width: float = 320.0, n_points: int = 12801) -> "QuadraticForm":
+    def free_line(half_width: float, n_points: int) -> "QuadraticForm":
         return QuadraticForm(Grid1D(half_width, n_points))
-
-    @staticmethod
-    def free_radial3d(max_radius: float = 320.0, n_points: int = 12800) -> "QuadraticForm":
-        return QuadraticForm(RadialGrid(max_radius, n_points))
 
     def with_doubled_radius(self) -> "QuadraticForm":
         """The same potential on a grid of twice the radius and the same spacing."""
@@ -166,22 +162,21 @@ def _weighted_gap_search(form: QuadraticForm) -> tuple[float, np.ndarray, float]
 
 
 def null_state_iteration(form: QuadraticForm, compact_radius: float = 1.0,
-                         j_max: int = 64, conv_tol: float = 0.02,
-                         stability_check: bool = True) -> DichotomyResult:
+                         j_max: int = 64, conv_tol: float = 0.02) -> DichotomyResult:
     """Dichotomy by compact negative perturbations W_j = (1/j) 1_{|x| <= K}.
 
     All sampled j trigger a negative eigenvalue -> the sup-normalized ground
     states must converge on |x| <= K and their limit is the null state; any
     j failing to bind sends the search to the weighted-gap branch.  The
-    verdict is re-derived on a radius-doubled grid when stability_check is
-    set, and a disagreement downgrades it to Inconclusive.
+    verdict is re-derived on a radius-doubled grid, and a disagreement
+    downgrades it to Inconclusive.
     """
     if j_max < 1:
         raise ConfigError(f"j_max = {j_max} must be at least 1")
     if not 0.0 < compact_radius < np.inf:
         raise ConfigError(f"compact_radius = {compact_radius} must be finite and positive")
     result = _dichotomy_once(form, compact_radius, j_max, conv_tol)
-    if stability_check and result.verdict is not Dichotomy.INCONCLUSIVE:
+    if result.verdict is not Dichotomy.INCONCLUSIVE:
         bigger = form.with_doubled_radius()
         again = _dichotomy_once(bigger, compact_radius, j_max, conv_tol)
         result.diagnostics["doubled_verdict"] = again.verdict.value

@@ -28,8 +28,6 @@ DEFAULT_LENGTH = 512
 TAIL_BAND = 64
 _CHECK_TOL = 1e-4  # shift_boundary_value's self-check, relative to max(1, |x|_l1)
 _SV_TOL = 1e-8  # relative singular-value cut of virtual_state_space_dimension
-#: inverse-iteration steps virtual_state_space_dimension may take
-_INVERSE_ITERATIONS = 4
 
 
 def sequence(values, n: int = DEFAULT_LENGTH) -> np.ndarray:
@@ -107,16 +105,15 @@ class ShiftVirtualLevel:
         return lv - self.phi * lam
 
 
-def build_shift_virtual_level(z0: complex, phi: np.ndarray,
-                              functional_index: int | None = None) -> ShiftVirtualLevel:
+def build_shift_virtual_level(z0: complex, phi: np.ndarray) -> ShiftVirtualLevel:
     """Manufacture a virtual level of A = L - K(L - z0 I) at |z0| = 1.
 
     K = phi (x) lam is rank one with lam(phi) = 1, lam = <e_j*, .> / phi_j*;
-    by default j* is the largest-modulus entry of phi, so the normalization
-    never degenerates.  The virtual state is the boundary value of the shift
-    resolvent applied to phi; its residual is measured in sup norm off the
-    trailing TAIL_BAND entries.  On the unit circle |psi|_inf <= |phi|_l1,
-    and with the default j* the residual is at most 4 |phi|_l1; a phi for
+    j* is the largest-modulus entry of phi, so the normalization never
+    degenerates once phi is nonzero.  The virtual state is the boundary value
+    of the shift resolvent applied to phi; its residual is measured in sup
+    norm off the trailing TAIL_BAND entries.  On the unit circle
+    |psi|_inf <= |phi|_l1, and the residual is at most 4 |phi|_l1; a phi for
     which that bound overflows is a ConfigError.
     """
     z0 = complex(z0)
@@ -131,13 +128,7 @@ def build_shift_virtual_level(z0: complex, phi: np.ndarray,
         bound = 4.0 * float(np.sum(np.abs(phi)))
     if not np.isfinite(bound):
         raise ConfigError(f"the residual bound 4 |phi|_l1 = {bound:.3g} is not a finite float")
-    if functional_index is None:
-        functional_index = int(np.argmax(np.abs(phi))) + 1
-    pj = phi[functional_index - 1]
-    if pj == 0.0:
-        raise DegenerateFunctional(
-            f"normalizing functional vanishes: phi_{functional_index} = 0"
-        )
+    functional_index = int(np.argmax(np.abs(phi))) + 1
     psi = shift_boundary_value(phi, z0)
     lvl = ShiftVirtualLevel(z0, phi, functional_index, psi, 0.0)
     resid_vec = lvl.apply_operator(psi) - z0 * psi
@@ -164,10 +155,9 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel) -> int:
     form by 1 / sqrt(|S0^-1|_1 |S0^-1|_inf); above _SV_TOL * sigma_max the
     count is 0 or 1.  It is 0 when the Sherman-Morrison bound
     |S^-1| <= |S0^-1| + |S0^-1 u| |S0^-H r^H| / |1 - r S0^-1 u| keeps
-    sigma_min(S) above the threshold, and 1 when inverse iteration on S^H S
-    (each solve one ztbsv with S0 plus the Sherman-Morrison term), started
-    from the candidate state S0^-1 u, finds |S x| / |x| below it.  A count
-    that neither check decides raises DiscretizationFailure.
+    sigma_min(S) above the threshold, and 1 when the candidate S0^-1 u has
+    |Sx|/|x| below it.  A count that neither check decides raises
+    DiscretizationFailure.
     """
     n = lvl.psi.size
     p = n - TAIL_BAND  # rows above the tail band
@@ -228,28 +218,13 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel) -> int:
         if sigma_lower > threshold_hi:
             return 0
 
-    def apply_s(x):
-        sx = diag * x
-        sx[:-1] += sup * x[1:]
-        sx -= u * np.dot(r, x[cols])
-        return sx
-
-    def solve_normal(x):  # (S^H S)^-1 x through S^-H, then S^-1
-        y = s0_solve(x, trans=2)
-        y += w_h * (np.vdot(u, y) / np.conj(delta))
-        y = s0_solve(y)
-        y += w * (np.dot(r, y[cols]) / delta)
-        return y
-
     x = w / np.linalg.norm(w)
-    for _ in range(_INVERSE_ITERATIONS):
-        if np.linalg.norm(apply_s(x)) <= threshold_lo:
-            return 1
-        if delta == 0.0:
-            break
-        x = solve_normal(x)
-        x /= np.linalg.norm(x)
+    sx = diag * x
+    sx[:-1] += sup * x[1:]
+    sx -= u * np.dot(r, x[cols])
+    if np.linalg.norm(sx) <= threshold_lo:
+        return 1
     raise DiscretizationFailure(
-        f"inverse iteration could not place sigma_min(S) on either side of "
+        f"the candidate state could not place sigma_min(S) on either side of "
         f"the threshold [{threshold_lo:.3g}, {threshold_hi:.3g}]")
 

@@ -414,12 +414,9 @@ def sweep(op: OperatorSpec, cfg: SweepConfig) -> SweepResult:
     return SweepResult(points, cfg, aborted, u)
 
 
-def fit_exponent(points) -> tuple[float, float]:
-    """Least-squares slope of log(norm) against -log(radius), with r^2.
-
-    Accepts a SweepResult or an iterable of (radius, norm) pairs.
-    """
-    radii, norms = _as_arrays(points)
+def fit_exponent(result: SweepResult) -> tuple[float, float]:
+    """Least-squares slope of log(norm) against -log(radius), with r^2."""
+    radii, norms = result.radii(), result.norms()
     if radii.size < 4:
         raise FitError("at least 4 points are required")
     if np.any(norms <= 0):
@@ -431,22 +428,15 @@ def fit_exponent(points) -> tuple[float, float]:
     return linear_fit(x, y)
 
 
-def fit_log_divergence(points) -> tuple[float, float]:
+def fit_log_divergence(result: SweepResult) -> tuple[float, float]:
     """Slope and r^2 of norm against log(1/radius) (logarithmic growth)."""
-    radii, norms = _as_arrays(points)
+    radii, norms = result.radii(), result.norms()
     if radii.size < 4:
         raise FitError("at least 4 points are required")
     x = np.log(1.0 / radii)
     if np.ptp(x) < 1e-12:
         raise FitError("degenerate abscissae")
     return linear_fit(x, norms)
-
-
-def _as_arrays(points):
-    if isinstance(points, SweepResult):
-        return points.radii(), points.norms()
-    arr = np.array([(r, n) for r, n in points], dtype=float)
-    return arr[:, 0], arr[:, 1]
 
 
 def _extract_state(op: OperatorSpec, result: SweepResult):

@@ -36,6 +36,7 @@ _RANK_ONE_GRID = Grid1D(20.0, 4001)  # both sweeps of rank_one_regularized_thres
 _EIGEN_R_MAX, _EIGEN_N, _EIGEN_BAND = 3.0, 15000, 2  # eigen_residual_3d's stencil
 _RESIDUAL_TOL = 1e-6  # largest eigen-residual embedded_family_check accepts
 _EMBEDDED_GRID = RadialGrid(10.0, 1000)  # the limit operator embedded_family_check sweeps
+_EMBEDDED_RADII = tuple(1e-1 * 10 ** (-0.5 * k) for k in range(7))  # and its sweep radii
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +263,13 @@ def eigen_residual_3d(zeta) -> float:
     return float(np.max(np.abs(resid[keep])))
 
 
-def embedded_family_check(zeta0: float, n: int = 8, radii=None) -> EmbeddedFamily:
+def embedded_family_check(zeta0: float, n: int = 8) -> EmbeddedFamily:
     """Residual-verify the eigen-family and sweep the limit operator.
 
     zeta_j = zeta0 + (1 + i)/j keeps z_j = zeta_j^2 inside the upper
     half-plane even at zeta0 = 0; residuals must stay below _RESIDUAL_TOL.
-    The sweep on _EMBEDDED_GRID approaches z0 = zeta0^2 from above;
-    unbounded growth there is the expected signature.
+    The sweep on _EMBEDDED_GRID over _EMBEDDED_RADII approaches z0 = zeta0^2
+    from above; unbounded growth there is the expected signature.
     """
     if n < 1:
         raise ConfigError(f"embedded family needs n >= 1 members, got n = {n}")
@@ -279,9 +280,7 @@ def embedded_family_check(zeta0: float, n: int = 8, radii=None) -> EmbeddedFamil
     if np.max(residuals) > _RESIDUAL_TOL:
         raise ModelViolation(f"eigen-residual {np.max(residuals):.3g} exceeds "
                              f"{_RESIDUAL_TOL:.1g}")
-    if radii is None:
-        radii = tuple(1e-1 * 10 ** (-0.5 * k) for k in range(7))
-    cfg = SweepConfig(z0=zeta0**2, angle=np.pi / 2, radii=radii, s=2.0, sp=2.0)
+    cfg = SweepConfig(z0=zeta0**2, angle=np.pi / 2, radii=_EMBEDDED_RADII, s=2.0, sp=2.0)
     op = OperatorSpec.schrodinger3d_radial(
         _EMBEDDED_GRID, lambda rr: embedded_potential_3d(zeta0, rr)[1], support=1.0)
     result = sweep(op, cfg)

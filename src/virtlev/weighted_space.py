@@ -1,16 +1,16 @@
 """Grids, polynomial weights, cell averages, line fits and operator-norm
 estimation.
 
-Operators are kernel matrices sampled on one uniform grid: dense, or
-semiseparable and applied in O(n) without ever forming the matrix.  Both,
-and the resolvent engines of lap_sweep, share one surface: grid, matvec and
-rmatvec (K and K^H without the quadrature weight h), max_abs_entry (the exact
-L1 -> Linf norm), and entries.  Integrals use the uniform-weight rule
+Operators are kernel matrices sampled on one uniform grid.  A dense
+KernelOperator is a validated grid plus its `entries`.  Semiseparable
+kernels and the resolvent engines of lap_sweep apply in O(n): grid, matvec
+and rmatvec (K and K^H without the quadrature weight h), max_abs_entry (the
+exact L1 -> Linf norm), and entries.  Integrals use the uniform-weight rule
 (trapezoid up to an O(h) endpoint term that is negligible for the decaying
-integrands this package works with).  Operator norms between weighted L2
-spaces reduce to the largest singular value of a diagonally rescaled
-matrix; that number is computed by full SVD (small matrices) or by the one
-deterministic power iteration, which runs on matvec/rmatvec.
+integrands this package works with).  Weighted L2 operator norms are the
+largest singular value of a rescaled matrix: operator_norm_weighted takes a
+full SVD of the entries, up to _DENSE_NORM_MAX_POINTS points; sweeps run the
+deterministic power iteration on matvec/rmatvec.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import ztbsv
 
-from .errors import DimensionMismatch, DiscretizationFailure, InvalidOperator
+from .errors import ConfigError, DimensionMismatch, InvalidOperator
 
 #: seed of the fixed start vector used by every power iteration (reproducibility)
 _PI_SEED = 12345
@@ -30,6 +30,8 @@ _PI_SEED = 12345
 _POWER_MAX_ITER = 20000
 _POWER_TOL = 1e-8  # relative change of the norm estimate that counts as settled
 _REFINE_FACTOR = 2  # spacing ratio of a grid to its refined() grid
+#: largest grid whose n x n rescaled matrix operator_norm_weighted builds
+_DENSE_NORM_MAX_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -153,18 +155,6 @@ class KernelOperator:
         if not np.all(np.isfinite(e)):
             raise InvalidOperator("kernel entries must be finite")
 
-    def matvec(self, f: np.ndarray) -> np.ndarray:
-        """K f without the quadrature weight."""
-        return self.entries @ f
-
-    def rmatvec(self, f: np.ndarray) -> np.ndarray:
-        """K^H f without the quadrature weight, with no transposed copy of K."""
-        return np.conj(np.conj(f) @ self.entries)
-
-    def max_abs_entry(self) -> float:
-        """sup |K(x, y)| over the grid, read from the stored entries."""
-        return float(np.max(np.abs(self.entries)))
-
 
 def decay_band(decay: complex, n: int) -> np.ndarray:
     """Lower band storage of the unit bidiagonal matrix with subdiagonal -decay.
@@ -192,8 +182,6 @@ def first_order_recursion(band: np.ndarray, x, backward: bool = False,
 class SemiseparableKernel:
     """Kernel K_ij = left_min(i,j) right_max(i,j) decay^|i-j|, applied in O(n).
 
-    Same surface as KernelOperator (grid, matvec, rmatvec, max_abs_entry,
-    entries) plus apply, but K is never stored:
     K f splits into the forward sum right_i sum_{j<=i} decay^(i-j) left_j f_j
     and the strictly upper sum left_i sum_{j>i} decay^(j-i) right_j f_j, two
     first-order recursions (Vandebril, Van Barel & Mastronardi, Matrix
@@ -339,23 +327,18 @@ def operator_norm_weighted(op, s_in: float, s_out: float) -> float:
     """Norm of the kernel operator as a map L2_{s_in} -> L2_{-s_out}.
 
     Equals the largest singular value of M_ij = <x_i>^{-s_out} K_ij <x_j>^{-s_in} h
-    on the operator's grid.  Up to 2000 points that is a full SVD of M;
-    beyond, _power_iteration_norm on the operator's matvec/rmatvec, so a
-    semiseparable kernel stays O(n) in memory.
-    A power iteration that reaches its cap before settling to _POWER_TOL
-    raises DiscretizationFailure rather than return its last estimate.
+    on the operator's grid, taken by a full SVD of M built from op.entries.
+    A grid of more than _DENSE_NORM_MAX_POINTS points is a ConfigError, so
+    this dense reference never builds an n x n matrix by accident; sweeps
+    take the norm by _power_iteration_norm instead.
     """
     grid = op.grid
-    if grid.n_points <= 2000:
-        w_out = weight(grid.points, -s_out)
-        w_in = weight(grid.points, -s_in)
-        m = (w_out[:, None] * op.entries) * (w_in[None, :] * grid.spacing)
-        if not np.all(np.isfinite(m)):
-            raise InvalidOperator("rescaled operator has non-finite entries")
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    sigma, _, _, _, converged = _power_iteration_norm(op, s_in, s_out)
-    if not converged:
-        raise DiscretizationFailure(
-            f"power iteration stopped at its cap of {_POWER_MAX_ITER} iterations "
-            f"before the norm estimate settled to tol = {_POWER_TOL:g}")
-    return sigma
+    if grid.n_points > _DENSE_NORM_MAX_POINTS:
+        raise ConfigError(f"the dense weighted norm takes at most {_DENSE_NORM_MAX_POINTS} "
+                          f"grid points, not {grid.n_points}")
+    w_out = weight(grid.points, -s_out)
+    w_in = weight(grid.points, -s_in)
+    m = (w_out[:, None] * op.entries) * (w_in[None, :] * grid.spacing)
+    if not np.all(np.isfinite(m)):
+        raise InvalidOperator("rescaled operator has non-finite entries")
+    return float(np.linalg.svd(m, compute_uv=False)[0])

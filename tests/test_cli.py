@@ -73,6 +73,17 @@ class TestSubcommands:
         assert code == 0
         assert out.split()[0] == "0.5"
 
+    def test_negative_complex_value_takes_the_equals_form(self, capsys):
+        # argparse reads '-1+2i' as a flag unless it is joined to its option
+        code, out, _ = run_cli(["kernel", "--d", "3", "--z=-1+2i"], capsys)
+        assert code == 0
+        got = complex(*map(float, out.split()))
+        assert got == pytest.approx(np.exp(-np.sqrt(1 - 2j)) / (4 * np.pi), rel=1e-14)
+        code, out, err = run_cli(["kernel", "--d", "3", "--z", "-1+2i"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "usage",
+                                   "message": "argument --z: expected one argument"}
+
     def test_kernel_3d_threshold(self, capsys):
         code, out, _ = run_cli(["kernel", "--d", "3", "--z", "0",
                                 "--approach", "neg", "--r", "1"], capsys)
@@ -274,6 +285,13 @@ class TestErrorChannels:
         (["kernel", "--z", "abc"], "'abc' is not a complex number"),
         (["jost", "--potential", "well:g=nan"], "potential g = (nan+0j) is not finite"),
         (["jost", "--potential", "bump:amp=-inf"], "potential amp = (-inf+0j) is not finite"),
+        (["critical", "--potential", "well:g=5", "--R", "40", "--n", "1601"],
+         "critical --case free1d takes no potential; --case potential does"),
+        (["critical", "--case", "free3d", "--potential", "well:g=5"],
+         "critical --case free3d takes no potential; --case potential does"),
+        (["sweep", "--op", "free1d", "--potential", "well:g=5", "--R", "4", "--n", "801",
+          "--count", "5", "--ratio", "0.1"],
+         "sweep --op free1d takes no potential; --op schrod1d does"),
     ])
     def test_config_error_exit_2(self, capsys, argv, fragment):
         with warnings.catch_warnings(record=True) as caught:
@@ -322,6 +340,20 @@ class TestErrorChannels:
         assert json.loads(err.strip().splitlines()[0]) == {
             "error": "InvalidOperator",
             "message": "the kernel value (nan+nanj) is not finite"}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--op", "rankone1d"],
+         "sweep --op rankone1d takes no potential; --op schrod1d does"),
+        (["critical", "--case", "free1d"],
+         "critical --case free1d takes no potential; --case potential does"),
+    ])
+    def test_potential_config_key_without_a_potential_operator_exit_2(
+            self, capsys, tmp_path, argv, message):
+        cfg = tmp_path / "pot.cfg"
+        cfg.write_text("potential = well:g=5\n")
+        code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "config", "message": message}
 
     def test_missing_potential_exit_2(self, capsys):
         code, _, err = run_cli(["sweep", "--op", "schrod1d"], capsys)

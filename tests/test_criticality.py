@@ -36,7 +36,7 @@ def bump_potential(x):
 class TestForm:
     def test_tent_energy_analytic(self):
         # h u^T T u with the T of every eigen-solve, on the Dirichlet interior
-        form = QuadraticForm.free_line(40.0, 8001)
+        form = QuadraticForm(Grid1D(40.0, 8001))
         d, e = form.tridiagonal()
         x = form.grid.points[1:-1]
         for j in (2, 4, 8):
@@ -56,10 +56,10 @@ class TestForm:
 
 class TestDoubling:
     @pytest.mark.parametrize("build, doubled", [
-        (lambda: QuadraticForm.free_line(40.0, 1601),
-         lambda: QuadraticForm.free_line(80.0, 3201)),
-        (lambda: QuadraticForm.free_radial3d(40.0, 1600),
-         lambda: QuadraticForm.free_radial3d(80.0, 3200)),
+        (lambda: QuadraticForm(Grid1D(40.0, 1601)),
+         lambda: QuadraticForm(Grid1D(80.0, 3201))),
+        (lambda: QuadraticForm(RadialGrid(40.0, 1600)),
+         lambda: QuadraticForm(RadialGrid(80.0, 3200))),
         (lambda: QuadraticForm(Grid1D(40.0, 1601), bump_potential),
          lambda: QuadraticForm(Grid1D(80.0, 3201), bump_potential)),
         (lambda: QuadraticForm(RadialGrid(40.0, 1600), bump_potential),
@@ -74,7 +74,7 @@ class TestDoubling:
 
     def test_free_forms_have_exactly_zero_potential(self):
         assert np.all(QuadraticForm.free_line(40.0, 1601).v == 0.0)
-        assert np.all(QuadraticForm.free_radial3d(40.0, 1600).v == 0.0)
+        assert np.all(QuadraticForm(RadialGrid(40.0, 1600)).v == 0.0)
 
 
 class TestWeightedGap:
@@ -84,7 +84,7 @@ class TestWeightedGap:
         # 79 interior points; LAPACK's default absolute tolerance is off by
         # 6e-10 relative here
         radius, n = 40.0, 80
-        form = QuadraticForm.free_radial3d(radius, n)
+        form = QuadraticForm(RadialGrid(radius, n))
         c_star = form.smallest_eigenvalue(weight=weight(form.grid.points, -4.0))
         with mpmath.workdps(40):
             h = mpmath.mpf(radius) / n
@@ -99,7 +99,7 @@ class TestWeightedGap:
         assert abs(c_star / ref - 1.0) <= 1e-12
 
     def test_critical_coupling_is_sharp(self):
-        form = QuadraticForm.free_radial3d(320.0, 12800)
+        form = QuadraticForm(RadialGrid(320.0, 12800))
         base = weight(form.grid.points, -4.0)
         c_star = form.smallest_eigenvalue(weight=base)
         assert abs(form.smallest_eigenvalue(-c_star * base)) <= 1e-11
@@ -110,7 +110,7 @@ class TestWeightedGap:
     def test_meaningless_window_is_a_config_error(self, radius):
         # an empty window, or one covering the whole grid, gave a verdict
         with pytest.raises(ConfigError, match="must be finite and positive"):
-            null_state_iteration(QuadraticForm.free_line(80.0, 3201),
+            null_state_iteration(QuadraticForm(Grid1D(80.0, 3201)),
                                  compact_radius=radius)
 
     @pytest.mark.parametrize("grid", [Grid1D(1e300, 12801), RadialGrid(1e100, 1600),
@@ -124,12 +124,12 @@ class TestWeightedGap:
 
     def test_no_perturbation_is_a_config_error(self):
         with pytest.raises(ConfigError, match="j_max = 0"):
-            null_state_iteration(QuadraticForm.free_line(80.0, 3201), j_max=0)
+            null_state_iteration(QuadraticForm(Grid1D(80.0, 3201)), j_max=0)
 
     def test_reports_half_the_critical_coupling(self):
-        form = QuadraticForm.free_radial3d(80.0, 3200)
+        form = QuadraticForm(RadialGrid(80.0, 3200))
         base = weight(form.grid.points, -4.0)
-        res = null_state_iteration(form, stability_check=False)
+        res = null_state_iteration(form)
         assert res.verdict is Dichotomy.WEIGHTED_GAP
         assert res.weight_coefficient == 0.5 * form.smallest_eigenvalue(weight=base)
         assert np.array_equal(res.weight, res.weight_coefficient * base)
@@ -137,7 +137,7 @@ class TestWeightedGap:
 
     def test_no_positive_gap_raises(self):
         # smallest eigenvalue -5e-11: accepted as nonnegative, but c* < 0
-        free = QuadraticForm.free_line(40.0, 1601)
+        free = QuadraticForm(Grid1D(40.0, 1601))
         shift = -free.smallest_eigenvalue() - 5e-11
         form = QuadraticForm(free.grid, lambda t: np.full(np.shape(t), shift))
         assert -1e-10 <= form.smallest_eigenvalue() < 0
@@ -147,7 +147,7 @@ class TestWeightedGap:
 
 class TestDichotomy:
     def test_free_line_null_state(self):
-        form = QuadraticForm.free_line()
+        form = QuadraticForm(Grid1D(320.0, 12801))
         res = null_state_iteration(form, compact_radius=1.0)
         assert res.verdict is Dichotomy.NULL_STATE
         window = np.abs(form.grid.points) <= 1.0
@@ -159,7 +159,7 @@ class TestDichotomy:
         assert res.diagnostics["doubled_verdict"] == "null_state"
 
     def test_free_radial_weighted_gap(self):
-        res = null_state_iteration(QuadraticForm.free_radial3d())
+        res = null_state_iteration(QuadraticForm(RadialGrid(320.0, 12800)))
         assert res.verdict is Dichotomy.WEIGHTED_GAP
         assert res.weight_coefficient > 0
         assert res.margin > 0
@@ -185,8 +185,8 @@ class TestDichotomy:
 
     def test_exclusivity_on_curated_suite(self):
         cases = [
-            (QuadraticForm.free_line(80.0, 3201), Dichotomy.NULL_STATE),
-            (QuadraticForm.free_radial3d(80.0, 3200), Dichotomy.WEIGHTED_GAP),
+            (QuadraticForm(Grid1D(80.0, 3201)), Dichotomy.NULL_STATE),
+            (QuadraticForm(RadialGrid(80.0, 3200)), Dichotomy.WEIGHTED_GAP),
             (QuadraticForm(Grid1D(80.0, 3201), bump_potential),
              Dichotomy.WEIGHTED_GAP),
             (QuadraticForm(Grid1D(80.0, 3201), resonant_potential),
@@ -200,31 +200,30 @@ class TestDichotomy:
 class TestHardy:
     # int w|u|^2 <= a[u] holds discretely when the bottom of H - w is >= -1e-10
     def test_radial_hardy_below_constant(self):
-        form = QuadraticForm.free_radial3d()
+        form = QuadraticForm(RadialGrid(320.0, 12800))
         r = form.grid.points
         assert form.smallest_eigenvalue(-0.125 / r**2) >= -1e-10
 
     def test_line_criticality_defeats_any_weight(self):
         # 1D free: a fixed positive weight fails once the grid is long enough
         for radius, n in ((40.0, 1601), (160.0, 6401)):
-            form = QuadraticForm.free_line(radius, n)
+            form = QuadraticForm(Grid1D(radius, n))
             w = 0.05 * weight(form.grid.points, -4.0)
             assert form.smallest_eigenvalue(-w) < -1e-10
 
     def test_zero_weight_holds(self):
-        form = QuadraticForm.free_line(40.0, 1601)
+        form = QuadraticForm(Grid1D(40.0, 1601))
         assert form.smallest_eigenvalue(-np.zeros(form.grid.n_points)) >= 0
 
     def test_gap_monotone_in_weight(self):
-        res = null_state_iteration(QuadraticForm.free_radial3d(80.0, 3200))
-        form = QuadraticForm.free_radial3d(80.0, 3200)
+        res = null_state_iteration(QuadraticForm(RadialGrid(80.0, 3200)))
+        form = QuadraticForm(RadialGrid(80.0, 3200))
         for t in (0.25, 0.5, 1.0):
             assert form.smallest_eigenvalue(-t * res.weight) >= -1e-10
 
 
 def test_trace_csv_format():
-    res = null_state_iteration(QuadraticForm.free_line(80.0, 3201),
-                               stability_check=False)
+    res = null_state_iteration(QuadraticForm(Grid1D(80.0, 3201)))
     text = trace_csv(res)
     lines = text.strip().split("\n")
     assert lines[0] == "j,lambda,sup_dist_to_limit"

@@ -6,7 +6,9 @@ parameter that has a default (methods, nested functions and lambdas
 included), named `module.qualified_name.parameter`, and compares that set
 with OPTIONS, which says who sets each one.  A new default fails here until
 the ledger names its caller; a value that only one caller uses belongs in a
-module constant.
+module constant, and so does one that only tests set: an entry whose
+callers (split on `;`, a trailing parenthetical remark dropped) are all
+`tests` fails too.
 
 The second collects each public module-level function and class and each
 public method of a public class, and asks that something in `src/virtlev`
@@ -21,6 +23,7 @@ that caller; a helper only tests reach belongs in `tests/`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import virtlev
@@ -35,17 +38,11 @@ OPTIONS = {
     "criticality.QuadraticForm.smallest_eigenvalue.extra_potential":
         "_weighted_gap_search; tests",
     "criticality.QuadraticForm.smallest_eigenvalue.weight": "_weighted_gap_search; tests",
-    "criticality.QuadraticForm.free_line.half_width": "tests (criterion 8 takes 320)",
-    "criticality.QuadraticForm.free_line.n_points": "tests (criterion 8 takes 12801)",
-    "criticality.QuadraticForm.free_radial3d.max_radius": "tests (criterion 8 takes 320)",
-    "criticality.QuadraticForm.free_radial3d.n_points": "tests (criterion 8 takes 12800)",
     "criticality.null_state_iteration.compact_radius": "cli critical --K; criterion 8",
     "criticality.null_state_iteration.j_max": "cli critical --jmax; tests",
     "criticality.null_state_iteration.conv_tol": "criterion 8; tests",
-    "criticality.null_state_iteration.stability_check": "tests",
     "discrete_ops.sequence.n": "cli shift --n; tests",
     "discrete_ops.truncated_resolvent_matrix.n": "criterion 6; the benchmark; tests",
-    "discrete_ops.build_shift_virtual_level.functional_index": "tests",
     "discrete_ops.virtual_state_space_dimension.s0_solve.trans": "its S0^-H solves",
     "jost.Potential1D.square_well.half_width": "cli parse_potential (well:a=)",
     "jost.Potential1D.square_well.center": "cli parse_potential (well:center=); criterion 4",
@@ -63,7 +60,6 @@ OPTIONS = {
     "lap_sweep._RankOneEngine.__init__.solve.trans": "rmatvec (trans='C')",
     "lap_sweep.classify.refine": "the benchmark; tests",
     "perturbation.embedded_family_check.n": "cli embedded --count; criterion 7",
-    "perturbation.embedded_family_check.radii": "tests",
     "perturbation.matrix_nullity_by_perturbation.trials": "cli nullity --trials; criterion 9",
     "perturbation.matrix_nullity_by_perturbation.rng_seed": "cli nullity --seed; criterion 9",
     "weighted_space.cell_average.real": "QuadraticForm.v",
@@ -110,10 +106,19 @@ def defaulted_parameters() -> set:
     return out
 
 
+def options_only_tests_set(options: dict) -> list:
+    """The entries of `options` whose callers, split on `;` and read without
+    a trailing parenthetical remark, are only tests."""
+    return sorted(key for key, callers in options.items()
+                  if {re.sub(r"\s*\(.*\)$", "", c.strip()) for c in callers.split(";")}
+                  == {"tests"})
+
+
 def test_every_parameter_default_is_in_the_ledger():
     found = defaulted_parameters()
     assert sorted(found - OPTIONS.keys()) == [], "defaults missing from OPTIONS"
     assert sorted(OPTIONS.keys() - found) == [], "OPTIONS names defaults that are gone"
+    assert options_only_tests_set(OPTIONS) == [], "options only tests set belong in constants"
 
 
 def _public_definitions(stem: str, tree: ast.Module):
@@ -176,3 +181,9 @@ def test_every_public_name_has_a_caller_outside_tests():
     found = uncalled_public_names()
     assert sorted(found - CALLERS.keys()) == [], "public names nothing in src/ uses"
     assert sorted(CALLERS.keys() - found) == [], "CALLERS names that src/ now uses"
+
+
+def test_options_only_tests_set_reads_every_caller():
+    options = {"a": "tests", "b": "cli sweep --r0; tests", "c": "tests ; tests",
+               "d": "tests (criterion 8 takes 320)"}
+    assert options_only_tests_set(options) == ["a", "c", "d"]

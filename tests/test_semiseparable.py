@@ -82,7 +82,7 @@ def test_norms_through_entries_match_dense_operator():
     k = green_kernel(jost_pair(Potential1D.bump(GRID, amplitude=2.5)))
     dense = KernelOperator(GRID, GRID, k.entries)
     assert operator_norm_weighted(k, 2.0, 2.0) == operator_norm_weighted(dense, 2.0, 2.0)
-    assert k.max_abs_entry() == dense.max_abs_entry()
+    assert k.max_abs_entry() == np.max(np.abs(dense.entries))
 
 
 @pytest.mark.parametrize("d", (0.0, 0.5, -0.3 + 0.9j, np.exp(0.7j)))

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from virtlev import weighted_space
-from virtlev.errors import DimensionMismatch, DiscretizationFailure, InvalidOperator
+from virtlev import lap_sweep, weighted_space
+from virtlev.errors import ConfigError, DimensionMismatch, InvalidOperator
 from virtlev.free_resolvent import SpectralParameter, build_free_kernel_operator
+from virtlev.jost import Potential1D
 from virtlev.weighted_space import (
     Grid1D,
     KernelOperator,
@@ -82,45 +83,65 @@ def test_operator_norm_grid_refinement_stability():
     for n in (1500, 3000):
         g = Grid1D(30.0, n + 1)
         k = build_free_kernel_operator(1, g, SpectralParameter.interior(-1.0))
-        vals.append(operator_norm_weighted(k, 1.0, 1.0))
+        sigma, _, _, _, converged = _power_iteration_norm(k, 1.0, 1.0)
+        assert converged
+        vals.append(sigma)
     assert vals[1] == pytest.approx(vals[0], rel=0.01)
 
 
+LINE, RADIAL = Grid1D(2.0, 401), RadialGrid(2.0, 200)  # h = 0.01
+SWEPT_OPS = (
+    lap_sweep.OperatorSpec.free1d(LINE),
+    lap_sweep.OperatorSpec.free3d_radial(RADIAL),
+    lap_sweep.OperatorSpec.schrodinger1d(Potential1D.square_well(1.0 + 0.5j, LINE)),
+    lap_sweep.OperatorSpec.rank_one_perturbed_1d(LINE),
+)
+
+
 def test_power_iteration_matches_svd():
+    # the power iteration on the engines sweeps build, against the SVD of
+    # their entries
     rng = np.random.default_rng(2)
-    g = Grid1D(5.0, 101)
-    for _ in range(10):
-        m = rng.standard_normal((101, 101)) + 1j * rng.standard_normal((101, 101))
-        k = KernelOperator(g, g, m)
+    for case in range(12):
+        z = complex(-rng.random(), rng.random())
+        engine = lap_sweep._make_engine(SWEPT_OPS[case % len(SWEPT_OPS)], z)
         s_in, s_out = 3 * rng.random(), 3 * rng.random()
-        a = operator_norm_weighted(k, s_in, s_out)  # n <= 2000: the SVD
-        b = _power_iteration_norm(k, s_in, s_out)[0]
-        assert b == pytest.approx(a, rel=1e-6)
-
-
-def test_power_norm_at_its_cap_raises(monkeypatch):
-    # n > 2000 takes the power iteration; the default cap converges, and a cap
-    # of 3 cannot meet the two-hit stopping test
-    g = Grid1D(10.0, 2001)
-    k = build_free_kernel_operator(1, g, SpectralParameter.interior(-1.0))
-    assert operator_norm_weighted(k, 1.0, 1.0) > 0
-    monkeypatch.setattr(weighted_space, "_POWER_MAX_ITER", 3)
-    with pytest.raises(DiscretizationFailure, match="cap of 3 iterations"):
-        operator_norm_weighted(k, 1.0, 1.0)
+        a = operator_norm_weighted(engine, s_in, s_out)
+        sigma, _, _, _, converged = _power_iteration_norm(engine, s_in, s_out)
+        assert converged, case
+        assert sigma == pytest.approx(a, rel=1e-8), case
 
 
 def test_power_norm_stays_linear_in_memory():
-    # beyond 2000 points the norm runs on matvec/rmatvec, never on an n x n matrix
+    # the power iteration runs on matvec/rmatvec, never on an n x n matrix
     g = Grid1D(10.0, 4001)
     k = build_free_kernel_operator(1, g, SpectralParameter.interior(-1.0))
     tracemalloc.start()
     try:
-        norm = operator_norm_weighted(k, 1.0, 1.0)
+        norm, _, _, _, converged = _power_iteration_norm(k, 1.0, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert norm > 0
+    assert converged and norm > 0
     assert peak < 10e6
+
+
+def test_dense_norm_refuses_grids_above_its_limit(monkeypatch):
+    limit = weighted_space._DENSE_NORM_MAX_POINTS
+    assert limit == 2000
+    g = RadialGrid(20.0, limit)
+    k = KernelOperator(g, g, np.eye(limit) / g.spacing)
+    assert operator_norm_weighted(k, 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+
+    def forbidden(self):
+        raise AssertionError("dense entries read")
+
+    # the refusal comes before any n x n matrix is built
+    monkeypatch.setattr(SemiseparableKernel, "entries", property(forbidden))
+    big = build_free_kernel_operator(1, Grid1D(20.0, limit + 1),
+                                     SpectralParameter.interior(-1.0))
+    with pytest.raises(ConfigError, match="at most 2000 grid points, not 2001"):
+        operator_norm_weighted(big, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -133,14 +154,18 @@ def test_svd_norm_same_for_dense_and_semiseparable(d):
 
 
 def test_power_iteration_reports_convergence(monkeypatch):
-    g = Grid1D(1.0, 3)  # unit spacing; s = 0 makes every weight 1
-    k = KernelOperator(g, g, np.diag([3.0, 1.0, 0.5]))
-    sigma, v, u, its, ok = _power_iteration_norm(k, 0.0, 0.0)
+    engine = lap_sweep._make_engine(SWEPT_OPS[0], -0.5 + 0.1j)
+    sigma, v, u, its, ok = _power_iteration_norm(engine, 1.0, 1.0)
     assert ok and 2 < its < 100
-    assert sigma == pytest.approx(3.0, rel=1e-8)
-    assert abs(u[0]) == pytest.approx(1.0, rel=1e-8)
+    # the weighted matrix M of the norm, and its leading singular pair
+    w = weight(LINE.points, -1.0)
+    m = (w[:, None] * engine.entries) * (w[None, :] * LINE.spacing)
+    left, sv, _ = np.linalg.svd(m)
+    assert sigma == pytest.approx(sv[0], rel=1e-8)
+    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
+    assert abs(np.vdot(left[:, 0], u)) == pytest.approx(1.0, rel=1e-8)
     monkeypatch.setattr(weighted_space, "_POWER_MAX_ITER", 2)
-    capped = _power_iteration_norm(k, 0.0, 0.0)
+    capped = _power_iteration_norm(engine, 1.0, 1.0)
     assert capped[3:] == (2, False)
 
 
@@ -158,7 +183,7 @@ def test_norm_monotone_under_domination():
 
 def test_l1_linf_norm_values():
     g = Grid1D(2.0, 41)
-    assert KernelOperator(g, g, np.zeros((41, 41))).max_abs_entry() == 0.0
+    assert np.max(np.abs(KernelOperator(g, g, np.zeros((41, 41))).entries)) == 0.0
     gg = Grid1D(20.0, 2001)
     k = build_free_kernel_operator(1, gg, SpectralParameter.interior(-1.0))
     assert k.max_abs_entry() == pytest.approx(0.5, rel=1e-12)
@@ -174,7 +199,7 @@ def test_bounded_entries_bound_l1_linf():
     for _ in range(20):
         bound = 10 * rng.random()
         m = bound * (2 * rng.random((21, 21)) - 1)
-        assert KernelOperator(g, g, m).max_abs_entry() <= bound + 1e-15
+        assert np.max(np.abs(KernelOperator(g, g, m).entries)) <= bound + 1e-15
 
 
 def test_kernel_operator_validation():
