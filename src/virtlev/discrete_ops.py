@@ -17,7 +17,6 @@ from scipy.linalg.blas import ztbsv
 
 from .errors import (
     ConfigError,
-    DegenerateFunctional,
     DiscretizationFailure,
     OutsideResolventSet,
 )
@@ -123,7 +122,7 @@ def build_shift_virtual_level(z0: complex, phi: np.ndarray) -> ShiftVirtualLevel
         raise ConfigError(f"sequence length n = {n} must exceed the tail band of "
                           f"{TAIL_BAND} entries")
     if np.max(np.abs(phi)) == 0.0:
-        raise DegenerateFunctional("phi must be nonzero")
+        raise ConfigError("phi must be nonzero")
     with np.errstate(over="ignore"):
         bound = 4.0 * float(np.sum(np.abs(phi)))
     if not np.isfinite(bound):

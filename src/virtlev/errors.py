@@ -45,10 +45,6 @@ class NoBoundState(VirtlevError):
     """Root bracketing for a bound-state equation found no root."""
 
 
-class DegenerateFunctional(VirtlevError):
-    """Normalizing functional vanishes on the supplied vector."""
-
-
 class OutsideResolventSet(VirtlevError):
     """Explicit resolvent formula evaluated outside its region of validity."""
 

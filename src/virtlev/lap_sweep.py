@@ -19,14 +19,20 @@ ends of a Grid1D line, r = R of a RadialGrid half-line (r = 0 is Dirichlet).
 
 Resolvent engines: free kinds apply free_resolvent's O(n) semiseparable
 kernels; every other kind solves with one tridiagonal LAPACK LU of H - z
-(gttrf/gtcon, plus a Sherman-Morrison update for the rank-one kind), and an
-ill-conditioned LU raises NearSpectrum.
+(gttrf, plus a Sherman-Morrison update for the rank-one kind), and an
+ill-conditioned LU raises NearSpectrum.  The condition check costs one
+two-column solve: H - z is complex symmetric, so its inverse is semiseparable
+and the columns T^{-1} e_1 and T^{-1} e_n give ||T^{-1}||_1 exactly.  gtcon's
+estimate never exceeds that norm, so gtcon runs only where it cannot
+certify the point.  The z-independent diagonal 2/h^2 + V is sampled once per
+operator.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,6 +54,7 @@ from .weighted_space import (
 
 _MAX_GRID_SPACING = 0.01  # resolution contract for differential operators
 _COND_LIMIT = 1e14
+_CERTIFY_MARGIN = 4.0  # slack of the two-solve ||T^-1||_1 certificate below _COND_LIMIT
 _MAX_ABS_BLOCK = 64  # identity columns per solve in _SolverEngine.max_abs_entry
 _TOL_ALPHA = 0.1  # a power-law exponent above this (fit r^2 >= 0.95) is Virtual
 _STATE_TOL = 0.02  # largest weighted relative residual of a reported state
@@ -122,6 +129,21 @@ class OperatorSpec:
 
     def refined(self) -> "OperatorSpec":
         return replace(self, grid=self.grid.refined())
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The z-independent diagonal 2/h^2 + V of the tridiagonal part."""
+        h = self.grid.spacing
+        v = (np.zeros(self.grid.n_points, dtype=complex) if self.sampler is None
+             else cell_average(self.sampler, self.grid.points, h))
+        return 2.0 / h**2 + v
+
+    @cached_property
+    def indicator(self) -> np.ndarray:
+        """Cell-averaged samples of 1_[-1,1] on the grid (edge cells weigh
+        1/2): the rank-one kind's projection."""
+        return cell_average(lambda t_: (np.abs(t_) <= 1.0).astype(float),
+                            self.grid.points, self.grid.spacing).real
 
 
 @dataclass(frozen=True)
@@ -217,12 +239,6 @@ def _dtn_root(z: complex, h: float) -> complex:
     return lam1 if abs(lam1) <= abs(lam2) else lam2
 
 
-def _indicator_vector(grid: Grid1D) -> np.ndarray:
-    """Cell-averaged samples of 1_[-1,1] on the grid (edge cells weigh 1/2)."""
-    return cell_average(lambda t_: (np.abs(t_) <= 1.0).astype(float),
-                        grid.points, grid.spacing).real
-
-
 def _tridiagonal(op: OperatorSpec, z: complex):
     """Bands (dl, d, du) of the tridiagonal part of (H - z).
 
@@ -236,15 +252,12 @@ def _tridiagonal(op: OperatorSpec, z: complex):
         raise ConfigError(f"no discrete Hamiltonian for kind {op.kind}")
     grid = op.grid
     h = grid.spacing
-    n = grid.n_points
-    v = (np.zeros(n, dtype=complex) if op.sampler is None
-         else cell_average(op.sampler, grid.points, h))
-    d = (2.0 / h**2 + v - z).astype(complex)
+    d = (op.diagonal - z).astype(complex)  # bitwise 2/h^2 + V - z, left to right
     edge = _dtn_root(z, h) / h**2
     d[-1] -= edge
     if isinstance(grid, Grid1D):
         d[0] -= edge
-    off = np.full(n - 1, -1.0 / h**2, dtype=complex)
+    off = np.full(grid.n_points - 1, -1.0 / h**2, dtype=complex)
     return off, d, off.copy()
 
 
@@ -258,7 +271,7 @@ def discrete_hamiltonian(op: OperatorSpec, z: complex) -> "scipy.sparse.csc_matr
 
     t = sp.diags(_tridiagonal(op, z), [-1, 0, 1], format="csc")
     if op.kind is OperatorKind.RANK_ONE_PERTURBED_1D:
-        col = sp.csc_matrix(_indicator_vector(op.grid)[:, None])
+        col = sp.csc_matrix(op.indicator[:, None])
         t = sp.csc_matrix(t + op.grid.spacing * (col @ col.T))
     return t
 
@@ -272,15 +285,46 @@ def apply_shifted_operator(op: OperatorSpec, z: complex, u: np.ndarray) -> np.nd
     out[1:] += dl * u[:-1]
     out[:-1] += du * u[1:]
     if op.kind is OperatorKind.RANK_ONE_PERTURBED_1D:
-        ind = _indicator_vector(op.grid)
+        ind = op.indicator
         out += op.grid.spacing * (ind @ u) * ind
     return out
 
 
-def _check_condition(info: int, rcond_of) -> None:
+def _inverse_norm1(factors) -> float:
+    """Exact ||T^-1||_1 of a complex symmetric tridiagonal T from its zgttrf
+    factors, by one two-column solve.
+
+    T^-1 is symmetric and semiseparable: with c0 = T^-1 e_1 and cn = T^-1 e_n,
+    T^-1_ij = cn_i c0_j / c0_n for i <= j, so column j sums to
+    (|c0_j| sum_{i<=j} |cn_i| + |cn_j| sum_{i>j} |c0_i|) / |c0_n|.  c0 is scaled
+    by 1/|c0_n| first, so the products stay the size of entries of T^-1.  inf
+    or nan where c0_n is not a normal float or the solves overflow.
+    """
+    n = factors[1].size
+    rhs = np.zeros((n, 2), dtype=complex, order="F")
+    rhs[0, 0] = rhs[-1, 1] = 1.0
+    cols = np.abs(lapack.zgttrs(*factors, rhs)[0])
+    c0n = cols[-1, 0]
+    if not c0n >= np.finfo(float).tiny:
+        return np.inf
+    with np.errstate(all="ignore"):
+        c0, cn = cols[:, 0] / c0n, cols[:, 1]
+        after = np.r_[np.cumsum(c0[:0:-1])[::-1], 0.0]  # sum_{i>j} |c0_i|
+        return float(np.max(c0 * np.cumsum(cn) + cn * after))
+
+
+def _check_condition(info: int, factors, anorm: float) -> None:
     """NearSpectrum for a singular LU (info != 0) or a reciprocal condition
-    estimate below 1 / _COND_LIMIT; `rcond_of` is called only when info == 0."""
-    rc = rcond_of() if info == 0 else 0.0
+    estimate below 1 / _COND_LIMIT, for the zgttrf `factors` of a complex
+    symmetric tridiagonal T with 1-norm `anorm`.
+
+    zgtcon's estimate of ||T^-1||_1 never exceeds the norm, so a point whose
+    exact anorm ||T^-1||_1 stays _CERTIFY_MARGIN below _COND_LIMIT passes
+    without it; zgtcon runs (and decides) only where that cannot certify.
+    """
+    if info == 0 and anorm * _inverse_norm1(factors) * _CERTIFY_MARGIN <= _COND_LIMIT:
+        return
+    rc = lapack.zgtcon(*factors, anorm)[0] if info == 0 else 0.0
     if not rc * _COND_LIMIT >= 1.0:
         raise NearSpectrum(f"condition estimate {1.0 / rc if rc > 0 else np.inf:.3g} "
                            f"exceeds {_COND_LIMIT:.0e}")
@@ -293,9 +337,10 @@ def _band_norm1(dl, d, du) -> float:
 
 class _SolverEngine:
     """Resolvent kernel T^{-1} / h from one LAPACK LU of the tridiagonal
-    T = H - z, factored with zgttrf and checked with zgtcon.  `solve(b, trans)`
-    applies T^{-1}, or T^{-H} for trans="C"; matvec, rmatvec, max_abs_entry
-    and entries all go through it.
+    T = H - z, factored with zgttrf and checked by _check_condition: the exact
+    two-solve ||T^{-1}||_1, and zgtcon only where that cannot certify.
+    `solve(b, trans)` applies T^{-1}, or T^{-H} for trans="C"; matvec,
+    rmatvec, max_abs_entry and entries all go through it.
     """
 
     def __init__(self, op: OperatorSpec, z: complex):
@@ -304,7 +349,7 @@ class _SolverEngine:
         self.n = op.grid.n_points
         bands = _tridiagonal(op, z)
         *factors, info = lapack.zgttrf(*bands)
-        _check_condition(info, lambda: lapack.zgtcon(*factors, _band_norm1(*bands))[0])
+        _check_condition(info, factors, _band_norm1(*bands))
         self.solve = lambda b, trans="N": lapack.zgttrs(*factors, b, trans=trans)[0]
 
     def matvec(self, g):
@@ -336,7 +381,7 @@ class _RankOneEngine(_SolverEngine):
     def __init__(self, op: OperatorSpec, z: complex):
         super().__init__(op, z)
         base, h = self.solve, self.h
-        u = _indicator_vector(op.grid).astype(complex)  # real, so u^H = u^T
+        u = op.indicator.astype(complex)  # real, so u^H = u^T
         tu, tu_h = base(u), base(u, "C")
         denom = 1.0 + h * np.dot(u, tu)
         scale = max(1.0, float(np.linalg.norm(tu)) * h)

@@ -277,6 +277,7 @@ class TestErrorChannels:
         (["nullity", "--demo", "jordan3", "--trials", "-1"], "trials = -1 must be at least 1"),
         *((["shift", "--z0", z0], "|z0| = nan must equal 1") for z0 in ("nan", "nan,0", "1,nan")),
         (["shift", "--phi", "1e308,1e308"], "4 |phi|_l1 = inf is not a finite float"),
+        (["shift", "--phi", "0,0,0"], "phi must be nonzero"),
         (["shift", "--z0", "inf"], "|z0| = inf must equal 1"),
         (["shift", "--phi", "1,inf"], "entries must be finite"),
         (["shift", "--phi", "infinity"], "entries must be finite"),

@@ -15,7 +15,7 @@ from virtlev.discrete_ops import (
     truncated_resolvent_matrix,
     virtual_state_space_dimension,
 )
-from virtlev.errors import ConfigError, DegenerateFunctional, OutsideResolventSet
+from virtlev.errors import ConfigError, OutsideResolventSet
 from virtlev.weighted_space import linear_fit
 
 
@@ -252,7 +252,7 @@ class TestVirtualLevel:
         assert virtual_state_space_dimension(lvl) == 1
 
     def test_degenerate_functional(self):
-        with pytest.raises(DegenerateFunctional):
+        with pytest.raises(ConfigError, match="phi must be nonzero"):
             build_shift_virtual_level(1.0, sequence([0.0]))
 
     def test_truncation_stability(self):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from virtlev import lap_sweep as ls
 from virtlev import weighted_space as wsp
@@ -349,8 +350,9 @@ def test_sweep_csv_format():
 def test_rank_one_hamiltonian_stays_sparse():
     grid = Grid1D(4.0, 401)
     z = -1e-3
-    t = discrete_hamiltonian(OperatorSpec.rank_one_perturbed_1d(grid), z)
-    ind = ls._indicator_vector(grid)
+    op = OperatorSpec.rank_one_perturbed_1d(grid)
+    t = discrete_hamiltonian(op, z)
+    ind = op.indicator
     dense = np.asarray(discrete_hamiltonian(OperatorSpec.free1d(grid), z)
                        + grid.spacing * np.outer(ind, ind))
     assert np.array_equal(t.toarray(), dense)
@@ -560,6 +562,94 @@ class TestSolverEngines:
         assert ls._band_norm1(*ls._tridiagonal(op, z)) == pytest.approx(
             np.linalg.norm(t, 1), rel=1e-14)
 
+    @pytest.mark.parametrize("z", ZS, ids=["negative", "imaginary", "complex"])
+    @pytest.mark.parametrize("name", ["schrod1d_real", "schrod1d_complex", "schrod3d"])
+    def test_two_solve_inverse_norm_is_the_dense_one(self, name, z):
+        bands = ls._tridiagonal(self.OPS[name], z)
+        *factors, info = lapack.zgttrf(*bands)
+        assert info == 0
+        t = np.diag(bands[1]) + np.diag(bands[0], -1) + np.diag(bands[2], 1)
+        assert ls._inverse_norm1(factors) == pytest.approx(
+            np.linalg.norm(np.linalg.inv(t), 1), rel=1e-12)
+
+    def test_certificate_decides_like_zgtcon_toward_a_bound_state(self, monkeypatch):
+        # relative distances 1e-2 .. 1e-15 to the bound state of a deep well,
+        # on both sides: a zgtcon-only reference gives the same raise/pass.
+        # The Dirichlet eigenvalue is within ~e^-40 of the transparent one.
+        from scipy.linalg import eigh_tridiagonal
+        grid = Grid1D(8.0, 801)
+        op = OperatorSpec.schrodinger1d(Potential1D.square_well(10.0, grid))
+        d = np.real(ls._tridiagonal(op, 0.0)[1])[1:-1]
+        e_h = float(eigh_tridiagonal(d, np.full(d.size - 1, -1.0 / grid.spacing**2),
+                                     select="i", select_range=(0, 0),
+                                     eigvals_only=True)[0])
+        zgtcon, calls = lapack.zgtcon, []
+        monkeypatch.setattr(lapack, "zgtcon", lambda *a: calls.append(1) or zgtcon(*a))
+        rng = np.random.default_rng(19)
+        outcomes = set()
+        for p in rng.uniform(2.0, 15.0, 40):
+            for side in (1.0, -1.0):
+                bands = ls._tridiagonal(op, e_h * (1.0 + side * 10.0**-p))
+                anorm = ls._band_norm1(*bands)
+                *factors, info = lapack.zgttrf(*bands)
+                ref = info == 0 and zgtcon(*factors, anorm)[0] * ls._COND_LIMIT >= 1.0
+                before = len(calls)
+                try:
+                    ls._check_condition(info, factors, anorm)
+                    passed = True
+                except NearSpectrum:
+                    passed = False
+                assert passed == ref, p
+                outcomes.add((passed, len(calls) > before))
+        assert {(True, False), (True, True), (False, True)} <= outcomes
+
+    def test_underflowing_corner_falls_back_to_zgtcon(self, monkeypatch):
+        # at z = -1e4 the resolvent decays by e^-1 per cell: T^-1_n1 underflows
+        op = OperatorSpec.schrodinger1d(Potential1D.square_well(1.0, GRID))
+        bands = ls._tridiagonal(op, -1e4)
+        *factors, info = lapack.zgttrf(*bands)
+        rhs = np.zeros((GRID.n_points, 2), dtype=complex, order="F")
+        rhs[0, 0] = 1.0
+        assert lapack.zgttrs(*factors, rhs)[0][-1, 0] == 0.0
+        assert ls._inverse_norm1(factors) == np.inf
+        zgtcon, calls = lapack.zgtcon, []
+        monkeypatch.setattr(lapack, "zgtcon", lambda *a: calls.append(1) or zgtcon(*a))
+        ls._make_engine(op, -1e4)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("z", ZS, ids=["negative", "imaginary", "complex"])
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_cached_diagonal_gives_the_uncached_bands_bitwise(self, name, z):
+        op = self.OPS[name]
+        grid, h, n = op.grid, op.grid.spacing, op.grid.n_points
+        v = (np.zeros(n, dtype=complex) if op.sampler is None
+             else wsp.cell_average(op.sampler, grid.points, h))
+        d = (2.0 / h**2 + v - z).astype(complex)
+        edge = ls._dtn_root(z, h) / h**2
+        d[-1] -= edge
+        if isinstance(grid, Grid1D):
+            d[0] -= edge
+        off = np.full(n - 1, -1.0 / h**2, dtype=complex)
+        for _ in range(2):  # the first call may fill the cache, the second reads it
+            got = ls._tridiagonal(op, z)
+            assert [b.tobytes() for b in got] == [off.tobytes(), d.tobytes(), off.tobytes()]
+
+    def test_potential_is_sampled_once_per_operator(self):
+        calls = []
+
+        def sampler(x):
+            calls.append(np.size(x))
+            return np.where(np.abs(x) <= 1.0, -1.0 + 0.0j, 0.0)
+
+        op = OperatorSpec(ls.OperatorKind.SCHRODINGER_1D, self.LINE, sampler)
+        result = sweep(op, SweepConfig(radii=ls.default_radii(count=7)))
+        assert len(result.points) == 7
+        assert calls == [401] * 5  # one call per Gauss node of cell_average
+        assert op.refined().diagonal.size == 801
+        assert calls == [401] * 5 + [801] * 5
+        rank_one = OperatorSpec.rank_one_perturbed_1d(self.LINE)
+        assert rank_one.indicator is rank_one.indicator
+
     def test_schrod3d_near_spectrum_raises(self):
         # the bound state of a deep well, from the tridiagonal with the edge
         # row dropped: the transparent closure moves it by ~e^{-2 kappa R}
@@ -576,16 +666,16 @@ class TestSolverEngines:
         with pytest.raises(NearSpectrum):
             ls._make_engine(op, e_h)
 
-    def test_singular_lu_raises_without_a_condition_estimate(self):
-        # info != 0: an exactly zero pivot, so rcond is never asked for
-        def rcond():
-            raise AssertionError("condition estimate on a singular LU")
+    def test_singular_lu_raises_without_a_condition_estimate(self, monkeypatch):
+        # info != 0: an exactly zero pivot, so nothing is solved or estimated
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve or condition estimate on a singular LU")
 
+        *factors, _ = lapack.zgttrf(*ls._tridiagonal(self.OPS["schrod1d_real"], -2.0))
+        monkeypatch.setattr(lapack, "zgttrs", forbidden)
+        monkeypatch.setattr(lapack, "zgtcon", forbidden)
         with pytest.raises(NearSpectrum, match="inf"):
-            ls._check_condition(2, rcond)
-        ls._check_condition(0, lambda: 1.0)
-        with pytest.raises(NearSpectrum):
-            ls._check_condition(0, lambda: 0.5 / ls._COND_LIMIT)
+            ls._check_condition(2, factors, 1.0)
 
 
 class TestMaxAbsEntry:
@@ -641,3 +731,18 @@ class TestMaxAbsEntry:
             tracemalloc.stop()
         assert len(result.points) == len(SUITE_RADII)
         assert peak < 10e6
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--op", "schrod1d", "--potential", "well:g=1"],
+                                  ["sweep", "--op", "rankone1d"]])
+def test_default_sweeps_never_reach_zgtcon(monkeypatch, capsys, argv):
+    # the two-solve certificate must cover real traffic: zgtcon costs about
+    # seven solves per sweep point
+    from virtlev.cli import main
+
+    def forbidden(*args):
+        raise AssertionError("zgtcon called")
+
+    monkeypatch.setattr(lapack, "zgtcon", forbidden)
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 9
