@@ -13,6 +13,7 @@ from virtlev.errors import (
 )
 from virtlev.jost import (
     Potential1D,
+    _kink_mask,
     classify_threshold_1d,
     green_kernel,
     jost_pair,
@@ -107,6 +108,47 @@ class TestWronskian:
         assert pair.wronskian_deviation > 1e-4 * max(1.0, abs(pair.wronskian))
         with pytest.raises(DiscretizationFailure, match="Wronskian drifts by"):
             wronskian(pair)
+
+    def test_drift_guard_floor_and_scale(self):
+        # |W| = 0.89 < 1 with a drift of 1.8e-4: the floor max(1, |W|) makes
+        # 1.8e-4 a failure, where a floor of 2 would accept it
+        small = jost_pair(Potential1D.square_well(1.0, Grid1D(16.0, 121)))
+        assert abs(small.wronskian) < 1.0
+        assert 1e-4 < small.wronskian_deviation < 2e-4
+        with pytest.raises(DiscretizationFailure):
+            wronskian(small)
+        # |W| = 3.6 > 1 with a drift of 2.3e-4: the tolerance grows with |W|
+        large = jost_pair(Potential1D.square_well(-1.0, Grid1D(16.0, 161)))
+        assert 2.0e-4 < large.wronskian_deviation < 3.0e-4 < 1e-4 * abs(large.wronskian)
+        assert wronskian(large) == large.wronskian
+
+
+class TestKinkMask:
+    """The curvature-jump detector: 1e-7 * max(1, sup|theta|) on |Delta^4 theta|."""
+
+    @pytest.mark.parametrize("base,thresh", [(0.5, 1e-7), (10.0, 1e-6)])
+    def test_threshold_scales_with_the_sup_above_one(self, base, thresh):
+        # a bump of d at index 20 gives fourth differences d, 4d, 6d, 4d, d;
+        # only the centre stencil (interior index 18) crosses 1.2 * thresh
+        for frac, masked in ((1.2, [16, 17, 18, 19, 20]), (0.8, [])):
+            theta = np.full(41, base, dtype=complex)
+            theta[20] += frac * thresh / 6
+            mask = _kink_mask(theta, 37)
+            assert np.flatnonzero(~mask).tolist() == masked, (base, frac)
+
+    def test_weak_well_keeps_its_drift_at_roundoff(self):
+        # sup|theta| = 1 for the weak well, so the floor sets the threshold:
+        # a floor of 2, or a threshold of 2e-7, lets the jumps at x = +-1
+        # into the drift, which then reads 2.8e-10 instead of 2.9e-14
+        pair = jost_pair(Potential1D.square_well(0.01, GRID))
+        assert pair.wronskian_deviation < 1e-12
+
+    def test_bump_drift_away_from_its_kinks(self):
+        # sup|theta| = 26: a threshold of 2e-7 * 26 leaves stencils on the
+        # steep flanks (0.84 <= |x| <= 0.94) in, and the drift reads 2.5e-7,
+        # not 9.8e-8
+        pair = jost_pair(Potential1D.bump(Grid1D(16.0, 1601), amplitude=1.0))
+        assert pair.wronskian_deviation < 1.5e-7
 
 
 class TestGreenKernel:
