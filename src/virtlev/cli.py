@@ -99,6 +99,10 @@ def parse_potential(spec: str, grid: Grid1D) -> jost.Potential1D:
         data = np.genfromtxt(path, delimiter=",", dtype=float)
         if data.ndim != 2 or data.shape[1] not in (2, 3):
             raise ConfigError("table potential needs columns x,V_re[,V_im]")
+        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+        if bad.size:  # a header line reads as a row of nan
+            raise ConfigError(f"table potential {path}: row {bad[0] + 1} has a "
+                              f"non-finite or non-numeric entry")
         xs = data[:, 0]
         vre = data[:, 1]
         vim = data[:, 2] if data.shape[1] == 3 else np.zeros_like(vre)

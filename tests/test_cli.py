@@ -313,6 +313,21 @@ class TestErrorChannels:
         assert json.loads(err) == {"error": "config",
                                    "message": "matrix entries must be finite"}
 
+    @pytest.mark.parametrize("text,row", [
+        ("x,V_re,V_im\n-1,0,0\n0,1,0\n1,0,0\n", 1),  # a header reads as nan
+        ("-1,0\n0,nan\n1,0\n", 2),
+        ("-1,0\n0,1\ninf,0\n", 3),
+    ])
+    def test_non_finite_table_row_exit_2(self, capsys, tmp_path, text, row):
+        table = tmp_path / "v.csv"
+        table.write_text(text)
+        code, out, err = run_cli(["jost", "--potential", f"table:{table}"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "config",
+            "message": f"table potential {table}: row {row} has a non-finite or "
+                       f"non-numeric entry"}
+
     @pytest.mark.parametrize("command,line,message", [
         ("sweep", "count = abc", "config key count: invalid int value: 'abc'"),
         ("sweep", "r0 = small", "config key r0: invalid float value: 'small'"),

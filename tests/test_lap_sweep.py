@@ -95,6 +95,21 @@ class TestResolventMatrix:
         with pytest.raises(ConfigError):
             resolvent_matrix(OperatorSpec.free1d(coarse), -1.0)
 
+    @pytest.mark.parametrize("n,z,passes", [
+        (201, -1.0, True),   # h = 0.01, at the spacing limit
+        (199, -1.0, False),  # h = 0.0101
+        # h = 0.005 at z = k^2, where the wavelength / 20 is 0.005 and 0.005 / 1.01
+        (401, (2 * np.pi / 0.1) ** 2, True),
+        (401, (1.01 * 2 * np.pi / 0.1) ** 2, False),
+    ])
+    def test_resolution_limits_at_their_boundary(self, n, z, passes):
+        op = OperatorSpec.free1d(Grid1D(1.0, n))
+        if passes:
+            op.check_resolution(z)
+        else:
+            with pytest.raises(ConfigError, match="exceeds the resolution limit"):
+                op.check_resolution(z)
+
 
 class TestSweepConfig:
     def test_requires_five_radii_three_decades(self):
@@ -701,6 +716,15 @@ class TestMaxAbsEntry:
         for radius in (1e-3, 0.3):
             engine = ls._make_engine(self.OPS[name], radius * ls._direction(angle))
             assert engine.max_abs_entry() == np.max(np.abs(engine.entries)), radius
+
+    @pytest.mark.parametrize("z,gap", [(1 + 1e-3j, 2.3e-2), (5 - 1e-3j, 3.1e-4)])
+    def test_peak_off_the_diagonal(self, z, gap):
+        # near the positive axis the free2d kernel oscillates, and its largest
+        # entry lies off the diagonal, gap above the diagonal maximum
+        entries = ls._make_engine(self.OPS["free2d"], z).entries
+        peak = np.max(np.abs(entries))
+        assert peak - np.max(np.abs(np.diag(entries))) > 0.9 * gap
+        assert ls._make_engine(self.OPS["free2d"], z).max_abs_entry() == peak
 
     @pytest.mark.parametrize("angle", ANGLES)
     def test_jost_and_dense_kernels(self, angle):
