@@ -13,6 +13,8 @@ assemble the bounded Green kernel of the operator at the threshold.
 
 from __future__ import annotations
 
+import cmath
+import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -122,7 +124,11 @@ def jost_solve(pot: Potential1D, z=0.0, side: str = "plus") -> np.ndarray:
 
     The steps run on Python complex numbers, twice as fast as NumPy scalars:
     both multiply and add by the same IEEE formulas, without fused
-    multiply-add, so theta is bit for bit the same.
+    multiply-add, so theta is bit for bit the same.  Where V - z is the same
+    exact zero over a run of steps, as between the support and the grid's
+    edge at z = 0, a step adds an increment that depends on theta only
+    through the sign bits of four finite values; while those stay the same,
+    one cumsum takes the steps in the same IEEE sums (see `_rk4`).
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
@@ -152,11 +158,38 @@ def jost_solve(pot: Potential1D, z=0.0, side: str = "plus") -> np.ndarray:
     return theta
 
 
-def _rk4(th, dth, h, steps) -> list:
+def _rk4(th, dth, h, steps) -> np.ndarray:
     """RK4 for theta'' = (V - z) theta; theta after each step.  The rows of
-    `steps` hold V - z at the start, middle and end of every step."""
-    th, dth, h2, h6 = complex(th), complex(dth), h / 2, h / 6
-    out = []
+    `steps` hold V - z at the start, middle and end of every step.
+
+    Each maximal run of steps whose three coefficients are all one and the
+    same exact zero c (the same bits: the signs of zero count) goes to
+    `_zero_run`, and every other step to the plain loop `_steps`.  The run
+    ends come from one comparison over the whole array.  A step of such a
+    run multiplies only by c, and a finite value times a zero is a zero
+    whose sign is the XOR of the two signs.  So the step's increment and
+    its theta' depend on theta only through the sign bits of four values,
+    theta, theta + (h/2) k1t, theta + (h/2) k2t and theta + h k3t, as long
+    as all four are finite.  That is the condition that lets `_zero_run`
+    repeat a step's increment with one cumsum and still give theta bit for
+    bit as `_steps` would.
+    """
+    signs = 1 + np.signbit(steps.real) + 2 * np.signbit(steps.imag)  # 1 to 4: which zero
+    zero = (steps == 0).all(axis=0) & (signs == signs[0]).all(axis=0)
+    kind = np.where(zero, signs[0], 0)
+    starts = np.flatnonzero(np.diff(kind, prepend=-1))
+    th, dth = complex(th), complex(dth)
+    out = np.empty(len(kind), dtype=complex)
+    for a, b in zip(starts, [*starts[1:], len(kind)]):
+        run = _zero_run if kind[a] else _steps
+        th, dth = run(th, dth, h, steps[:, a:b], out[a:b])
+    return out
+
+
+def _steps(th, dth, h, steps, out):
+    """Plain RK4 steps; writes theta after each into `out`."""
+    h2, h6 = h / 2, h / 6
+    thetas = []
     for c_start, c_mid, c_end in zip(*steps.tolist()):
         k1t, k1d = dth, c_start * th
         k2t, k2d = dth + h2 * k1d, c_mid * (th + h2 * k1t)
@@ -164,8 +197,70 @@ def _rk4(th, dth, h, steps) -> list:
         k4t, k4d = dth + h * k3d, c_end * (th + h * k3t)
         th, dth = (th + h6 * (k1t + 2 * k2t + 2 * k3t + k4t),
                    dth + h6 * (k1d + 2 * k2d + 2 * k3d + k4d))
-        out.append(th)
-    return out
+        thetas.append(th)
+    out[:] = thetas
+    return th, dth
+
+
+def _zero_step(th, dth, h, c):
+    """One `_steps` step with every coefficient equal to the zero c.
+
+    Returns the increment of theta, the new theta' and the offsets
+    (h/2) k1t, (h/2) k2t and h k3t of the values the step multiplies by c.
+    """
+    h2, h6 = h / 2, h / 6
+    offsets = [h2 * dth]  # k1t = dth
+    k1d, k2d = c * th, c * (th + offsets[0])
+    k2t = dth + h2 * k1d
+    offsets.append(h2 * k2t)
+    k3t, k3d = dth + h2 * k2d, c * (th + offsets[1])
+    offsets.append(h * k3t)
+    k4t, k4d = dth + h * k3d, c * (th + offsets[2])
+    return (h6 * (dth + 2 * k2t + 2 * k3t + k4t),
+            dth + h6 * (k1d + 2 * k2d + 2 * k3d + k4d), offsets)
+
+
+def _zero_run(th, dth, h, steps, out):
+    """Steps whose coefficients are all one exact zero c, bit for bit `_steps`.
+
+    After an exact step that leaves theta' bitwise unchanged, each later
+    state whose four values (see `_rk4`) have that step's sign bits and are
+    finite takes the same step again: it adds the same increment.  One
+    cumsum, which NumPy adds in sequence, gives those states as the same
+    IEEE sums.  Exact steps resume at the first state that breaks the rule,
+    so each pass advances at least one step.
+    """
+    c = complex(steps[0, 0])
+    k, m = 0, len(out)
+    while k < m:
+        if not cmath.isfinite(th):  # stays so: no later state passes
+            return _steps(th, dth, h, steps[:, k:], out[k:])
+        inc, dth_new, offsets = _zero_step(th, dth, h, c)
+        probes = [th] + [th + o for o in offsets]
+        th = out[k] = th + inc
+        k += 1
+        if k == m or _bits(dth_new) != _bits(dth) or not all(map(cmath.isfinite, probes)):
+            dth = dth_new
+            continue
+        ref = np.array(probes)
+        states = np.full(m - k + 1, inc)
+        states[0] = th
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = np.cumsum(states)  # states[j]: theta after j more steps
+            vals = np.stack([states[:-1]] + [states[:-1] + o for o in offsets])
+        same = ((np.signbit(vals.real) == np.signbit(ref.real)[:, None])
+                & (np.signbit(vals.imag) == np.signbit(ref.imag)[:, None])
+                & np.isfinite(vals)).all(axis=0)
+        p = int(np.argmin(np.append(same, False)))  # steps taken before the first break
+        out[k:k + p] = states[1:p + 1]
+        k += p
+        th = complex(states[p])
+    return th, dth
+
+
+def _bits(w: complex) -> bytes:
+    """The IEEE bits of w: unlike ==, tells -0.0 from 0.0."""
+    return struct.pack("2d", w.real, w.imag)
 
 
 def _derivative_profile(f: np.ndarray, h: float) -> np.ndarray:

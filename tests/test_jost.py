@@ -1,8 +1,13 @@
 """Jost solutions, Wronskians, Green kernels, 1D classification."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from virtlev import jost as jost_module
 from virtlev.cli import parse_potential
 from virtlev.errors import (
     ConfigError,
@@ -14,6 +19,7 @@ from virtlev.errors import (
 from virtlev.jost import (
     Potential1D,
     _kink_mask,
+    _rk4,
     classify_threshold_1d,
     green_kernel,
     jost_pair,
@@ -327,3 +333,123 @@ def test_jost_solve_is_bitwise_the_numpy_scalar_recurrence(spec, z, grid):
     for side in ("plus", "minus"):
         ours = jost_solve(pot, z, side)
         assert ours.tobytes() == numpy_scalar_jost_solve(pot, z, side).tobytes(), side
+
+
+def reference_rk4(th, dth, h, steps) -> list:
+    """The plain Python-complex RK4 loop, every step taken: the reference for
+    the bits of `_rk4`, which takes runs of exact-zero coefficients at once."""
+    th, dth, h2, h6 = complex(th), complex(dth), h / 2, h / 6
+    out = []
+    for c_start, c_mid, c_end in zip(*steps.tolist()):
+        k1t, k1d = dth, c_start * th
+        k2t, k2d = dth + h2 * k1d, c_mid * (th + h2 * k1t)
+        k3t, k3d = dth + h2 * k2d, c_mid * (th + h2 * k2t)
+        k4t, k4d = dth + h * k3d, c_end * (th + h * k3t)
+        th, dth = (th + h6 * (k1t + 2 * k2t + 2 * k3t + k4t),
+                   dth + h6 * (k1d + 2 * k2d + 2 * k3d + k4d))
+        out.append(th)
+    return out
+
+
+# the benchmark's jost potentials; well:g=0 has V = -0.0 - 0.0i on its
+# support and +0.0 outside, and theta+ of well:g=4 changes sign at x = -1.43
+JOST_SPECS = ["well:g=-1", "well:g=0.5", "well:g=4", "bump:amp=1", "bump:amp=0.5+0.5j",
+              "well:g=1+1j", "well:g=0.5,center=3", "bump:amp=0.3", "bump:amp=2.5",
+              "well:g=0", f"well:g={GSTAR!r}"]
+
+
+@pytest.mark.parametrize("grid", [GRID, Grid1D(8.0, 801), Grid1D(6.0, 241)],
+                         ids=lambda g: f"n={g.n_points}")
+@pytest.mark.parametrize("z", [0.0, -0.5 + 0.1j])
+@pytest.mark.parametrize("spec", JOST_SPECS)
+def test_jost_solve_is_bitwise_the_plain_loop(spec, z, grid, monkeypatch):
+    pot = parse_potential(spec, grid)
+    ours = [jost_solve(pot, z, side) for side in ("plus", "minus")]
+    monkeypatch.setattr(jost_module, "_rk4", reference_rk4)
+    for side, theta in zip(("plus", "minus"), ours):
+        assert theta.tobytes() == jost_solve(pot, z, side).tobytes(), side
+
+
+def test_free_region_zero_crossing_is_kept():
+    # theta+ of well:g=4 is cos(2(x - 1)) on the well, so it leaves x = -1
+    # with theta = cos 4 and theta' = 2 sin 4 and crosses zero at x = -1.43
+    theta = jost_solve(Potential1D.square_well(4.0, GRID), 0.0, "plus")
+    x = GRID.points
+    crossing = x[np.flatnonzero(np.diff(np.signbit(theta.real)))]
+    expected = -1.0 - 0.5 / np.tan(4.0)
+    assert crossing[crossing < -1.0] == pytest.approx([expected], abs=GRID.spacing)
+
+
+ZEROS = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+
+
+def test_rk4_signed_zero_runs_are_bitwise_the_plain_loop():
+    # with theta and theta' made of +-0 and +-1, the signs of zero decide
+    # the bits: every such start, through a run of one signed zero, a step
+    # that mixes two and a run of the other; then runs that overflow
+    parts = [0.0, -0.0, 1.0, -1.0]
+    starts = [complex(re, im) for re in parts for im in parts]
+    cases = [(th, dth, -0.25, [[c1] * 3] * 3 + [[c1, c2, c1]] + [[c2] * 3] * 3)
+             for th, dth, c1, c2 in itertools.product(starts, starts, ZEROS, ZEROS)]
+    cases += [(th, 1.5e308 + 1j, 0.25, [[c] * 3] * 6)
+              for th, c in itertools.product(starts, ZEROS)]
+    for th, dth, h, rows in cases:
+        steps = np.array(rows, dtype=complex).T
+        want = np.array(reference_rk4(th, dth, h, steps), dtype=complex)
+        assert _rk4(th, dth, h, steps).tobytes() == want.tobytes(), (th, dth, rows)
+
+
+# signed zeros decide the bits of a zero coefficient's products, and 1.5e308
+# overflows within a few steps
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.5e308])
+PARTS = st.one_of(SPECIAL, SPECIAL, SPECIAL, st.floats(-1e3, 1e3, allow_subnormal=False))
+START = st.builds(complex, PARTS, PARTS)
+
+
+@st.composite
+def rk4_problems(draw):
+    """A start, a signed step and coefficients in segments: runs of one exact
+    zero, steps of mixed zeros and steps of any values."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["zero", "mixed", "values"]))
+        if kind == "zero":
+            rows += [[draw(st.sampled_from(ZEROS))] * 3] * draw(st.integers(1, 40))
+        else:
+            pool = st.sampled_from(ZEROS) if kind == "mixed" else START
+            rows += draw(st.lists(st.lists(pool, min_size=3, max_size=3), min_size=1,
+                                  max_size=4))
+    h = draw(st.sampled_from([0.25, -0.25, -1.0 / 3.0]))
+    return draw(START), draw(START), h, np.array(rows, dtype=complex).T
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(rk4_problems())
+def test_rk4_is_bitwise_the_plain_loop(problem):
+    th, dth, h, steps = problem
+    want = np.array(reference_rk4(th, dth, h, steps), dtype=complex)
+    assert _rk4(th, dth, h, steps).tobytes() == want.tobytes()
+
+
+def test_default_jost_loops_over_the_support_only(monkeypatch, capsys):
+    # `jost --potential well:g=1` on Grid1D(16, 6401): 400 steps per side
+    # cross the well, and the 3000 per side outside it go by cumsum
+    from virtlev.cli import main
+
+    counted = {"steps": 0}
+    plain, zero_step = jost_module._steps, jost_module._zero_step
+
+    def steps(th, dth, h, coeffs, out):
+        counted["steps"] += coeffs.shape[1]
+        return plain(th, dth, h, coeffs, out)
+
+    def one_step(*args):
+        counted["steps"] += 1
+        return zero_step(*args)
+
+    monkeypatch.setattr(jost_module, "_steps", steps)
+    monkeypatch.setattr(jost_module, "_zero_step", one_step)
+    assert main(["jost", "--potential", "well:g=1"]) == 0
+    assert '"classification": "regular"' in capsys.readouterr().out
+    support_steps = round(2.0 / GRID.spacing)
+    assert 2 * support_steps <= counted["steps"] <= 2 * (support_steps + 4)
