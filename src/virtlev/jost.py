@@ -233,8 +233,6 @@ def _zero_run(th, dth, h, steps, out):
     c = complex(steps[0, 0])
     k, m = 0, len(out)
     while k < m:
-        if not cmath.isfinite(th):  # stays so: no later state passes
-            return _steps(th, dth, h, steps[:, k:], out[k:])
         inc, dth_new, offsets = _zero_step(th, dth, h, c)
         probes = [th] + [th + o for o in offsets]
         th = out[k] = th + inc
