@@ -30,6 +30,7 @@ and takes one real exp(-Re(w) |r - rho|) per pair.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +174,9 @@ def free_semiseparable_kernel(d: int, grid, w) -> SemiseparableKernel:
     return SemiseparableKernel(grid, left, right, np.exp(-w * grid.spacing))
 
 
+_PAIR_BLOCK = 1 << 15  # pairs per block of radial_reduced_kernel_2d: 256 KiB of scratch
+
+
 def radial_reduced_kernel_2d(r, rho, w):
     """s-wave reduced 2D kernel sqrt(r rho) I0(w r_<) K0(w r_>), Re w >= 0,
     at every broadcast pair (r, rho).
@@ -180,7 +184,8 @@ def radial_reduced_kernel_2d(r, rho, w):
     exp(-w |r - rho|) = exp(-Re(w) |r - rho|) e^{i Im(w) r_<} e^{-i Im(w) r_>}:
     the Bessel generators and the unit phases are evaluated once per r and
     once per rho, so each pair costs one product and one real exponential,
-    and nothing can overflow.
+    and nothing can overflow.  Peak memory is the result and one block of
+    _PAIR_BLOCK pairs of scratch.
     """
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -193,13 +198,27 @@ def radial_reduced_kernel_2d(r, rho, w):
 
     (left_r, right_r), (left_rho, right_rho) = folded(r), folded(rho)
     shape = np.broadcast_shapes(r.shape, rho.shape)
-    out = np.multiply(left_r, right_rho, out=np.empty(shape, dtype=complex))
-    np.multiply(left_rho, right_r, out=out, where=r > rho)
-    decay = np.subtract(r, rho, out=np.empty(shape))
-    np.abs(decay, out=decay)
-    decay *= -w.real
-    out *= np.exp(decay, out=decay)
-    return out[()]
+    full = shape or (1,)
+    r, rho, left_r, right_r, left_rho, right_rho = (
+        np.broadcast_to(a, full) for a in (r, rho, left_r, right_r, left_rho, right_rho))
+    # Blocks of leading-axis rows share one scratch allocated before the
+    # result, so the result is the build's only large allocation and its
+    # last: the caller's small allocations fill the freed scratch, not the
+    # heap above the result, and peak memory does not depend on heap history.
+    step = max(1, min(full[0], _PAIR_BLOCK // max(1, math.prod(full[1:]))))
+    decay = np.empty((step,) + full[1:])
+    swap = np.empty(decay.shape, dtype=bool)
+    out = np.empty(full, dtype=complex)
+    for i in range(0, full[0], step):
+        b = slice(i, i + step)
+        o = out[b]
+        d, m = decay[:len(o)], swap[:len(o)]
+        np.multiply(left_r[b], right_rho[b], out=o)
+        np.multiply(left_rho[b], right_r[b], out=o, where=np.greater(r[b], rho[b], out=m))
+        np.abs(np.subtract(r[b], rho[b], out=d), out=d)
+        d *= -w.real
+        o *= np.exp(d, out=d)
+    return out.reshape(shape)[()]
 
 
 def build_free_kernel_operator(d: int, grid, p: SpectralParameter) -> SemiseparableKernel:

@@ -251,9 +251,10 @@ class TestFoldedPhase:
         shuffled = radial_reduced_kernel_2d(r[perm][:, None], r[None, :], w)
         assert np.max(np.abs(shuffled - full[perm])) <= 1e-15 * np.max(np.abs(full))
 
-    def test_grid_build_keeps_one_real_temporary(self):
-        # peak: the complex output, one real n x n exponent and the r > rho
-        # mask (1.56x the output); the pairwise formula peaks at 3x
+    def test_grid_build_keeps_one_block_of_scratch(self):
+        # peak: the complex output and one block of exponents and r > rho
+        # flags (32 rows of 1000 here, 1.02x the output); the pairwise
+        # formula peaks at 3x
         r = RadialGrid(10.0, 1000).points
         radial_reduced_kernel_2d(r[:2], r[:2], 0.5)  # import scipy.special outside the trace
         tracemalloc.start()
@@ -262,7 +263,21 @@ class TestFoldedPhase:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * k.nbytes
+        assert peak <= 1.05 * k.nbytes
+
+    @pytest.mark.parametrize("w", FOLD_WS)
+    def test_blocks_match_rows_bit_for_bit(self, w):
+        # 70 rows of 1000 pairs run as blocks of 32, 32 and 6 rows; each row
+        # alone is one block, so block edges must not change a single bit
+        r = RadialGrid(10.0, 1000).points
+        rows = r[::13][:70, None]
+        got = radial_reduced_kernel_2d(rows, r[None, :], w)
+        ref = np.concatenate([radial_reduced_kernel_2d(x[None], r[None, :], w) for x in rows])
+        assert got.shape == (70, 1000)
+        assert got.tobytes() == ref.tobytes()
+        # empty broadcasts keep their shape
+        assert radial_reduced_kernel_2d(np.zeros((5, 0)), 1.0, w).shape == (5, 0)
+        assert radial_reduced_kernel_2d(np.array([]), np.array([]), w).shape == (0,)
 
 
 class TestBuildOperator:
