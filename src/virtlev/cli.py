@@ -222,16 +222,15 @@ def _cmd_jost(cfg) -> int:
     grid = Grid1D(cfg["R"], cfg["n"])
     pot = parse_potential(cfg["potential"], grid)
     report = jost.classify_threshold_1d(pot, tol=cfg["tol"])
-    w = report.diagnostics["wronskian"]
+    pair = report.diagnostics["jost_pair"]
     payload = {
         "classification": report.classification.value,
         "rank": report.rank,
-        "wronskian": [w.real, w.imag],
-        "wronskian_deviation": report.diagnostics["wronskian_deviation"],
+        "wronskian": [pair.wronskian.real, pair.wronskian.imag],
+        "wronskian_deviation": pair.wronskian_deviation,
     }
     print(json.dumps(payload))
     if cfg["out"]:
-        pair = report.diagnostics["jost_pair"]
         table = csv_table(["x", "theta_plus_re", "theta_plus_im", "theta_minus_re",
                            "theta_minus_im"],
                           zip(grid.points, pair.theta_plus, pair.theta_minus))

@@ -93,13 +93,15 @@ class Potential1D:
 
 @dataclass(frozen=True)
 class JostPair:
-    """Both Jost solutions on a common grid with their Wronskian."""
+    """Both Jost solutions on a common grid with their Wronskian, its drift
+    and the scale 1 + sup|theta+| sup|theta-| that |W| is judged against."""
 
     theta_plus: np.ndarray = field(repr=False)
     theta_minus: np.ndarray = field(repr=False)
     z: complex
     wronskian: complex
     wronskian_deviation: float
+    scale: float
     grid: Grid1D
 
 
@@ -114,13 +116,16 @@ def _branch_root(z) -> complex:
     return complex(np.sqrt(-z))
 
 
-def jost_solve(pot: Potential1D, z=0.0, side: str = "plus") -> np.ndarray:
-    """Integrate -theta'' + V theta = z theta inward from the support edge.
+def jost_solve(pot: Potential1D, z=0.0) -> tuple:
+    """(theta_plus, theta_minus): -theta'' + V theta = z theta integrated
+    inward from each support edge.
 
     Classical fixed-step RK4 on the grid, fourth order in the spacing.  Stage
     abscissae at step endpoints are nudged into the open step interval so
     that potentials with jumps exactly on grid nodes (square wells) are
-    sampled on the correct side and keep the full order.
+    sampled on the correct side and keep the full order.  V - z is sampled
+    once, just below each node, just above it and midway to the node before,
+    and both sides step through those same arrays.
 
     The steps run on Python complex numbers, twice as fast as NumPy scalars:
     both multiply and add by the same IEEE formulas, without fused
@@ -130,32 +135,27 @@ def jost_solve(pot: Potential1D, z=0.0, side: str = "plus") -> np.ndarray:
     through the sign bits of four finite values; while those stay the same,
     one cumsum takes the steps in the same IEEE sums (see `_rk4`).
     """
-    if side not in ("plus", "minus"):
-        raise ValueError("side must be 'plus' or 'minus'")
     kappa = _branch_root(z)
-    grid = pot.grid
-    x = grid.points
-    h = float(grid.spacing)  # a NumPy float here would make _rk4 step NumPy scalars
-    n = grid.n_points
+    x, n = pot.grid.points, pot.grid.n_points
+    h = float(pot.grid.spacing)  # a NumPy float here would make _rk4 step NumPy scalars
     delta = 1e-9 * h
-    v_lo = pot.sample(x - delta)   # value just below each node
-    v_hi = pot.sample(x + delta)   # value just above each node
-    v_half = pot.sample(x - h / 2.0)  # v_half[i] sits between nodes i-1 and i
-
-    theta = np.empty(n, dtype=complex)
+    lo = pot.sample(x - delta) - z   # just below each node
+    hi = pot.sample(x + delta) - z   # just above each node
+    half = pot.sample(x - h / 2.0) - z  # half[i] sits between nodes i-1 and i
     guard = 1e-12 * max(1.0, pot.support_radius)
 
-    if side == "plus":
-        i0 = min(int(np.searchsorted(x, pot.support_radius - guard)), n - 1)
-        theta[i0:] = np.exp(-kappa * x[i0:])
-        c = np.stack([v_lo[1:i0 + 1], v_half[1:i0 + 1], v_hi[:i0]])[:, ::-1] - z  # i0 -> 0
-        theta[:i0] = _rk4(theta[i0], -kappa * theta[i0], -h, c)[::-1]
-    else:
-        i0 = max(int(np.searchsorted(x, -pot.support_radius + guard, side="right")) - 1, 0)
-        theta[: i0 + 1] = np.exp(kappa * x[: i0 + 1])
-        c = np.stack([v_hi[i0:-1], v_half[i0 + 1:], v_lo[i0 + 1:]]) - z  # i0 -> n - 1
-        theta[i0 + 1:] = _rk4(theta[i0], kappa * theta[i0], h, c)
-    return theta
+    tp = np.empty(n, dtype=complex)
+    i0 = min(int(np.searchsorted(x, pot.support_radius - guard)), n - 1)
+    tp[i0:] = np.exp(-kappa * x[i0:])
+    steps = np.stack([lo[1:i0 + 1], half[1:i0 + 1], hi[:i0]])[:, ::-1]  # i0 -> 0
+    tp[:i0] = _rk4(tp[i0], -kappa * tp[i0], -h, steps)[::-1]
+
+    tm = np.empty(n, dtype=complex)
+    i0 = max(int(np.searchsorted(x, -pot.support_radius + guard, side="right")) - 1, 0)
+    tm[: i0 + 1] = np.exp(kappa * x[: i0 + 1])
+    steps = np.stack([hi[i0:-1], half[i0 + 1:], lo[i0 + 1:]])  # i0 -> n - 1
+    tm[i0 + 1:] = _rk4(tm[i0], kappa * tm[i0], h, steps)
+    return tp, tm
 
 
 def _rk4(th, dth, h, steps) -> np.ndarray:
@@ -261,39 +261,34 @@ def _bits(w: complex) -> bytes:
     return struct.pack("2d", w.real, w.imag)
 
 
-def _derivative_profile(f: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order centered derivative on interior points (2-point margin)."""
-    return (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
+def _wronskian_profile(tp, tm, h: float):
+    """W(0) and the largest |W(x) - W(0)| over interior points away from kinks.
 
-
-def _kink_mask(theta: np.ndarray, n_interior: int) -> np.ndarray:
-    """Interior-point mask excluding stencils that straddle a curvature jump.
-
-    Fourth differences of a C^4 sample scale like h^4; across a jump of
-    theta'' they scale like h^2, so a cliff in |Delta^4 theta| localizes the
-    kinks (potential discontinuities) where the finite-difference order
-    degrades and the Wronskian drift diagnostic would report a false alarm.
+    Both sides go through each formula as the rows of one stack: the
+    fourth-order centered derivative (2-point margin), and the fourth
+    difference that finds the kinks.  Fourth differences of a C^4 sample
+    scale like h^4; across a jump of theta'' they scale like h^2, so a cliff
+    above 1e-7 * max(1, sup|theta|) in either row marks a kink (a potential
+    discontinuity) where the finite-difference order degrades and the drift
+    would report a false alarm.  Points within 2 of a kink are left out.
+    A grid that leaves no other point than x = 0 measures no drift, and is
+    refused.
     """
-    d4 = np.abs(theta[:-4] - 4 * theta[1:-3] + 6 * theta[2:-2]
-                - 4 * theta[3:-1] + theta[4:])
-    scale = max(1.0, float(np.max(np.abs(theta))))
-    thresh = 1e-7 * scale
-    kink = d4 > thresh  # aligned with interior indices
-    mask = np.ones(n_interior, dtype=bool)
-    for j in np.nonzero(kink)[0]:
-        mask[max(0, j - 2): j + 3] = False
-    return mask
-
-
-def _wronskian_profile(tp, tm, grid: Grid1D):
-    h = grid.spacing
-    dp = _derivative_profile(tp, h)
-    dm = _derivative_profile(tm, h)
-    w = tp[2:-2] * dm - dp * tm[2:-2]
-    w0 = w[(len(w) - 1) // 2]  # x = 0 is the center of the interior slice
-    good = _kink_mask(tp, len(w)) & _kink_mask(tm, len(w))
-    dev = float(np.max(np.abs(w[good] - w0))) if np.any(good) else 0.0
-    return complex(w0), dev
+    t = np.stack([tp, tm])
+    d = (-t[:, 4:] + 8 * t[:, 3:-1] - 8 * t[:, 1:-3] + t[:, :-4]) / (12 * h)
+    w = t[0, 2:-2] * d[1] - d[0] * t[1, 2:-2]
+    d4 = np.abs(t[:, :-4] - 4 * t[:, 1:-3] + 6 * t[:, 2:-2] - 4 * t[:, 3:-1] + t[:, 4:])
+    thresh = 1e-7 * np.fmax(1.0, np.max(np.abs(t), axis=1, keepdims=True))
+    near = (d4 > thresh).any(axis=0)  # either side's stencil straddles a kink
+    if near.size:  # np.convolve refuses an empty array
+        near = np.convolve(near, np.ones(5), "full")[2:-2] > 0
+    mid = (len(w) - 1) // 2  # x = 0 is the center of the interior slice
+    if not np.any(~near & (np.arange(len(w)) != mid)):
+        raise ConfigError(f"the grid of n = {len(tp)} points at h = {h:.6g} has no "
+                          "interior point away from x = 0 and the kinks to measure "
+                          "the Wronskian drift on")
+    w0 = w[mid]
+    return complex(w0), float(np.max(np.abs(w[~near] - w0)))
 
 
 def wronskian(pair: JostPair) -> complex:
@@ -314,10 +309,10 @@ def wronskian(pair: JostPair) -> complex:
 
 def jost_pair(pot: Potential1D, z=0.0) -> JostPair:
     """Solve both sides and record the Wronskian with its drift diagnostic."""
-    tp = jost_solve(pot, z, "plus")
-    tm = jost_solve(pot, z, "minus")
-    w0, dev = _wronskian_profile(tp, tm, pot.grid)
-    return JostPair(tp, tm, complex(z), w0, dev, pot.grid)
+    tp, tm = jost_solve(pot, z)
+    w0, dev = _wronskian_profile(tp, tm, pot.grid.spacing)
+    scale = 1.0 + float(np.max(np.abs(tp)) * np.max(np.abs(tm)))
+    return JostPair(tp, tm, complex(z), w0, dev, scale, pot.grid)
 
 
 def green_kernel(pair: JostPair) -> SemiseparableKernel:
@@ -325,11 +320,10 @@ def green_kernel(pair: JostPair) -> SemiseparableKernel:
 
     Returned as an O(n) semiseparable operator with left = theta- / W,
     right = theta+ and decay 1; `.entries` builds the n^2 matrix only on
-    request.  Requires |W| above _W_TOL * (1 + sup|theta+| sup|theta-|): at a
-    virtual level the Wronskian vanishes and no such kernel exists.
+    request.  Requires |W| above _W_TOL * pair.scale: at a virtual level the
+    Wronskian vanishes and no such kernel exists.
     """
-    scale = 1.0 + float(np.max(np.abs(pair.theta_plus)) * np.max(np.abs(pair.theta_minus)))
-    if abs(pair.wronskian) <= _W_TOL * scale:
+    if abs(pair.wronskian) <= _W_TOL * pair.scale:
         raise VirtualLevelError(
             "Wronskian is zero: the Jost solutions are linearly dependent"
         )
@@ -348,14 +342,8 @@ def classify_threshold_1d(pot: Potential1D, tol: float = 1e-6) -> ThresholdRepor
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"tol = {tol} must be finite and nonnegative")
     pair = jost_pair(pot, 0.0)
-    scale = 1.0 + float(np.max(np.abs(pair.theta_plus)) * np.max(np.abs(pair.theta_minus)))
-    aw = abs(pair.wronskian)
-    diagnostics = {
-        "wronskian": pair.wronskian,
-        "wronskian_deviation": pair.wronskian_deviation,
-        "scale": scale,
-        "jost_pair": pair,
-    }
+    aw, scale = abs(pair.wronskian), pair.scale
+    diagnostics = {"jost_pair": pair}
     if aw <= tol * scale:
         state = pair.theta_plus / np.max(np.abs(pair.theta_plus))
         return ThresholdReport(Classification.VIRTUAL, rank=1, states=[state],

@@ -108,7 +108,7 @@ class TestSubcommands:
         code, _, _ = run_cli(["jost", "--potential", "well:g=1", "--n", "1601",
                               "--out", str(tmp_path / "jost.csv")], capsys)
         assert code == 0
-        assert len(calls) == 2  # one pair, reused for the CSV
+        assert len(calls) == 1  # both sides in one solve, reused for the CSV
 
     def test_jost_json(self, capsys):
         code, out, _ = run_cli(["jost", "--potential", "well:g=1"], capsys)
@@ -303,6 +303,18 @@ class TestErrorChannels:
         payload = json.loads(err)
         assert payload["error"] == "config"
         assert fragment in payload["message"]
+
+    @pytest.mark.parametrize("n,h", [("3", "2"), ("5", "1"), ("7", "0.666667")])
+    def test_grid_without_a_drift_point_exit_2(self, capsys, n, h):
+        # the kinks at x = +-1 leave only x = 0, where the drift is 0 by
+        # definition; n = 3 has no interior point at all
+        code, out, err = run_cli(["jost", "--potential", "well:g=1", "--n", n,
+                                  "--R", "2"], capsys)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "config",
+            "message": f"the grid of n = {n} points at h = {h} has no interior point "
+                       f"away from x = 0 and the kinks to measure the Wronskian drift on"}
 
     @pytest.mark.parametrize("entry", ["inf", "nan"])
     def test_non_finite_matrix_entry_exit_2(self, capsys, tmp_path, entry):

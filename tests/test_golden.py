@@ -7,7 +7,7 @@ that alters any number, row or verdict of these outputs fails here; record
 new digests only for an intended change of output, and say which.
 
 The grids are small (h = 0.01 at the resolution limit) so all cases together
-run in about a second.
+run in a few seconds; the two solver-kind l1_linf sweeps take most of it.
 """
 
 import hashlib
@@ -42,6 +42,14 @@ CASES = {
                        *_SMALL_LINE], 0,
                       "c81e1e81d4a82f7e7fac3fa954cfeaff207301a285773c7feb9a6a4cfd7c4b63",
                       "a59d14a7ef8c1589519b2e6b6e506530d9ea1b5f19d710cdb2d64f49d1e4beda"),
+    "sweep_l1_linf_schrod1d": (["sweep", "--op", "schrod1d", "--potential", "well:g=1",
+                                "--flavor", "l1_linf", *_SMALL_LINE], 0,
+                               "20194695eefe924b7a1e56525f63892d918768b98509343df73369d0dbf75f38",
+                               "14497e63aa5419134400b658f94f066a70e2ffa628e653c91c9ce7c4ee0914e4"),
+    "sweep_l1_linf_rankone1d": (["sweep", "--op", "rankone1d", "--flavor", "l1_linf",
+                                 *_SMALL_LINE], 0,
+                                "33ad2a9cef081252ae20b6de947206650de535a812b0390a18c2ff83f3484522",
+                                "afc83d236e3248fa286dff1b36796c8cbba96af429484ad807ab4f984ac18039"),
     "embedded": (["embedded", "--zeta0", "1"], 0,
                  "7a5cb5569a42d38c87d8a448faed5d72d53d7c8f83d81e8d3e019214b46a0f42",
                  "fce97c23107f39e2d8a48af7a27d51a927ce7e2eca4f1633fda4a9ab66c85305"),

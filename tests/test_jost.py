@@ -18,8 +18,8 @@ from virtlev.errors import (
 )
 from virtlev.jost import (
     Potential1D,
-    _kink_mask,
     _rk4,
+    _wronskian_profile,
     classify_threshold_1d,
     green_kernel,
     jost_pair,
@@ -43,12 +43,12 @@ def indicator_barrier(grid=GRID):
 
 class TestJostSolve:
     def test_free_equation_constant(self):
-        theta = jost_solve(zero_potential(), 0.0, "plus")
+        theta = jost_solve(zero_potential(), 0.0)[0]
         assert np.max(np.abs(theta - 1.0)) < 1e-12
 
     def test_barrier_closed_form(self):
         # theta+ = cosh(x-1) inside, cosh2 - sinh2 (x+1) to the left
-        theta = jost_solve(indicator_barrier(), 0.0, "plus")
+        theta = jost_solve(indicator_barrier(), 0.0)[0]
         x = GRID.points
         exact = np.where(x >= 1, 1.0,
                          np.where(x >= -1, np.cosh(x - 1),
@@ -58,23 +58,22 @@ class TestJostSolve:
         assert theta[center] == pytest.approx(np.cosh(2.0), rel=1e-9)
 
     def test_even_potential_mirror_symmetry(self):
-        tp = jost_solve(indicator_barrier(), 0.0, "plus")
-        tm = jost_solve(indicator_barrier(), 0.0, "minus")
+        tp, tm = jost_solve(indicator_barrier(), 0.0)
         assert np.max(np.abs(tm - tp[::-1])) < 1e-10
 
     def test_negative_energy_exponentials(self):
-        theta = jost_solve(zero_potential(), -1.0, "plus")
+        theta = jost_solve(zero_potential(), -1.0)[0]
         exact = np.exp(-GRID.points)
         assert np.max(np.abs(theta - exact) / exact) < 1e-9
 
     def test_positive_axis_rejected(self):
         with pytest.raises(UnsupportedSpectralPoint):
-            jost_solve(zero_potential(), 1.0, "plus")
+            jost_solve(zero_potential(), 1.0)
 
     def test_nonfinite_potential_rejected(self):
         bad = Potential1D(1.0, lambda x: np.full(np.shape(x), np.nan), GRID)
         with pytest.raises(InvalidOperator):
-            jost_solve(bad, 0.0, "plus")
+            jost_solve(bad, 0.0)
 
 
 class TestWronskian:
@@ -128,19 +127,76 @@ class TestWronskian:
         assert 2.0e-4 < large.wronskian_deviation < 3.0e-4 < 1e-4 * abs(large.wronskian)
         assert wronskian(large) == large.wronskian
 
+    @pytest.mark.parametrize("g,n", [(1.0, 3), (1.0, 5), (1.0, 7), (1.0, 23), (0.0, 5)])
+    def test_grid_without_a_drift_point_is_refused(self, g, n):
+        # on [-2, 2] the kinks at x = +-1 of the unit well leave no point
+        # besides x = 0 up to n = 23; g = 0 has no kinks, and its 5-point grid
+        # has x = 0 alone, where a drift is 0 whatever the grid resolves
+        with pytest.raises(ConfigError, match=f"the grid of n = {n} points"):
+            jost_pair(Potential1D.square_well(g, Grid1D(2.0, n)))
+
+    def test_first_grid_with_a_drift_point_measures_one(self):
+        pair = jost_pair(Potential1D.square_well(1.0, Grid1D(2.0, 25)))
+        assert 2e-5 < pair.wronskian_deviation < 4e-5
+
+    def test_pair_samples_the_potential_once_per_stencil(self, monkeypatch):
+        # both sides step through one set of samples: below, above and midway
+        calls = []
+        sample = Potential1D.sample
+
+        def counted(self, x):
+            calls.append(np.shape(x))
+            return sample(self, x)
+
+        monkeypatch.setattr(Potential1D, "sample", counted)
+        jost_pair(Potential1D.square_well(1.0, GRID))
+        assert calls == [(GRID.n_points,)] * 3
+
+    def test_pair_carries_the_scale(self):
+        pair = jost_pair(indicator_barrier())
+        sup = np.max(np.abs(pair.theta_plus)) * np.max(np.abs(pair.theta_minus))
+        assert pair.scale == 1.0 + sup
+        report = classify_threshold_1d(indicator_barrier())
+        assert report.diagnostics.keys() == {"jost_pair", "green_kernel"}
+
 
 class TestKinkMask:
-    """The curvature-jump detector: 1e-7 * max(1, sup|theta|) on |Delta^4 theta|."""
+    """The curvature-jump detector of `_wronskian_profile`: 1e-7 * max(1,
+    sup|theta|) on |Delta^4 theta|, per side, and the 2 points either side
+    of a flagged stencil left out of the drift."""
 
-    @pytest.mark.parametrize("base,thresh", [(0.5, 1e-7), (10.0, 1e-6)])
-    def test_threshold_scales_with_the_sup_above_one(self, base, thresh):
-        # a bump of d at index 20 gives fourth differences d, 4d, 6d, 4d, d;
-        # only the centre stencil (interior index 18) crosses 1.2 * thresh
-        for frac, masked in ((1.2, [16, 17, 18, 19, 20]), (0.8, [])):
-            theta = np.full(41, base, dtype=complex)
-            theta[20] += frac * thresh / 6
-            mask = _kink_mask(theta, 37)
-            assert np.flatnonzero(~mask).tolist() == masked, (base, frac)
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("base,other,thresh", [(0.5, 1.0, 1e-7), (10.0, 1.0, 1e-6),
+                                                   (0.5, 10.0, 1e-7)])
+    def test_threshold_scales_with_the_sup_above_one(self, side, base, other, thresh):
+        # a bump of d at index 10 of one side gives fourth differences d, 4d,
+        # 6d, 4d, d at interior indices 6..10; only the centre stencil crosses
+        # 1.2 * thresh, and the threshold follows that side's own sup.  The
+        # other side is constant, so W(x) is +-other * theta'(x), which the
+        # bump makes nonzero at interior indices 6, 7, 9 and 10: the drift is
+        # 0 exactly when all four are left out, and not 0 when none is.
+        # W(0) (interior index 18) is 0.
+        for frac in (1.2, 0.8):
+            thetas = [np.full(41, other, dtype=complex)] * 2
+            thetas[side] = np.full(41, base, dtype=complex)
+            thetas[side][10] += frac * thresh / 6
+            w0, dev = _wronskian_profile(*thetas, 1.0)
+            assert w0 == 0
+            assert (dev == 0.0) is (frac > 1), (base, frac)
+
+    def test_the_exclusion_stops_two_points_from_a_flag(self):
+        # theta+ flags its stencil at interior index 8, which leaves 6..10
+        # out; a bump below the threshold at index 11 of theta- moves
+        # theta-'(x) at interior indices 7, 8, 10 and 11, so the drift is
+        # read at 11 alone: theta+ * theta-' = 0.5 * d / 12 there
+        d = 0.8e-7 / 6
+        tp = np.full(41, 0.5, dtype=complex)
+        tp[10] += 1.2e-7 / 6
+        tm = np.ones(41, dtype=complex)
+        tm[11] += d
+        w0, dev = _wronskian_profile(tp, tm, 1.0)
+        assert w0 == 0
+        assert dev == pytest.approx(0.5 * d / 12, rel=1e-6)
 
     def test_weak_well_keeps_its_drift_at_roundoff(self):
         # sup|theta| = 1 for the weak well, so the floor sets the threshold:
@@ -219,7 +275,7 @@ class TestClassification:
         for amp in (0.3, 1.0, 2.5):
             report = classify_threshold_1d(Potential1D.bump(GRID, amplitude=amp))
             assert report.classification is Classification.REGULAR
-            assert abs(report.diagnostics["wronskian"]) > 0
+            assert abs(report.diagnostics["jost_pair"].wronskian) > 0
 
     def test_critical_well_is_virtual(self):
         report = classify_threshold_1d(Potential1D.square_well(GSTAR, GRID))
@@ -276,8 +332,8 @@ def test_potential_requires_room_on_grid():
 
 def test_translation_shifts_jost_solution():
     # shifting the potential shifts theta+ by the same amount at z = 0
-    base = jost_solve(Potential1D.square_well(0.7, GRID), 0.0, "plus")
-    shifted = jost_solve(Potential1D.square_well(0.7, GRID, center=2.0), 0.0, "plus")
+    base = jost_solve(Potential1D.square_well(0.7, GRID), 0.0)[0]
+    shifted = jost_solve(Potential1D.square_well(0.7, GRID, center=2.0), 0.0)[0]
     x = GRID.points
     window = np.abs(x) <= 10.0
     interp = np.interp(x[window] - 2.0, x, base.real)
@@ -330,8 +386,7 @@ def numpy_scalar_jost_solve(pot, z, side):
                                   "well:g=2,a=0.5,center=0.75"])
 def test_jost_solve_is_bitwise_the_numpy_scalar_recurrence(spec, z, grid):
     pot = parse_potential(spec, grid)
-    for side in ("plus", "minus"):
-        ours = jost_solve(pot, z, side)
+    for side, ours in zip(("plus", "minus"), jost_solve(pot, z)):
         assert ours.tobytes() == numpy_scalar_jost_solve(pot, z, side).tobytes(), side
 
 
@@ -364,16 +419,16 @@ JOST_SPECS = ["well:g=-1", "well:g=0.5", "well:g=4", "bump:amp=1", "bump:amp=0.5
 @pytest.mark.parametrize("spec", JOST_SPECS)
 def test_jost_solve_is_bitwise_the_plain_loop(spec, z, grid, monkeypatch):
     pot = parse_potential(spec, grid)
-    ours = [jost_solve(pot, z, side) for side in ("plus", "minus")]
+    ours = jost_solve(pot, z)
     monkeypatch.setattr(jost_module, "_rk4", reference_rk4)
-    for side, theta in zip(("plus", "minus"), ours):
-        assert theta.tobytes() == jost_solve(pot, z, side).tobytes(), side
+    for side, theta, plain in zip(("plus", "minus"), ours, jost_solve(pot, z)):
+        assert theta.tobytes() == plain.tobytes(), side
 
 
 def test_free_region_zero_crossing_is_kept():
     # theta+ of well:g=4 is cos(2(x - 1)) on the well, so it leaves x = -1
     # with theta = cos 4 and theta' = 2 sin 4 and crosses zero at x = -1.43
-    theta = jost_solve(Potential1D.square_well(4.0, GRID), 0.0, "plus")
+    theta = jost_solve(Potential1D.square_well(4.0, GRID), 0.0)[0]
     x = GRID.points
     crossing = x[np.flatnonzero(np.diff(np.signbit(theta.real)))]
     expected = -1.0 - 0.5 / np.tan(4.0)

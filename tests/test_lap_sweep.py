@@ -681,6 +681,25 @@ class TestSolverEngines:
         with pytest.raises(NearSpectrum):
             ls._make_engine(op, e_h)
 
+    def test_near_spectrum_prints_zgtcon_condition_estimate(self):
+        # at the bound state of a deep well zgtcon decides, and the message
+        # carries 1 / rc from the factors the engine builds
+        from scipy.linalg import eigh_tridiagonal
+        grid = Grid1D(8.0, 1601)
+        op = OperatorSpec.schrodinger1d(Potential1D.square_well(10.0, grid))
+        d = np.real(ls._tridiagonal(op, 0.0)[1])[1:-1]
+        e_h = float(eigh_tridiagonal(d, np.full(d.size - 1, -1.0 / grid.spacing**2),
+                                     select="i", select_range=(0, 0),
+                                     eigvals_only=True)[0])
+        bands = ls._tridiagonal(op, e_h)
+        *factors, info = lapack.zgttrf(*bands)
+        rc = lapack.zgtcon(*factors, ls._band_norm1(*bands))[0]
+        assert info == 0 and 0.0 < rc * ls._COND_LIMIT < 1.0
+        with pytest.raises(NearSpectrum) as caught:
+            ls._make_engine(op, e_h)
+        assert str(caught.value) == (f"condition estimate {1.0 / rc:.3g} exceeds "
+                                     f"{ls._COND_LIMIT:.0e}")
+
     def test_singular_lu_raises_without_a_condition_estimate(self, monkeypatch):
         # info != 0: an exactly zero pivot, so nothing is solved or estimated
         def forbidden(*args, **kwargs):

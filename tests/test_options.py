@@ -50,7 +50,6 @@ OPTIONS = {
     "jost.Potential1D.bump.half_width": "cli parse_potential (bump:a=)",
     "jost.Potential1D.bump.center": "cli parse_potential (bump:center=)",
     "jost.jost_solve.z": "jost_pair",
-    "jost.jost_solve.side": "jost_pair",
     "jost.jost_pair.z": "classify_threshold_1d; tests",
     "jost.classify_threshold_1d.tol": "cli jost --tol; tests",
     "lap_sweep.default_radii.r0": "cli sweep --r0",
