@@ -63,6 +63,23 @@ CASES = {
                        "bump:amp=1,a=1", "--R", "40", "--n", "1601"], 0,
                       "1564154aaa0000100ea9ec10fdbab3b613b30da0e3939b3edfe322690dedd581",
                       "b10e74a175e67bbe9fb91da9242ef315e0bb53750ae03db3fdc38b6eaf76acd2"),
+    # base weighted_gap, doubled null_state: "verdict unstable under radius doubling"
+    "critical_unstable_r60": (["critical", "--R", "60", "--n", "2401"], 0,
+                              "773bc8a1a9685423637788b1e44d46150b40a603a4d4d1b37beb6053a1370684",
+                              "c867eb9d717d62f799a9fa0dc3e80b46c94546f943efc1216fb17340f6ade082"),
+    # j_max not a power of two: the last j of the loop is 32
+    "critical_jmax48": (["critical", "--jmax", "48", "--R", "40", "--n", "1601"], 0,
+                        "e02b3b788f99ec6ad1b500278563dbaa543b80de4aff8a6dbca5c663b37da5bc",
+                        "9b28b2200b2293fd7e0b793129d28a42d4fc78c418e724dac0a42704e702fe65"),
+    # a single j: no Cauchy increment exists
+    "critical_jmax1": (["critical", "--jmax", "1", "--R", "40", "--n", "1601"], 0,
+                       "773bc8a1a9685423637788b1e44d46150b40a603a4d4d1b37beb6053a1370684",
+                       "1967301084fe83902fe028439ae4756fa90d5385033acab2f090004d912b756e"),
+    # ||T||_1 ~ 1e30: the eigen-solve refuses this form, so no certificate may accept it
+    "critical_huge_well": (["critical", "--case", "potential", "--potential", "well:g=-1e30",
+                            "--R", "40", "--n", "1601"], 1,
+                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                           None),
     "jost": (["jost", "--potential", "well:g=1", "--n", "1601"], 0,
              "b121d05b69a271fcbe919b95699b4478a9c17d8ceabe5c3012cd13e40097241a",
              "7df2f674659136d6fd205b05155be699e84ee27b55d6b7d827e965057e1f47a5"),
