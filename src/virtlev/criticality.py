@@ -16,6 +16,16 @@ and half of it is reported so the margin is strictly positive.
 A form is a grid and one real potential sampler.  All forms are Dirichlet
 truncations on uniform grids, and the grid's type sets the edges; verdicts
 are re-checked under doubling of the truncation radius.
+
+Only eigen-solves whose results reach an output run.  A form is accepted as
+nonnegative without a solve when its Gershgorin lower bound clears the
+threshold by more than LAPACK's bisection error (`_gershgorin_and_error`).
+The radius-doubled re-check reports only its verdict, so it solves the last
+j first.  A non-binding last j means the weighted-gap branch, which needs
+only the critical coupling c* (it may raise).  A last j binding by more than
+the bisection error binds every earlier j too, and the verdict needs only
+the Cauchy increment between the last two j.  In the band between, the full
+construction runs.
 """
 
 from __future__ import annotations
@@ -37,6 +47,37 @@ def _zero(t):
     return np.zeros(np.shape(t))
 
 
+def _gershgorin_and_error(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """Gershgorin lower bound L of T = tridiag(e, d, e), and a bound delta on
+    the error of any eigenvalue LAPACK's dstebz computes for T at tol = 0,
+    plus the rounding of L itself.
+
+    The exact bottom of T is at least L = min_i (d_i - |e_{i-1}| - |e_i|).
+    With ulp = 2^-52 and pivmin = tiny * max(1, max e_i^2) (dstebz's own
+    constants), to first order in ulp:
+
+    - dstebz stops when its interval is narrower than max(ulp ||T||_1, pivmin,
+      2 ulp |lambda|), and |lambda| <= ||T||_1, so the midpoint it returns is
+      within ulp ||T||_1 + pivmin of the interval's eigenvalue;
+    - each Sturm count is exact for a T' with |T' - T| <= ulp ||T||_1 + 2 pivmin
+      in norm: one rounding of each d_i, 2 eps relative in each e_i, pivots
+      clamped at -pivmin (Kahan, "Accurate eigenvalues of a symmetric
+      tridiagonal matrix", 1966);
+    - splitting drops each e_i with e_i^2 <= ulp^2 |d_i d_{i-1}| + pivmin, at
+      most 2 ulp ||T||_1 + 2 sqrt(pivmin) in norm;
+    - L's two roundings move it by at most ulp ||T||_1.
+
+    That is 5 ulp ||T||_1 + 5 sqrt(pivmin) (pivmin < 1 because |e| = 1/h^2 <
+    1e150); delta doubles it, delta = 10 ulp ||T||_1 + 10 sqrt(pivmin).  A
+    non-finite entry makes L or delta nan or infinite, which certifies nothing.
+    """
+    off = np.abs(np.r_[0.0, e]) + np.abs(np.r_[e, 0.0])
+    norm = float(np.max(np.abs(d) + off))
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(np.square(e), initial=0.0)))
+    delta = 10.0 * np.finfo(float).eps * norm + 10.0 * np.sqrt(pivmin)
+    return float(np.min(d - off)), delta
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Discrete form a[u] = h sum |du/h|^2 + h sum V u^2 with Dirichlet edges.
@@ -55,6 +96,9 @@ class QuadraticForm:
         if not (h > 1e-75 and extent < 1e75):
             raise ConfigError(f"grid spacing {h:.3g} and extent {extent:.3g} must lie in "
                               "(1e-75, 1e75)")
+        lower, delta = _gershgorin_and_error(*self.tridiagonal())
+        if lower - delta >= -1e-10:
+            return  # the eigen-solve below would give at least -1e-10
         lam = self.smallest_eigenvalue()
         if lam < -1e-10:
             raise InvalidOperator(
@@ -145,6 +189,14 @@ class DichotomyResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _critical_coupling(form: QuadraticForm, base: np.ndarray) -> float:
+    """c* = bottom of the pencil (T, diag base); raises unless it is positive."""
+    c_star = form.smallest_eigenvalue(weight=base)
+    if not 0.0 < c_star < np.inf:
+        raise InvalidOperator(f"no positive weighted gap: critical coupling {c_star:.3g}")
+    return c_star
+
+
 def _weighted_gap_search(form: QuadraticForm) -> tuple[float, np.ndarray, float]:
     """Largest c with H - c <x>^{-4} nonnegative, halved for a positive margin.
 
@@ -153,10 +205,7 @@ def _weighted_gap_search(form: QuadraticForm) -> tuple[float, np.ndarray, float]
     c = c*/2, the weight c <x>^{-4} and the margin lambda_min(T - c B).
     """
     base = weight(form.grid.points, -4.0)
-    c_star = form.smallest_eigenvalue(weight=base)
-    if not 0.0 < c_star < np.inf:
-        raise InvalidOperator(f"no positive weighted gap: critical coupling {c_star:.3g}")
-    c = 0.5 * c_star
+    c = 0.5 * _critical_coupling(form, base)
     margin = form.smallest_eigenvalue(-c * base)
     return c, c * base, margin
 
@@ -168,8 +217,9 @@ def null_state_iteration(form: QuadraticForm, compact_radius: float = 1.0,
     All sampled j trigger a negative eigenvalue -> the sup-normalized ground
     states must converge on |x| <= K and their limit is the null state; any
     j failing to bind sends the search to the weighted-gap branch.  The
-    verdict is re-derived on a radius-doubled grid, and a disagreement
-    downgrades it to Inconclusive.
+    verdict is re-derived on a radius-doubled grid (`_doubled_verdict`, which
+    solves only what that verdict reads), and a disagreement downgrades it
+    to Inconclusive.
     """
     if j_max < 1:
         raise ConfigError(f"j_max = {j_max} must be at least 1")
@@ -177,25 +227,64 @@ def null_state_iteration(form: QuadraticForm, compact_radius: float = 1.0,
         raise ConfigError(f"compact_radius = {compact_radius} must be finite and positive")
     result = _dichotomy_once(form, compact_radius, j_max, conv_tol)
     if result.verdict is not Dichotomy.INCONCLUSIVE:
-        bigger = form.with_doubled_radius()
-        again = _dichotomy_once(bigger, compact_radius, j_max, conv_tol)
-        result.diagnostics["doubled_verdict"] = again.verdict.value
-        if again.verdict is not result.verdict:
+        again = _doubled_verdict(form.with_doubled_radius(), compact_radius, j_max,
+                                 conv_tol)
+        result.diagnostics["doubled_verdict"] = again.value
+        if again is not result.verdict:
             return DichotomyResult(
                 Dichotomy.INCONCLUSIVE, trace=result.trace,
                 diagnostics={"reason": "verdict unstable under radius doubling",
                              "base": result.verdict.value,
-                             "doubled": again.verdict.value})
+                             "doubled": again.value})
     return result
+
+
+def _window_and_indicator(form: QuadraticForm, compact_radius: float):
+    """The window |x| <= K and the cell-averaged indicator W_1 of it."""
+    x = form.grid.points
+    indicator = cell_average(lambda t: (np.abs(t) <= compact_radius).astype(float),
+                             x, form.grid.spacing, real=True)
+    return np.abs(x) <= compact_radius, indicator
+
+
+def _doubled_verdict(form: QuadraticForm, compact_radius: float, j_max: int,
+                     conv_tol: float) -> Dichotomy:
+    """`_dichotomy_once(form, ...).verdict`, raising where it raises, from
+    the eigen-solves that verdict reads.
+
+    j_last, the largest power of two <= j_max, is the loop's last j, and
+    W_j = W_1 / j rounds to a diagonal that is entrywise no larger for every
+    earlier j, so lambda_min(T - W_j) <= lambda_min(T - W_last) exactly.
+    A computed lambda_last >= -1e-12 means the loop reaches the weighted-gap
+    branch at or before j_last, whose verdict needs only c*.  A computed
+    lambda_last below -1e-12 by more than two bisection errors means every j
+    binds, and the verdict needs only the last Cauchy increment.  Otherwise
+    the full loop decides.
+    """
+    window, indicator = _window_and_indicator(form, compact_radius)
+    j_last = 1
+    while 2 * j_last <= j_max:
+        j_last *= 2
+    lam, psi = form.smallest_eigenpair(extra_potential=-(indicator / j_last))
+    if lam >= -1e-12:
+        _critical_coupling(form, weight(form.grid.points, -4.0))
+        return Dichotomy.WEIGHTED_GAP
+    if j_last == 1:  # no earlier j and no increment
+        return Dichotomy.INCONCLUSIVE
+    # one error bound for every T - W_j: each diagonal lies between j = 1's and j_last's
+    d_last, e = form.tridiagonal(-(indicator / j_last))
+    d_first, _ = form.tridiagonal(-indicator)
+    _, delta = _gershgorin_and_error(np.maximum(np.abs(d_first), np.abs(d_last)), e)
+    if lam < -1e-12 - 2.0 * delta:
+        _, prev = form.smallest_eigenpair(extra_potential=-(indicator / (j_last // 2)))
+        increment = float(np.max(np.abs((psi - prev)[window])))
+        return Dichotomy.NULL_STATE if increment <= conv_tol else Dichotomy.INCONCLUSIVE
+    return _dichotomy_once(form, compact_radius, j_max, conv_tol).verdict
 
 
 def _dichotomy_once(form: QuadraticForm, compact_radius: float, j_max: int,
                     conv_tol: float) -> DichotomyResult:
-    x = form.grid.points
-    h = form.grid.spacing
-    window = np.abs(x) <= compact_radius
-    indicator = cell_average(lambda t: (np.abs(t) <= compact_radius).astype(float),
-                             x, h, real=True)
+    window, indicator = _window_and_indicator(form, compact_radius)
     js, lams, states = [], [], []
     j = 1
     while j <= j_max:

@@ -3,16 +3,24 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
+from virtlev import criticality
+from virtlev.cli import main
 from virtlev.criticality import (
     Dichotomy,
     QuadraticForm,
+    _dichotomy_once,
+    _doubled_verdict,
+    _gershgorin_and_error,
     _weighted_gap_search,
     null_state_iteration,
     trace_csv,
 )
 from virtlev.errors import ConfigError, InvalidOperator
-from virtlev.weighted_space import Grid1D, RadialGrid, weight
+from virtlev.weighted_space import Grid1D, RadialGrid, cell_average, weight
 
 
 def resonant_potential(x):
@@ -235,3 +243,172 @@ def test_trace_csv_format():
     assert len(lines) == len(res.trace) + 1
     j, lam, dist = lines[1].split(",")
     assert int(j) == 1 and float(lam) < 0
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts every eigen-solve of the module: a list, one entry per call."""
+    calls = []
+    real = criticality.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(criticality, "eigh_tridiagonal", counted)
+    return calls
+
+
+def _constant(value):
+    return lambda t: np.full(np.shape(t), value)
+
+
+def _well(depth, width=1.0):
+    return lambda t: np.where(np.abs(np.asarray(t)) <= width, depth, 0.0)
+
+
+class TestCertificate:
+    """Gershgorin lower bound minus dstebz's error bound replaces the
+    nonnegativity solve wherever it clears -1e-10."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: QuadraticForm(Grid1D(160.0, 6401)),
+        lambda: QuadraticForm(RadialGrid(160.0, 6401)),
+        lambda: QuadraticForm(Grid1D(160.0, 6401), bump_potential),
+        lambda: QuadraticForm(Grid1D(160.0, 6401), _well(2.0)),
+    ], ids=["free_line", "free_radial3d", "bump", "repulsive_well"])
+    def test_certified_form_makes_no_solve(self, build, solves):
+        build()
+        assert solves == []
+
+    def test_negative_part_falls_back_to_the_solve(self, solves):
+        # criterion 8's resonant potential dips below 0: Gershgorin cannot help
+        QuadraticForm(Grid1D(80.0, 3201), resonant_potential)
+        assert len(solves) == 1
+
+    def test_error_bound_scales_with_the_norm(self):
+        # V = 1e30 on |x| <= 1: the bound is 0, and only a delta of order
+        # ulp ||T||_1 keeps the certificate from accepting what dstebz refuses
+        form_grid = Grid1D(40.0, 1601)
+        d = 2.0 / form_grid.spacing**2 + np.where(np.abs(form_grid.points) <= 1, 1e30, 0.0)
+        e = np.full(d.size - 1, -1.0 / form_grid.spacing**2)
+        lower, delta = _gershgorin_and_error(d, e)
+        assert lower == 0.0
+        assert delta == pytest.approx(10 * np.finfo(float).eps * (1e30 + 4 / 0.05**2))
+        lam = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), eigvals_only=True)[0]
+        assert abs(lam) <= delta
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_potential_certifies_nothing(self, value):
+        d = np.array([2.0, value, 2.0])
+        lower, delta = _gershgorin_and_error(d, np.array([-1.0, -1.0]))
+        assert not lower - delta >= -1e-10
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(h=st.floats(1e-3, 1.0), half=st.integers(2, 100), radial=st.booleans(),
+           floor=st.floats(-1e-9, 1e-9),
+           dip=st.one_of(st.floats(0.0, 1e-9), st.floats(0.0, 10.0)),
+           height=st.floats(0.0, 10.0), center=st.floats(-1.0, 1.0))
+    def test_certificate_never_skips_a_refused_form(self, h, half, radial, floor, dip,
+                                                    height, center):
+        # a floor near 0, a bump above it and a narrow dip below it; over these
+        # 200 examples 71 are certified, 111 solved and accepted, 18 refused
+        def sampler(t):
+            t = np.asarray(t)
+            return (floor + height * np.exp(-((t - center) / 0.3) ** 2)
+                    - dip * (np.abs(t - center) < 3 * h))
+
+        grid = RadialGrid(h * 2 * half, 2 * half) if radial else Grid1D(h * half, 2 * half + 1)
+        free = QuadraticForm(grid)
+        v = cell_average(sampler, grid.points, grid.spacing, real=True)
+        d, e = free.tridiagonal(v)
+        lam = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), eigvals_only=True)[0]
+        try:
+            QuadraticForm(grid, sampler)
+            refused = False
+        except InvalidOperator:
+            refused = True
+        assert refused == (lam < -1e-10)
+
+
+def _band_form():
+    """A line form whose last perturbed bottom, at j = 64, lies between -1e-12
+    and -1e-12 - 2 delta: neither shortcut of the re-check may decide."""
+    grid = Grid1D(80.0, 3201)
+    free = QuadraticForm(grid)
+    _, indicator = criticality._window_and_indicator(free, 1.0)
+    d_last, e = free.tridiagonal(-(indicator / 64))
+    d_first, _ = free.tridiagonal(-indicator)
+    _, delta = _gershgorin_and_error(np.maximum(np.abs(d_first), np.abs(d_last)), e)
+    target = -1e-12 - delta
+    shift = -free.smallest_eigenvalue(-(indicator / 64)) + target
+    for _ in range(3):  # the cell average and the solve round: correct twice
+        form = QuadraticForm(grid, _constant(shift))
+        lam = form.smallest_eigenvalue(-(indicator / 64))
+        shift += target - lam
+    assert -1e-12 - 2 * delta < lam < -1e-12
+    return form
+
+
+class TestDoubledVerdict:
+    """`_doubled_verdict` is `_dichotomy_once(...).verdict`, error class included."""
+
+    FORMS = {
+        "free_line": lambda: QuadraticForm(Grid1D(80.0, 3201)),
+        "free_radial3d": lambda: QuadraticForm(RadialGrid(80.0, 3200)),
+        "repulsive_well": lambda: QuadraticForm(Grid1D(80.0, 3201), _well(2.0)),
+        "bump": lambda: QuadraticForm(Grid1D(80.0, 3201), bump_potential),
+        "resonant": lambda: QuadraticForm(Grid1D(80.0, 3201), resonant_potential),
+        # the doubled form of `critical --R 60 --n 2401`, whose verdicts differ
+        "line_r60_doubled": lambda: QuadraticForm(Grid1D(60.0, 2401)).with_doubled_radius(),
+        "band": _band_form,
+    }
+
+    @pytest.mark.parametrize("j_max", [1, 3, 48, 64])
+    @pytest.mark.parametrize("name", list(FORMS))
+    def test_equals_the_full_loop(self, name, j_max):
+        form = self.FORMS[name]()
+        for conv_tol in (0.02, 0.05):
+            want = _dichotomy_once(form, 1.0, j_max, conv_tol).verdict
+            assert _doubled_verdict(form, 1.0, j_max, conv_tol) is want
+
+    def test_band_runs_the_full_loop(self, solves):
+        form = _band_form()
+        solves.clear()
+        _doubled_verdict(form, 1.0, 64, 0.02)
+        assert len(solves) == 1 + 7  # j_last, then every j of the loop
+
+    @pytest.mark.parametrize("name, want", [("free_line", 2), ("free_radial3d", 2),
+                                            ("line_r60_doubled", 2), ("resonant", 2)])
+    def test_solves_only_what_the_verdict_reads(self, name, want, solves):
+        form = self.FORMS[name]()
+        solves.clear()
+        _doubled_verdict(form, 1.0, 64, 0.05)
+        assert len(solves) == want
+
+    def test_raises_where_the_full_loop_raises(self):
+        # bottom -5e-13, and a window between the radial quadrature nodes so
+        # W_j = 0: no j binds, and c* < 0 has no positive weighted gap
+        grid = RadialGrid(40.0, 1600)
+        shift = -QuadraticForm(grid).smallest_eigenvalue() - 5e-13
+        form = QuadraticForm(grid, _constant(shift))
+        assert -1e-12 <= form.smallest_eigenvalue() < 0
+        with pytest.raises(InvalidOperator, match="no positive weighted gap"):
+            _dichotomy_once(form, 1e-6, 64, 0.02)
+        with pytest.raises(InvalidOperator, match="no positive weighted gap"):
+            _doubled_verdict(form, 1e-6, 64, 0.02)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--case", "free1d"], 9),  # 16 when the re-check ran the full loop
+    (["--case", "free3d"], 5),  # 8
+    (["--case", "potential", "--potential", "bump:amp=2,a=1"], 5),  # 8
+    (["--case", "potential", "--potential", "well:g=-2,a=1"], 5),  # 8
+])
+def test_critical_verdict_eigensolve_traffic(argv, want, solves, capsys):
+    # base: the nonnegativity certificate (0) and the full loop (7 binding
+    # j, or the first j and c* and the margin); doubled: the certificate
+    # (0), then j_last and j_last / 2, or j_last and c*
+    assert main(["critical", *argv, "--R", "160", "--n", "6401"]) == 0
+    capsys.readouterr()
+    assert len(solves) == want
