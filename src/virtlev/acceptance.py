@@ -214,7 +214,7 @@ def criterion_7() -> CriterionResult:
     ok = True
     artifacts = {}
     for zeta0 in (0.0, 1.0):
-        fam = pt.embedded_family_check(zeta0, n=8)
+        fam = pt.embedded_family_check(zeta0)
         res_ok = fam.residual_max <= 1e-6
         decades = max(fam.sweep_result.radii()) / min(fam.sweep_result.radii())
         growth_ok = fam.monotone_growth and decades >= 1e3 * (1 - 1e-9)
@@ -230,7 +230,7 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     """Criticality dichotomy with R-doubling stability and cross-consistency."""
     free = cr.QuadraticForm.free_line(320.0, 12801)
-    r1 = cr.null_state_iteration(free, compact_radius=1.0)
+    r1 = cr.null_state_iteration(free)
     win = np.abs(free.grid.points) <= 1.0
     dev = np.inf if r1.phi is None else float(np.max(np.abs(r1.phi[win] - 1.0)))
     null_ok = r1.verdict is cr.Dichotomy.NULL_STATE and dev <= 0.05
@@ -248,7 +248,7 @@ def criterion_8() -> CriterionResult:
         if name not in ("zero", "bump", "resonant"):
             continue
         form = cr.QuadraticForm(Grid1D(320.0, 12801), pot.sample)
-        rr = cr.null_state_iteration(form, compact_radius=1.0, conv_tol=0.05)
+        rr = cr.null_state_iteration(form, conv_tol=0.05)
         want = (cr.Dichotomy.NULL_STATE if expected is Classification.VIRTUAL
                 else cr.Dichotomy.WEIGHTED_GAP)
         agree = rr.verdict is want

@@ -257,7 +257,7 @@ def _cmd_sweep(cfg) -> int:
     if cfg["op"] in ("free2d", "free3d"):
         grid = RadialGrid(radius, npts)
     else:
-        grid = Grid1D(radius, npts if npts % 2 == 1 else npts + 1)
+        grid = Grid1D(radius, npts)
     if make_op is not None:
         op = make_op(grid)
     elif not cfg["potential"]:

@@ -19,9 +19,10 @@ regularization is required on a RadialGrid; the pointwise full-space kernels
 do raise on their diagonal.
 
 Both, and the 1D kernel, have the form left(r_<) right(r_>) exp(-w |r - rho|).
-free_semiseparable_kernel holds the only copy of their generators and applies
-them in O(n) on a grid; the 2D generators are scipy's scaled AMOS Bessel
-functions ive/kve, accurate near the positive axis and free of overflow.
+build_free_kernel_operator is the one entry point that applies them in O(n)
+on a grid; _generators holds the only copy of left and right, and the 2D
+ones are scipy's scaled AMOS Bessel functions ive/kve, accurate near the
+positive axis and free of overflow.
 The pointwise radial_reduced_kernel_2d folds the phase of exp(-w |r - rho|)
 into those generators, e^{i Im(w) r} onto left and its conjugate onto right,
 and takes one real exp(-Re(w) |r - rho|) per pair.
@@ -148,8 +149,6 @@ def _generators(d: int, r: np.ndarray, w):
         if w == 0:
             return r.astype(complex), np.ones(r.shape)
         return -np.expm1(-2.0 * w * r) / (2.0 * w), np.ones(r.shape)
-    if d != 2:
-        raise ValueError(f"unsupported dimension d = {d}")
     from scipy import special  # imported here: it adds ~45 ms to `import virtlev.cli`
 
     # I0(wa) K0(wb) = ive(wa) kve(wb) exp(Re(w) a - w b) for Re w >= 0, a <= b
@@ -157,21 +156,6 @@ def _generators(d: int, r: np.ndarray, w):
     root = np.sqrt(r)
     return (root * special.ive(0, t) * np.exp(-1j * w.imag * r),
             root * special.kve(0, t))
-
-
-def free_semiseparable_kernel(d: int, grid, w) -> SemiseparableKernel:
-    """Free resolvent kernel of dimension d on the grid, applied in O(n).
-
-    w = sqrt(-z).  d = 1 takes a Grid1D and gives exp(-w|x-y|) / (2w); d = 2, 3
-    take a RadialGrid and give the reduced s-wave kernels.  Every kernel is
-    left(r_<) right(r_>) exp(-w h)^|i-j|: d = 1 has left = 1/(2w); d = 3 has
-    left = -expm1(-2wr)/(2w) = sinh(wr) exp(-wr)/w (r at w = 0); d = 2 has
-    left = sqrt(r) ive(0, wr) exp(-i Im(w) r) and right = sqrt(r) kve(0, wr),
-    the exponentially scaled AMOS Bessel functions (Amos, ACM TOMS 644, 1986),
-    so no generator overflows; right = 1 otherwise.
-    """
-    left, right = _generators(d, grid.points, w)
-    return SemiseparableKernel(grid, left, right, np.exp(-w * grid.spacing))
 
 
 _PAIR_BLOCK = 1 << 15  # pairs per block of radial_reduced_kernel_2d: 256 KiB of scratch
@@ -222,13 +206,20 @@ def radial_reduced_kernel_2d(r, rho, w):
 
 
 def build_free_kernel_operator(d: int, grid, p: SpectralParameter) -> SemiseparableKernel:
-    """The free resolvent of dimension d on the grid, as the O(n)
-    semiseparable operator of free_semiseparable_kernel.
+    """The free resolvent of dimension d on the grid, applied in O(n).
 
-    d = 1 takes a Grid1D; d = 2, 3 take a RadialGrid and produce the reduced
-    s-wave kernels, whose weighted operator norms approximate the spherically
-    symmetric part of the full-space resolvent.  The dense complex matrix is
-    built only when a caller reads `entries`.
+    d = 1 takes a Grid1D and gives exp(-w|x-y|) / (2w), w = sqrt_minus_z(p);
+    d = 2, 3 take a RadialGrid and give the reduced s-wave kernels, whose
+    weighted operator norms approximate the spherically symmetric part of
+    the full-space resolvent.  Every kernel is left(r_<) right(r_>)
+    exp(-w h)^|i-j|: d = 1 has left = 1/(2w); d = 3 has
+    left = -expm1(-2wr)/(2w) = sinh(wr) exp(-wr)/w (r at w = 0); d = 2 has
+    left = sqrt(r) ive(0, wr) exp(-i Im(w) r) and right = sqrt(r) kve(0, wr),
+    the exponentially scaled AMOS Bessel functions (Amos, ACM TOMS 644, 1986),
+    so no generator overflows; right = 1 otherwise.  w is a NumPy scalar:
+    Python's complex division rounds 1/(2w) differently in the last bit for
+    about a quarter of all z.  The dense complex matrix is built only when a
+    caller reads `entries`.
     """
     z = complex(p.z)
     if d == 1:
@@ -243,4 +234,6 @@ def build_free_kernel_operator(d: int, grid, p: SpectralParameter) -> Semisepara
             raise UnsupportedSpectralPoint("2D kernel requires z off the closed positive axis")
     else:
         raise ValueError(f"unsupported dimension d = {d}")
-    return free_semiseparable_kernel(d, grid, sqrt_minus_z(p))
+    w = np.complex128(sqrt_minus_z(p))
+    left, right = _generators(d, grid.points, w)
+    return SemiseparableKernel(grid, left, right, np.exp(-w * grid.spacing))

@@ -6,9 +6,10 @@ The Jost solutions of -theta'' + V theta = z theta for a compactly supported
     theta_plus(x)  = exp(-x sqrt(-z))   for x >= a,
     theta_minus(x) = exp(+x sqrt(-z))   for x <= -a,
 
-which reduce to 1 at z = 0.  Their Wronskian vanishing at z = 0 is the
-signature of a 1D virtual level; when it does not vanish the two solutions
-assemble the bounded Green kernel of the operator at the threshold.
+which reduce to 1 at z = 0, the only point solved here.  Their Wronskian
+vanishing at z = 0 is the signature of a 1D virtual level; when it does not
+vanish the two solutions assemble the bounded Green kernel of the operator
+at the threshold.  Resolvents at z != 0 are the sweep engines' (lap_sweep).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     ConfigError,
     DiscretizationFailure,
     InvalidOperator,
-    UnsupportedSpectralPoint,
     VirtualLevelError,
 )
 from .reports import Classification, ThresholdReport
@@ -98,50 +98,38 @@ class JostPair:
 
     theta_plus: np.ndarray = field(repr=False)
     theta_minus: np.ndarray = field(repr=False)
-    z: complex
     wronskian: complex
     wronskian_deviation: float
     scale: float
     grid: Grid1D
 
 
-def _branch_root(z) -> complex:
-    z = complex(z)
-    if z == 0:
-        return 0.0 + 0.0j
-    if z.imag == 0.0 and z.real > 0.0:
-        raise UnsupportedSpectralPoint(
-            "Jost solutions in the interior of the positive axis are not supported"
-        )
-    return complex(np.sqrt(-z))
-
-
-def jost_solve(pot: Potential1D, z=0.0) -> tuple:
-    """(theta_plus, theta_minus): -theta'' + V theta = z theta integrated
-    inward from each support edge.
+def jost_solve(pot: Potential1D) -> tuple:
+    """(theta_plus, theta_minus): -theta'' + V theta = 0 integrated inward
+    from each support edge, beyond which both are 1.
 
     Classical fixed-step RK4 on the grid, fourth order in the spacing.  Stage
     abscissae at step endpoints are nudged into the open step interval so
     that potentials with jumps exactly on grid nodes (square wells) are
-    sampled on the correct side and keep the full order.  V - z is sampled
-    once, just below each node, just above it and midway to the node before,
-    and both sides step through those same arrays.
+    sampled on the correct side and keep the full order.  V is sampled once,
+    just below each node, just above it and midway to the node before, and
+    both sides step through those same arrays.
 
     The steps run on Python complex numbers, twice as fast as NumPy scalars:
     both multiply and add by the same IEEE formulas, without fused
-    multiply-add, so theta is bit for bit the same.  Where V - z is the same
+    multiply-add, so theta is bit for bit the same.  Where V is the same
     exact zero over a run of steps, as between the support and the grid's
-    edge at z = 0, a step adds an increment that depends on theta only
-    through the sign bits of four finite values; while those stay the same,
-    one cumsum takes the steps in the same IEEE sums (see `_rk4`).
+    edge, a step adds an increment that depends on theta only through the
+    sign bits of four finite values; while those stay the same, one cumsum
+    takes the steps in the same IEEE sums (see `_rk4`).
     """
-    kappa = _branch_root(z)
+    kappa = 0j  # sqrt(-z) at z = 0: the signed zeros of theta start at -kappa
     x, n = pot.grid.points, pot.grid.n_points
     h = float(pot.grid.spacing)  # a NumPy float here would make _rk4 step NumPy scalars
     delta = 1e-9 * h
-    lo = pot.sample(x - delta) - z   # just below each node
-    hi = pot.sample(x + delta) - z   # just above each node
-    half = pot.sample(x - h / 2.0) - z  # half[i] sits between nodes i-1 and i
+    lo = pot.sample(x - delta)   # just below each node
+    hi = pot.sample(x + delta)   # just above each node
+    half = pot.sample(x - h / 2.0)  # half[i] sits between nodes i-1 and i
     guard = 1e-12 * max(1.0, pot.support_radius)
 
     tp = np.empty(n, dtype=complex)
@@ -159,8 +147,8 @@ def jost_solve(pot: Potential1D, z=0.0) -> tuple:
 
 
 def _rk4(th, dth, h, steps) -> np.ndarray:
-    """RK4 for theta'' = (V - z) theta; theta after each step.  The rows of
-    `steps` hold V - z at the start, middle and end of every step.
+    """RK4 for theta'' = V theta; theta after each step.  The rows of
+    `steps` hold V at the start, middle and end of every step.
 
     Each maximal run of steps whose three coefficients are all one and the
     same exact zero c (the same bits: the signs of zero count) goes to
@@ -307,12 +295,13 @@ def wronskian(pair: JostPair) -> complex:
     return w0
 
 
-def jost_pair(pot: Potential1D, z=0.0) -> JostPair:
-    """Solve both sides and record the Wronskian with its drift diagnostic."""
-    tp, tm = jost_solve(pot, z)
+def jost_pair(pot: Potential1D) -> JostPair:
+    """Solve both sides at z = 0 and record the Wronskian with its drift
+    diagnostic."""
+    tp, tm = jost_solve(pot)
     w0, dev = _wronskian_profile(tp, tm, pot.grid.spacing)
     scale = 1.0 + float(np.max(np.abs(tp)) * np.max(np.abs(tm)))
-    return JostPair(tp, tm, complex(z), w0, dev, scale, pot.grid)
+    return JostPair(tp, tm, w0, dev, scale, pot.grid)
 
 
 def green_kernel(pair: JostPair) -> SemiseparableKernel:
@@ -341,7 +330,7 @@ def classify_threshold_1d(pot: Potential1D, tol: float = 1e-6) -> ThresholdRepor
     """
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"tol = {tol} must be finite and nonnegative")
-    pair = jost_pair(pot, 0.0)
+    pair = jost_pair(pot)
     aw, scale = abs(pair.wronskian), pair.scale
     diagnostics = {"jost_pair": pair}
     if aw <= tol * scale:

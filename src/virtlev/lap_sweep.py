@@ -17,10 +17,11 @@ difference equation is matched exactly at the grid edge, so no artificial
 reflection pollutes small-|z| norms.  The grid's type sets the edges: both
 ends of a Grid1D line, r = R of a RadialGrid half-line (r = 0 is Dirichlet).
 
-Resolvent engines: free kinds apply free_resolvent's O(n) semiseparable
-kernels; every other kind solves with one tridiagonal LAPACK LU of H - z
-(gttrf, plus a Sherman-Morrison update for the rank-one kind), and an
-ill-conditioned LU raises NearSpectrum.  The condition check costs one
+Resolvent engines: free kinds apply the O(n) semiseparable kernels of
+free_resolvent.build_free_kernel_operator; every other kind is one
+_SolverEngine, a tridiagonal LAPACK LU of H - z (gttrf, plus a
+Sherman-Morrison update for the rank-one kind), and an ill-conditioned LU
+raises NearSpectrum.  The condition check costs one
 two-column solve: H - z is complex symmetric, so its inverse is semiseparable
 and the columns T^{-1} e_1 and T^{-1} e_n give ||T^{-1}||_1 exactly.  gtcon's
 estimate never exceeds that norm, so gtcon runs only where it cannot
@@ -39,7 +40,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConfigError, FitError, NearSpectrum
-from .free_resolvent import free_semiseparable_kernel
+from .free_resolvent import SpectralParameter, build_free_kernel_operator
 from .jost import Potential1D
 from .reports import Classification, ThresholdReport, csv_table
 from .weighted_space import (
@@ -336,11 +337,13 @@ def _band_norm1(dl, d, du) -> float:
 
 
 class _SolverEngine:
-    """Resolvent kernel T^{-1} / h from one LAPACK LU of the tridiagonal
-    T = H - z, factored with zgttrf and checked by _check_condition: the exact
-    two-solve ||T^{-1}||_1, and zgtcon only where that cannot certify.
-    `solve(b, trans)` applies T^{-1}, or T^{-H} for trans="C"; matvec,
-    rmatvec, max_abs_entry and entries all go through it.
+    """Resolvent kernel (H - z)^{-1} / h from one LAPACK LU of the tridiagonal
+    part T of H - z, factored with zgttrf and checked by _check_condition: the
+    exact two-solve ||T^{-1}||_1, and zgtcon only where that cannot certify.
+    The rank-one kind adds the indicator projection h u u^T, resolved by the
+    Sherman-Morrison update of the tridiagonal solve.  `solve(b, trans)`
+    applies (H - z)^{-1}, or its adjoint for trans="C"; matvec, rmatvec,
+    max_abs_entry and entries all go through it.
     """
 
     def __init__(self, op: OperatorSpec, z: complex):
@@ -348,9 +351,25 @@ class _SolverEngine:
         self.h = op.grid.spacing
         self.n = op.grid.n_points
         bands = _tridiagonal(op, z)
-        *factors, info = lapack.zgttrf(*bands)
-        _check_condition(info, factors, _band_norm1(*bands))
-        self.solve = lambda b, trans="N": lapack.zgttrs(*factors, b, trans=trans)[0]
+        *self.factors, info = lapack.zgttrf(*bands)
+        _check_condition(info, self.factors, _band_norm1(*bands))
+        self.u = None  # no update: solve is the tridiagonal solve alone
+        if op.kind is OperatorKind.RANK_ONE_PERTURBED_1D:
+            u = op.indicator.astype(complex)  # real, so u^H = u^T
+            tu, tu_h = self.solve(u), self.solve(u, "C")
+            denom = 1.0 + self.h * np.dot(u, tu)
+            scale = max(1.0, float(np.linalg.norm(tu)) * self.h)
+            if abs(denom) < 1e-14 * scale:
+                raise NearSpectrum("rank-one update is singular at this z")
+            self.u, self.tu, self.tu_h, self.denom = u, tu, tu_h, denom
+
+    def solve(self, b, trans="N"):
+        y = lapack.zgttrs(*self.factors, b, trans=trans)[0]
+        if self.u is None:
+            return y
+        if trans == "N":
+            return y - np.multiply.outer(self.tu, self.h * (self.u @ y) / self.denom)
+        return y - np.multiply.outer(self.tu_h, self.h * (self.u @ y) / np.conj(self.denom))
 
     def matvec(self, g):
         return self.solve(g) / self.h
@@ -374,29 +393,6 @@ class _SolverEngine:
         return best
 
 
-class _RankOneEngine(_SolverEngine):
-    """Indicator projection h u u^T on top of the factored tridiagonal part,
-    resolved by the Sherman-Morrison update of its solve."""
-
-    def __init__(self, op: OperatorSpec, z: complex):
-        super().__init__(op, z)
-        base, h = self.solve, self.h
-        u = op.indicator.astype(complex)  # real, so u^H = u^T
-        tu, tu_h = base(u), base(u, "C")
-        denom = 1.0 + h * np.dot(u, tu)
-        scale = max(1.0, float(np.linalg.norm(tu)) * h)
-        if abs(denom) < 1e-14 * scale:
-            raise NearSpectrum("rank-one update is singular at this z")
-
-        def solve(b, trans="N"):
-            y = base(b, trans)
-            if trans == "N":
-                return y - np.multiply.outer(tu, h * (u @ y) / denom)
-            return y - np.multiply.outer(tu_h, h * (u @ y) / np.conj(denom))
-
-        self.solve = solve
-
-
 _FREE_DIMENSION = {OperatorKind.FREE_1D: 1, OperatorKind.FREE_2D_RADIAL: 2,
                    OperatorKind.FREE_3D_RADIAL: 3}
 
@@ -405,18 +401,14 @@ def _make_engine(op: OperatorSpec, z: complex):
     """Resolvent kernel of op at z on op.grid: grid, matvec, rmatvec (K^H),
     max_abs_entry and dense entries.
 
-    The free kernels (1D, radial 2D and radial 3D) are the semiseparable
-    operators of free_resolvent.free_semiseparable_kernel, applied in O(n);
-    the 2D generators are scaled AMOS Bessel functions.  Every other kind is
-    a _SolverEngine, Sherman-Morrison updated for the rank-one kind.
+    The free kernels (1D, radial 2D and radial 3D) are the O(n)
+    semiseparable operators of free_resolvent.build_free_kernel_operator;
+    every other kind is a _SolverEngine.
     """
     op.check_resolution(z)
-    kind = op.kind
-    if kind in _FREE_DIMENSION:
-        return free_semiseparable_kernel(_FREE_DIMENSION[kind], op.grid,
-                                         np.sqrt(complex(-z)))
-    if kind is OperatorKind.RANK_ONE_PERTURBED_1D:
-        return _RankOneEngine(op, z)
+    if op.kind in _FREE_DIMENSION:
+        return build_free_kernel_operator(_FREE_DIMENSION[op.kind], op.grid,
+                                          SpectralParameter.interior(z))
     return _SolverEngine(op, z)
 
 

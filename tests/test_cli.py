@@ -293,6 +293,10 @@ class TestErrorChannels:
         (["sweep", "--op", "free1d", "--potential", "well:g=5", "--R", "4", "--n", "801",
           "--count", "5", "--ratio", "0.1"],
          "sweep --op free1d takes no potential; --op schrod1d does"),
+        *((["sweep", "--op", op, "--R", "4", "--n", "800", "--ratio", "0.1", "--count", "5",
+            "--no-classify", *extra], "n_points must be odd and >= 3")
+          for op, extra in (("free1d", []), ("schrod1d", ["--potential", "well:g=1"]),
+                            ("rankone1d", []))),
     ])
     def test_config_error_exit_2(self, capsys, argv, fragment):
         with warnings.catch_warnings(record=True) as caught:

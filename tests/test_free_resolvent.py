@@ -18,7 +18,6 @@ from virtlev.free_resolvent import (
     SpectralParameter,
     _generators,
     build_free_kernel_operator,
-    free_semiseparable_kernel,
     kernel_1d,
     kernel_2d,
     kernel_3d,
@@ -151,8 +150,12 @@ def test_kernel_symmetry_and_conjugation_random():
 
 
 def reduced_3d_entries(grid, w):
-    """Dense s-wave reduced 3D kernel on a RadialGrid, from the O(n) generators."""
-    return free_semiseparable_kernel(3, grid, w).entries
+    """Dense s-wave reduced 3D kernel on a RadialGrid at w = sqrt(-z), Re w >= 0,
+    from the O(n) generators: z = -w^2, and w = 0 is the threshold approached
+    from above."""
+    p = (SpectralParameter(0.0, Approach.FROM_UPPER_HALF_PLANE) if w == 0
+         else SpectralParameter.interior(-complex(w) ** 2))
+    return build_free_kernel_operator(3, grid, p).entries
 
 
 class TestReducedRadialKernels:

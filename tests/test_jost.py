@@ -13,7 +13,6 @@ from virtlev.errors import (
     ConfigError,
     DiscretizationFailure,
     InvalidOperator,
-    UnsupportedSpectralPoint,
     VirtualLevelError,
 )
 from virtlev.jost import (
@@ -43,12 +42,12 @@ def indicator_barrier(grid=GRID):
 
 class TestJostSolve:
     def test_free_equation_constant(self):
-        theta = jost_solve(zero_potential(), 0.0)[0]
+        theta = jost_solve(zero_potential())[0]
         assert np.max(np.abs(theta - 1.0)) < 1e-12
 
     def test_barrier_closed_form(self):
         # theta+ = cosh(x-1) inside, cosh2 - sinh2 (x+1) to the left
-        theta = jost_solve(indicator_barrier(), 0.0)[0]
+        theta = jost_solve(indicator_barrier())[0]
         x = GRID.points
         exact = np.where(x >= 1, 1.0,
                          np.where(x >= -1, np.cosh(x - 1),
@@ -58,22 +57,13 @@ class TestJostSolve:
         assert theta[center] == pytest.approx(np.cosh(2.0), rel=1e-9)
 
     def test_even_potential_mirror_symmetry(self):
-        tp, tm = jost_solve(indicator_barrier(), 0.0)
+        tp, tm = jost_solve(indicator_barrier())
         assert np.max(np.abs(tm - tp[::-1])) < 1e-10
-
-    def test_negative_energy_exponentials(self):
-        theta = jost_solve(zero_potential(), -1.0)[0]
-        exact = np.exp(-GRID.points)
-        assert np.max(np.abs(theta - exact) / exact) < 1e-9
-
-    def test_positive_axis_rejected(self):
-        with pytest.raises(UnsupportedSpectralPoint):
-            jost_solve(zero_potential(), 1.0)
 
     def test_nonfinite_potential_rejected(self):
         bad = Potential1D(1.0, lambda x: np.full(np.shape(x), np.nan), GRID)
         with pytest.raises(InvalidOperator):
-            jost_solve(bad, 0.0)
+            jost_solve(bad)
 
 
 class TestWronskian:
@@ -85,10 +75,6 @@ class TestWronskian:
         pair = jost_pair(indicator_barrier())
         assert pair.wronskian == pytest.approx(np.sinh(2.0), rel=1e-6)
         assert wronskian(pair) == pytest.approx(np.sinh(2.0), rel=1e-6)
-
-    def test_free_negative_energy_is_two(self):
-        pair = jost_pair(zero_potential(), -1.0)
-        assert pair.wronskian == pytest.approx(2.0, rel=1e-6)
 
     def test_constancy_for_smooth_potential(self):
         pair = jost_pair(Potential1D.bump(GRID, amplitude=1.0))
@@ -332,19 +318,16 @@ def test_potential_requires_room_on_grid():
 
 def test_translation_shifts_jost_solution():
     # shifting the potential shifts theta+ by the same amount at z = 0
-    base = jost_solve(Potential1D.square_well(0.7, GRID), 0.0)[0]
-    shifted = jost_solve(Potential1D.square_well(0.7, GRID, center=2.0), 0.0)[0]
+    base = jost_solve(Potential1D.square_well(0.7, GRID))[0]
+    shifted = jost_solve(Potential1D.square_well(0.7, GRID, center=2.0))[0]
     x = GRID.points
     window = np.abs(x) <= 10.0
     interp = np.interp(x[window] - 2.0, x, base.real)
     assert np.max(np.abs(shifted[window].real - interp)) < 1e-6
 
 
-def _rk4_step(th, dth, h, z, v_start, v_mid, v_end):
-    """One RK4 step for theta'' = (V - z) theta on NumPy scalars."""
-    c_start = v_start - z
-    c_mid = v_mid - z
-    c_end = v_end - z
+def _rk4_step(th, dth, h, c_start, c_mid, c_end):
+    """One RK4 step for theta'' = V theta on NumPy scalars."""
     k1t, k1d = dth, c_start * th
     k2t, k2d = dth + (h / 2) * k1d, c_mid * (th + (h / 2) * k1t)
     k3t, k3d = dth + (h / 2) * k2d, c_mid * (th + (h / 2) * k2t)
@@ -353,10 +336,10 @@ def _rk4_step(th, dth, h, z, v_start, v_mid, v_end):
             dth + (h / 6) * (k1d + 2 * k2d + 2 * k3d + k4d))
 
 
-def numpy_scalar_jost_solve(pot, z, side):
+def numpy_scalar_jost_solve(pot, side):
     """jost_solve's recurrence stepped one NumPy scalar `_rk4_step` at a time,
     each step indexing the sampled potential: the reference for its bits."""
-    kappa = 0j if z == 0 else complex(np.sqrt(-complex(z)))
+    kappa = 0j
     x, h, n = pot.grid.points, pot.grid.spacing, pot.grid.n_points
     v_lo, v_hi = pot.sample(x - 1e-9 * h), pot.sample(x + 1e-9 * h)
     v_half = pot.sample(x - h / 2.0)
@@ -367,27 +350,26 @@ def numpy_scalar_jost_solve(pot, z, side):
         theta[i0:] = np.exp(-kappa * x[i0:])
         th, dth = theta[i0], -kappa * theta[i0]
         for i in range(i0, 0, -1):
-            th, dth = _rk4_step(th, dth, -h, z, v_lo[i], v_half[i], v_hi[i - 1])
+            th, dth = _rk4_step(th, dth, -h, v_lo[i], v_half[i], v_hi[i - 1])
             theta[i - 1] = th
     else:
         i0 = max(int(np.searchsorted(x, -pot.support_radius + guard, side="right")) - 1, 0)
         theta[: i0 + 1] = np.exp(kappa * x[: i0 + 1])
         th, dth = theta[i0], kappa * theta[i0]
         for i in range(i0, n - 1):
-            th, dth = _rk4_step(th, dth, h, z, v_hi[i], v_half[i + 1], v_lo[i + 1])
+            th, dth = _rk4_step(th, dth, h, v_hi[i], v_half[i + 1], v_lo[i + 1])
             theta[i + 1] = th
     return theta
 
 
 @pytest.mark.parametrize("grid", [Grid1D(2.0, 3), Grid1D(3.0, 61), Grid1D(8.0, 801)],
                          ids=lambda g: f"n={g.n_points}")
-@pytest.mark.parametrize("z", [0.0, -0.3 + 0.2j, -2.0, 1e-3j])
 @pytest.mark.parametrize("spec", ["well:g=1", "well:g=1+1j", "bump:amp=0.5+0.5j",
                                   "well:g=2,a=0.5,center=0.75"])
-def test_jost_solve_is_bitwise_the_numpy_scalar_recurrence(spec, z, grid):
+def test_jost_solve_is_bitwise_the_numpy_scalar_recurrence(spec, grid):
     pot = parse_potential(spec, grid)
-    for side, ours in zip(("plus", "minus"), jost_solve(pot, z)):
-        assert ours.tobytes() == numpy_scalar_jost_solve(pot, z, side).tobytes(), side
+    for side, ours in zip(("plus", "minus"), jost_solve(pot)):
+        assert ours.tobytes() == numpy_scalar_jost_solve(pot, side).tobytes(), side
 
 
 def reference_rk4(th, dth, h, steps) -> list:
@@ -415,20 +397,19 @@ JOST_SPECS = ["well:g=-1", "well:g=0.5", "well:g=4", "bump:amp=1", "bump:amp=0.5
 
 @pytest.mark.parametrize("grid", [GRID, Grid1D(8.0, 801), Grid1D(6.0, 241)],
                          ids=lambda g: f"n={g.n_points}")
-@pytest.mark.parametrize("z", [0.0, -0.5 + 0.1j])
 @pytest.mark.parametrize("spec", JOST_SPECS)
-def test_jost_solve_is_bitwise_the_plain_loop(spec, z, grid, monkeypatch):
+def test_jost_solve_is_bitwise_the_plain_loop(spec, grid, monkeypatch):
     pot = parse_potential(spec, grid)
-    ours = jost_solve(pot, z)
+    ours = jost_solve(pot)
     monkeypatch.setattr(jost_module, "_rk4", reference_rk4)
-    for side, theta, plain in zip(("plus", "minus"), ours, jost_solve(pot, z)):
+    for side, theta, plain in zip(("plus", "minus"), ours, jost_solve(pot)):
         assert theta.tobytes() == plain.tobytes(), side
 
 
 def test_free_region_zero_crossing_is_kept():
     # theta+ of well:g=4 is cos(2(x - 1)) on the well, so it leaves x = -1
     # with theta = cos 4 and theta' = 2 sin 4 and crosses zero at x = -1.43
-    theta = jost_solve(Potential1D.square_well(4.0, GRID), 0.0)[0]
+    theta = jost_solve(Potential1D.square_well(4.0, GRID))[0]
     x = GRID.points
     crossing = x[np.flatnonzero(np.diff(np.signbit(theta.real)))]
     expected = -1.0 - 0.5 / np.tan(4.0)

@@ -9,7 +9,7 @@ from scipy.linalg import lapack
 from virtlev import lap_sweep as ls
 from virtlev import weighted_space as wsp
 from virtlev.errors import ConfigError, FitError, NearSpectrum
-from virtlev.free_resolvent import SpectralParameter, build_free_kernel_operator
+from virtlev.free_resolvent import SpectralParameter, _generators, build_free_kernel_operator
 from virtlev.jost import Potential1D, green_kernel, jost_pair
 from virtlev.lap_sweep import (
     OperatorSpec,
@@ -54,7 +54,7 @@ class TestResolventMatrix:
     def test_schrodinger_matches_jost_green_kernel_at_threshold(self):
         grid = Grid1D(8.0, 1601)
         pot = Potential1D.square_well(-1.0, grid)
-        gk = green_kernel(jost_pair(pot, 0.0))
+        gk = green_kernel(jost_pair(pot))
         scale = np.max(np.abs(gk.entries))
         err6 = np.max(np.abs(
             resolvent_matrix(OperatorSpec.schrodinger1d(pot), -1e-6).entries
@@ -712,6 +712,44 @@ class TestSolverEngines:
             ls._check_condition(2, factors, 1.0)
 
 
+class TestFreeEngines:
+    """The sweep's free kinds are free_resolvent's checked builder."""
+
+    LINE = Grid1D(4.0, 801)
+    RADIAL = RadialGrid(4.0, 400)
+    OPS = {1: OperatorSpec.free1d(LINE), 2: OperatorSpec.free2d_radial(RADIAL),
+           3: OperatorSpec.free3d_radial(RADIAL)}
+
+    # at -0.1 + 0.1j and -1 + 1j, 1/(2w) with w a Python complex differs from
+    # NumPy's in the last bit; the sweep digests were recorded with the
+    # generators of the NumPy scalar w = np.sqrt(complex(-z))
+    @pytest.mark.parametrize("z", [-1e-4 + 0j, -0.1 + 0.1j, -1.0 + 1.0j, 1.0 + 1e-4j,
+                                   1e-3 * ls._direction(-np.pi / 2)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_engine_is_the_builder_bytewise(self, d, z):
+        grid = self.OPS[d].grid
+        engine = ls._make_engine(self.OPS[d], z)
+        built = build_free_kernel_operator(d, grid, SpectralParameter.interior(z))
+        w = np.sqrt(complex(-z))
+        recorded = wsp.SemiseparableKernel(grid, *_generators(d, grid.points, w),
+                                           np.exp(-w * grid.spacing))
+        for ref in (built, recorded):
+            assert engine.left.tobytes() == ref.left.tobytes()
+            assert engine.right.tobytes() == ref.right.tobytes()
+            assert repr(engine.decay) == repr(ref.decay)
+
+    @pytest.mark.parametrize("make,grid", [
+        (OperatorSpec.free1d, RadialGrid(4.0, 400)),
+        (OperatorSpec.free2d_radial, Grid1D(4.0, 801)),
+        (OperatorSpec.free3d_radial, Grid1D(4.0, 801)),
+    ], ids=["free1d", "free2d", "free3d"])
+    def test_free_kind_on_the_wrong_grid_type_raises(self, make, grid):
+        with pytest.raises(TypeError):
+            ls._make_engine(make(grid), -1e-3)
+        with pytest.raises(TypeError):
+            sweep(make(grid), SweepConfig(radii=SUITE_RADII))
+
+
 class TestMaxAbsEntry:
     """max_abs_entry() against the dense entries it never forms."""
 
@@ -747,8 +785,13 @@ class TestMaxAbsEntry:
 
     @pytest.mark.parametrize("angle", ANGLES)
     def test_jost_and_dense_kernels(self, angle):
-        z = 1e-3 * ls._direction(angle)
-        k = green_kernel(jost_pair(Potential1D.bump(self.LINE, amplitude=1.0), z))
+        # the threshold Green kernel of the bump, and a decay-1 kernel whose
+        # generators exp(+-w x) oscillate where Im w != 0, w = sqrt(-z)
+        k = green_kernel(jost_pair(Potential1D.bump(self.LINE, amplitude=1.0)))
+        assert k.max_abs_entry() == np.max(np.abs(k.entries))
+        w = np.sqrt(-1e-3 * ls._direction(angle))
+        x = self.LINE.points
+        k = wsp.SemiseparableKernel(self.LINE, np.exp(w * x) / (2 * w), np.exp(-w * x), 1.0)
         assert k.max_abs_entry() == np.max(np.abs(k.entries))
 
     def test_l1_linf_sweeps_never_read_entries(self, monkeypatch):

@@ -10,7 +10,12 @@ module constant, and so does one that only tests set: an entry whose
 callers (split on `;`, a trailing parenthetical remark dropped) are all
 `tests` fails too.
 
-The second collects each public module-level function and class and each
+The second asks that no call in `src/virtlev` pass a literal equal to the
+default of the parameter it fills: such a call hides what the caller
+relies on and can make a default look set when nothing sets it.  Callees
+resolve as loads do below, to a module-level function by its binding.
+
+The third collects each public module-level function and class and each
 public method of a public class, and asks that something in `src/virtlev`
 outside its own definition use it.  A module-level name counts only where a
 load resolves to its module: a bare name in that module, a name bound by
@@ -38,7 +43,7 @@ OPTIONS = {
     "criticality.QuadraticForm.smallest_eigenvalue.extra_potential":
         "_weighted_gap_search; tests",
     "criticality.QuadraticForm.smallest_eigenvalue.weight": "_weighted_gap_search; tests",
-    "criticality.null_state_iteration.compact_radius": "cli critical --K; criterion 8",
+    "criticality.null_state_iteration.compact_radius": "cli critical --K",
     "criticality.null_state_iteration.j_max": "cli critical --jmax; tests",
     "criticality.null_state_iteration.conv_tol": "criterion 8; tests",
     "discrete_ops.sequence.n": "cli shift --n; tests",
@@ -49,16 +54,13 @@ OPTIONS = {
     "jost.Potential1D.bump.amplitude": "cli parse_potential (bump:amp=); criterion 4",
     "jost.Potential1D.bump.half_width": "cli parse_potential (bump:a=)",
     "jost.Potential1D.bump.center": "cli parse_potential (bump:center=)",
-    "jost.jost_solve.z": "jost_pair",
-    "jost.jost_pair.z": "classify_threshold_1d; tests",
     "jost.classify_threshold_1d.tol": "cli jost --tol; tests",
     "lap_sweep.default_radii.r0": "cli sweep --r0",
     "lap_sweep.default_radii.ratio": "cli sweep --ratio",
     "lap_sweep.default_radii.count": "cli sweep --count",
-    "lap_sweep._SolverEngine.__init__.<lambda>.trans": "rmatvec (trans='C')",
-    "lap_sweep._RankOneEngine.__init__.solve.trans": "rmatvec (trans='C')",
+    "lap_sweep._SolverEngine.solve.trans": "rmatvec (trans='C')",
     "lap_sweep.classify.refine": "the benchmark; tests",
-    "perturbation.embedded_family_check.n": "cli embedded --count; criterion 7",
+    "perturbation.embedded_family_check.n": "cli embedded --count",
     "perturbation.matrix_nullity_by_perturbation.trials": "cli nullity --trials; criterion 9",
     "perturbation.matrix_nullity_by_perturbation.rng_seed": "cli nullity --seed; criterion 9",
     "weighted_space.cell_average.real": "QuadraticForm.v",
@@ -174,6 +176,67 @@ def uncalled_public_names() -> set:
             if not (used or set()) - own:
                 out.add(qualified)
     return out
+
+
+def _literal(node):
+    """(True, value) for a literal expression, (False, None) otherwise."""
+    try:
+        return True, ast.literal_eval(node)
+    except ValueError:
+        return False, None
+
+
+def literal_default_calls(trees: dict) -> list:
+    """`module.py:line callee parameter=value` for each call in `trees`
+    ({module: ast}) that passes a literal equal to a module-level callee's
+    default; True and 1 count as different values."""
+    defaults = {}  # (module, function) -> {parameter: (position or None, default)}
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                                 args.defaults))
+                pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+                defaults[(stem, node.name)] = {
+                    a.arg: (positional.index(a) if a in positional else None, d)
+                    for a, d in pairs}
+    by_binding = {}
+    for stem, tree in trees.items():
+        _module_loads(stem, tree, by_binding)
+    callee = {node_id: target for target, ids in by_binding.items() for node_id in ids}
+    found = []
+    for stem, tree in trees.items():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call) or id(call.func) not in callee:
+                continue
+            target = callee[id(call.func)]
+            for param, (position, default) in defaults.get(target, {}).items():
+                passed = [k.value for k in call.keywords if k.arg == param]
+                if position is not None and position < len(call.args):
+                    passed.append(call.args[position])
+                for node in passed:
+                    (ok, value), (_, want) = _literal(node), _literal(default)
+                    if ok and value == want and type(value) is type(want):
+                        found.append(f"{stem}.py:{call.lineno} {target[1]} {param}={value!r}")
+    return sorted(found)
+
+
+def test_no_call_passes_a_default_as_a_literal():
+    assert literal_default_calls(dict(_modules())) == []
+
+
+def test_literal_default_calls_resolves_callees():
+    trees = {
+        "a": ast.parse("def f(x, n=8, *, t=-1.0, s='N'):\n    pass\n"
+                       "def g(n=8):\n    f(1, 8)\n    f(1, n=9, t=-1.0)\n    f(1, 8.0)\n"),
+        "b": ast.parse("from .a import f\nfrom . import a as m\n"
+                       "f(0, s='N')\nm.f(0, n=8)\nm.g(8)\nobj.f(0, 8)\n"),
+    }
+    assert literal_default_calls(trees) == [
+        "a.py:4 f n=8", "a.py:5 f t=-1.0", "b.py:3 f s='N'", "b.py:4 f n=8", "b.py:5 g n=8"]
 
 
 def test_every_public_name_has_a_caller_outside_tests():

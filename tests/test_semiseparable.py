@@ -33,11 +33,15 @@ POINTS = (-1e-4, -1e-3 + 1e-3j, 1.0 + 1e-4j)
 
 
 def kernels(z):
+    """The free engines at z, the threshold Jost Green kernel of a bump, and
+    the decay-1 kernel exp(w x_<) exp(-w x_>) / (2w), w = sqrt(-z), whose
+    generators oscillate where Im w != 0."""
     yield "free1d", _make_engine(OperatorSpec.free1d(GRID), z)
     yield "free2d", _make_engine(OperatorSpec.free2d_radial(RADIAL), z)
     yield "free3d", _make_engine(OperatorSpec.free3d_radial(RADIAL), z)
-    pot = Potential1D.bump(GRID, amplitude=1.0)
-    yield "jost", green_kernel(jost_pair(pot, z))
+    yield "jost", green_kernel(jost_pair(Potential1D.bump(GRID, amplitude=1.0)))
+    w, x = np.sqrt(complex(-z)), GRID.points
+    yield "decay1", SemiseparableKernel(GRID, np.exp(w * x) / (2 * w), np.exp(-w * x), 1.0)
 
 
 def rel_err(got, ref):
