@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from virtlev import jost as jost_module
 from virtlev.cli import parse_potential
@@ -25,6 +26,7 @@ from virtlev.jost import (
     jost_solve,
     wronskian,
 )
+from virtlev.lap_sweep import OperatorSpec, _dtn_root, _make_engine, discrete_hamiltonian
 from virtlev.reports import Classification
 from virtlev.weighted_space import Grid1D
 
@@ -404,6 +406,38 @@ def test_jost_solve_is_bitwise_the_plain_loop(spec, grid, monkeypatch):
     monkeypatch.setattr(jost_module, "_rk4", reference_rk4)
     for side, theta, plain in zip(("plus", "minus"), ours, jost_solve(pot)):
         assert theta.tobytes() == plain.tobytes(), side
+
+
+# Off the threshold the resolvent of a Jost potential is the sweep's solver
+# engine; these are the z the Jost solver once took, on a grid it accepts.
+OFF_THRESHOLD_LINE = Grid1D(6.0, 1201)  # h = 0.01
+
+
+@pytest.mark.parametrize("z", [-0.3 + 0.2j, -2.0, 1e-3j, -0.5 + 0.1j])
+@pytest.mark.parametrize("spec", JOST_SPECS + ["well:g=1", "well:g=2,a=0.5,center=0.75"])
+def test_resolvent_off_the_threshold_is_the_sweep_engine(spec, z):
+    pot = parse_potential(spec, OFF_THRESHOLD_LINE)
+    op = OperatorSpec.schrodinger1d(pot)
+    engine = _make_engine(op, z)
+    x, h = OFF_THRESHOLD_LINE.points, OFF_THRESHOLD_LINE.spacing
+    t = discrete_hamiltonian(op, z)
+    g = np.random.default_rng(11).standard_normal((x.size, 2)) @ [1.0, 1.0j]
+    ref = spsolve(t, g) / h
+    assert np.linalg.norm(engine.matvec(g) - ref) <= 1e-10 * np.linalg.norm(ref)
+    # a point source in the support decays by the lattice root of the free
+    # difference equation outside it, the discrete e^{-kappa |x|} of theta+-
+    centre, lam = x.size // 2, _dtn_root(z, h)
+    assert abs(lam) < 1.0
+    col = engine.solve(np.eye(x.size, 1, -centre, dtype=complex))[:, 0]
+    right = np.flatnonzero(x > pot.support_radius + 3 * h)
+    left = np.flatnonzero(x < -pot.support_radius - 3 * h)[::-1]
+    for side in (right, left):
+        assert np.max(np.abs(col[side[1:]] - lam * col[side[:-1]])
+                      / np.abs(col[side[:-1]])) <= 1e-9
+    # complex symmetric, as theta+(x>) theta-(x<) / W is, up to the LU's
+    # rounding: T has condition ~1e5 at h = 0.01, more near g* at z = 1e-3i
+    far = engine.solve(np.eye(x.size, 1, -right[0], dtype=complex))[:, 0]
+    assert abs(far[centre] - col[right[0]]) <= 1e-10 * abs(col[right[0]])
 
 
 def test_free_region_zero_crossing_is_kept():
