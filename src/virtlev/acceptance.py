@@ -23,7 +23,8 @@ from .errors import ConfigError
 from .free_resolvent import (SpectralParameter, build_free_kernel_operator,
                              kernel_1d, kernel_2d, kernel_3d)
 from .reports import Classification
-from .weighted_space import Grid1D, KernelOperator, RadialGrid, operator_norm_weighted
+from .weighted_space import (Grid1D, KernelOperator, RadialGrid, operator_norm_weighted,
+                             second_difference)
 
 SWEEP_RADII = tuple(1e-2 * 10 ** (-0.5 * k) for k in range(7))  # 1e-2 .. 1e-5
 SUITE_RADII = tuple(3e-2 * 10 ** (-0.5 * k) for k in range(7))  # 3e-2 .. 3e-5
@@ -311,15 +312,15 @@ def criterion_10() -> CriterionResult:
     for n in (2001, 4001):
         grid = Grid1D(10.0, n)
         x = grid.points
-        h = grid.spacing
+        h, inner = grid.spacing, grid.interior
         f = np.exp(-(x**2))
         K = build_free_kernel_operator(1, grid, SpectralParameter.interior(-1.0))
         u = K.apply(f)
-        resid_left = (-(u[2:] - 2 * u[1:-1] + u[:-2]) / h**2 + 1.0 * u[1:-1]) - f[1:-1]
+        resid_left = (second_difference(u, h, (0.0, 0.0))[inner] + 1.0 * u[inner]) - f[inner]
         smooth = np.exp(-(x**2))
-        rhs = (-(smooth[2:] - 2 * smooth[1:-1] + smooth[:-2]) / h**2 + smooth[1:-1])
+        rhs = second_difference(smooth, h, (0.0, 0.0))[inner] + smooth[inner]
         recon = K.apply(np.concatenate([[rhs[0]], rhs, [rhs[-1]]]))
-        resid_right = recon[1:-1] - smooth[1:-1]
+        resid_right = recon[inner] - smooth[inner]
         errs[n] = (float(np.max(np.abs(resid_left))), float(np.max(np.abs(resid_right))))
     left_ratio = errs[2001][0] / max(errs[4001][0], 1e-300)
     right_ratio = errs[2001][1] / max(errs[4001][1], 1e-300)

@@ -14,8 +14,8 @@ c* of the pencil (T, diag <x>^{-4}), one symmetric tridiagonal eigenvalue,
 and half of it is reported so the margin is strictly positive.
 
 A form is a grid and one real potential sampler.  All forms are Dirichlet
-truncations on uniform grids, and the grid's type sets the edges; verdicts
-are re-checked under doubling of the truncation radius.
+truncations on uniform grids, whose `interior` and `doubled()` grid live in
+weighted_space; verdicts are re-checked under doubling of the radius.
 
 Only eigen-solves whose results reach an output run.  A form is accepted as
 nonnegative without a solve when its Gershgorin lower bound clears the
@@ -40,7 +40,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, InvalidOperator
 from .reports import csv_table
-from .weighted_space import Grid1D, RadialGrid, cell_average, weight
+from .weighted_space import (Grid1D, RadialGrid, cell_average, cell_indicator,
+                             second_difference, weight)
 
 
 def _zero(t):
@@ -83,8 +84,8 @@ class QuadraticForm:
     """Discrete form a[u] = h sum |du/h|^2 + h sum V u^2 with Dirichlet edges.
 
     V is the cell average `v` of the real potential `sampler` on `grid`.  The
-    grid's type sets the edges: a Grid1D line is Dirichlet at both ends, a
-    RadialGrid half-line at r = 0 (implicitly) and at r = R.
+    unknowns sit on `grid.interior`: a line is Dirichlet at both ends, a
+    half-line at r = 0 (implicitly) and at r = R.
     """
 
     grid: Grid1D | RadialGrid
@@ -109,16 +110,10 @@ class QuadraticForm:
     def v(self) -> np.ndarray:
         return cell_average(self.sampler, self.grid.points, self.grid.spacing, real=True)
 
-    def _interior(self):
-        """Grid points with Dirichlet zeros outside: both line edges drop;
-        on the half-line r = 0 is implicit and r = R drops."""
-        return slice(1, -1) if isinstance(self.grid, Grid1D) else slice(0, -1)
-
     def tridiagonal(self, extra_potential: np.ndarray | None = None):
         h = self.grid.spacing
         v = self.v if extra_potential is None else self.v + extra_potential
-        sl = self._interior()
-        d = 2.0 / h**2 + v[sl]
+        d = 2.0 / h**2 + v[self.grid.interior]
         e = np.full(d.size - 1, -1.0 / h**2)
         return d, e
 
@@ -128,7 +123,7 @@ class QuadraticForm:
         lam = float(vals[0])
         psi_int = vecs[:, 0]
         psi = np.zeros(self.grid.n_points)
-        psi[self._interior()] = psi_int
+        psi[self.grid.interior] = psi_int
         peak = np.argmax(np.abs(psi))
         psi = psi * np.sign(psi[peak])
         return lam, psi / np.max(np.abs(psi))
@@ -147,28 +142,15 @@ class QuadraticForm:
         d, e = self.tridiagonal(extra_potential)
         tol = 0.0  # LAPACK default
         if weight is not None:
-            s = 1.0 / np.sqrt(weight[self._interior()])
+            s = 1.0 / np.sqrt(weight[self.grid.interior])
             d, e, tol = d * s * s, e * s[:-1] * s[1:], np.finfo(float).tiny
         vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
                                 eigvals_only=True, tol=tol)
         return float(vals[0])
 
-    def apply_operator(self, u: np.ndarray) -> np.ndarray:
-        h = self.grid.spacing
-        padded = np.concatenate([[0.0], u, [0.0]])
-        return (-(padded[2:] - 2 * padded[1:-1] + padded[:-2]) / h**2
-                + self.v * u)
-
     @staticmethod
     def free_line(half_width: float, n_points: int) -> "QuadraticForm":
         return QuadraticForm(Grid1D(half_width, n_points))
-
-    def with_doubled_radius(self) -> "QuadraticForm":
-        """The same potential on a grid of twice the radius and the same spacing."""
-        g = self.grid
-        doubled = (Grid1D(2.0 * g.half_width, 2 * g.n_points - 1) if isinstance(g, Grid1D)
-                   else RadialGrid(2.0 * g.max_radius, 2 * g.n_points))
-        return QuadraticForm(doubled, self.sampler)
 
 
 class Dichotomy(enum.Enum):
@@ -227,8 +209,8 @@ def null_state_iteration(form: QuadraticForm, compact_radius: float = 1.0,
         raise ConfigError(f"compact_radius = {compact_radius} must be finite and positive")
     result = _dichotomy_once(form, compact_radius, j_max, conv_tol)
     if result.verdict is not Dichotomy.INCONCLUSIVE:
-        again = _doubled_verdict(form.with_doubled_radius(), compact_radius, j_max,
-                                 conv_tol)
+        again = _doubled_verdict(QuadraticForm(form.grid.doubled(), form.sampler),
+                                 compact_radius, j_max, conv_tol)
         result.diagnostics["doubled_verdict"] = again.value
         if again is not result.verdict:
             return DichotomyResult(
@@ -237,14 +219,6 @@ def null_state_iteration(form: QuadraticForm, compact_radius: float = 1.0,
                              "base": result.verdict.value,
                              "doubled": again.value})
     return result
-
-
-def _window_and_indicator(form: QuadraticForm, compact_radius: float):
-    """The window |x| <= K and the cell-averaged indicator W_1 of it."""
-    x = form.grid.points
-    indicator = cell_average(lambda t: (np.abs(t) <= compact_radius).astype(float),
-                             x, form.grid.spacing, real=True)
-    return np.abs(x) <= compact_radius, indicator
 
 
 def _doubled_verdict(form: QuadraticForm, compact_radius: float, j_max: int,
@@ -261,7 +235,8 @@ def _doubled_verdict(form: QuadraticForm, compact_radius: float, j_max: int,
     binds, and the verdict needs only the last Cauchy increment.  Otherwise
     the full loop decides.
     """
-    window, indicator = _window_and_indicator(form, compact_radius)
+    window = np.abs(form.grid.points) <= compact_radius
+    indicator = cell_indicator(form.grid, compact_radius)
     j_last = 1
     while 2 * j_last <= j_max:
         j_last *= 2
@@ -284,7 +259,8 @@ def _doubled_verdict(form: QuadraticForm, compact_radius: float, j_max: int,
 
 def _dichotomy_once(form: QuadraticForm, compact_radius: float, j_max: int,
                     conv_tol: float) -> DichotomyResult:
-    window, indicator = _window_and_indicator(form, compact_radius)
+    window = np.abs(form.grid.points) <= compact_radius
+    indicator = cell_indicator(form.grid, compact_radius)  # W_1
     js, lams, states = [], [], []
     j = 1
     while j <= j_max:
@@ -306,7 +282,8 @@ def _dichotomy_once(form: QuadraticForm, compact_radius: float, j_max: int,
     trace = [(jj, ll, float(np.max(np.abs((st - phi)[window]))))
              for jj, ll, st in zip(js, lams, states)]
     if dists and dists[-1] <= conv_tol:
-        residual = float(np.max(np.abs(form.apply_operator(phi)[window])))
+        hphi = second_difference(phi, form.grid.spacing, (0.0, 0.0)) + form.v * phi
+        residual = float(np.max(np.abs(hphi[window])))
         return DichotomyResult(Dichotomy.NULL_STATE, phi=phi, residual=residual,
                                trace=trace,
                                diagnostics={"final_increment": dists[-1]})

@@ -14,8 +14,10 @@ An operator is its kind, its grid and one potential sampler.  Discretized
 Schrödinger operators use second-order finite differences with transparent
 boundary closures: the outgoing/decaying lattice solution of the free
 difference equation is matched exactly at the grid edge, so no artificial
-reflection pollutes small-|z| norms.  The grid's type sets the edges: both
-ends of a Grid1D line, r = R of a RadialGrid half-line (r = 0 is Dirichlet).
+reflection pollutes small-|z| norms.  The lattice itself lives in
+weighted_space: each grid names its `edges` (both ends of a Grid1D line,
+r = R of a RadialGrid half-line, where r = 0 is Dirichlet), and V is the
+`cell_average` of the sampler.
 
 Resolvent engines: free kinds apply the O(n) semiseparable kernels of
 free_resolvent.build_free_kernel_operator; every other kind is one
@@ -49,6 +51,7 @@ from .weighted_space import (
     RadialGrid,
     _power_iteration_norm,
     cell_average,
+    cell_indicator,
     linear_fit,
     weight,
 )
@@ -141,10 +144,9 @@ class OperatorSpec:
 
     @cached_property
     def indicator(self) -> np.ndarray:
-        """Cell-averaged samples of 1_[-1,1] on the grid (edge cells weigh
-        1/2): the rank-one kind's projection."""
-        return cell_average(lambda t_: (np.abs(t_) <= 1.0).astype(float),
-                            self.grid.points, self.grid.spacing).real
+        """`cell_indicator` of [-1, 1], the rank-one kind's projection.  Cells
+        centred on x = +-1 weigh 0.6422, not 1/2: h sum = 2 + 0.2844 h."""
+        return cell_indicator(self.grid, 1.0)
 
 
 @dataclass(frozen=True)
@@ -243,10 +245,9 @@ def _dtn_root(z: complex, h: float) -> complex:
 def _tridiagonal(op: OperatorSpec, z: complex):
     """Bands (dl, d, du) of the tridiagonal part of (H - z).
 
-    The grid's type sets the edges: a Grid1D line carries the lattice
-    outgoing/decaying matching u_outside = lam u_edge at both edges; a
-    RadialGrid half-line has a Dirichlet condition at r = 0 and the matching
-    at r = R.  The rank-one kind's indicator projection is not part of the
+    Each of the grid's `edges` carries the lattice outgoing/decaying
+    matching u_outside = lam u_edge (a RadialGrid half-line is Dirichlet at
+    r = 0).  The rank-one kind's indicator projection is not part of the
     bands.
     """
     if op.kind is OperatorKind.FREE_2D_RADIAL:
@@ -255,9 +256,8 @@ def _tridiagonal(op: OperatorSpec, z: complex):
     h = grid.spacing
     d = (op.diagonal - z).astype(complex)  # bitwise 2/h^2 + V - z, left to right
     edge = _dtn_root(z, h) / h**2
-    d[-1] -= edge
-    if isinstance(grid, Grid1D):
-        d[0] -= edge
+    for k in grid.edges:
+        d[k] -= edge
     off = np.full(grid.n_points - 1, -1.0 / h**2, dtype=complex)
     return off, d, off.copy()
 

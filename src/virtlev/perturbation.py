@@ -29,11 +29,11 @@ from .errors import (
 )
 from .lap_sweep import OperatorSpec, SweepConfig, classify, fit_exponent, sweep
 from .reports import Classification, ThresholdReport, csv_table
-from .weighted_space import Grid1D, RadialGrid, linear_fit
+from .weighted_space import Grid1D, RadialGrid, linear_fit, second_difference
 
 _QUAD_POINTS = 20001  # trapezoid nodes of the matching system's integral row
 _RANK_ONE_GRID = Grid1D(20.0, 4001)  # both sweeps of rank_one_regularized_threshold
-_EIGEN_R_MAX, _EIGEN_N, _EIGEN_BAND = 3.0, 15000, 2  # eigen_residual_3d's stencil
+_EIGEN_GRID, _EIGEN_BAND = RadialGrid(3.0, 15000), 2  # eigen_residual_3d's stencil
 _RESIDUAL_TOL = 1e-6  # largest eigen-residual embedded_family_check accepts
 _EMBEDDED_GRID = RadialGrid(10.0, 1000)  # the limit operator embedded_family_check sweeps
 _EMBEDDED_RADII = tuple(1e-1 * 10 ** (-0.5 * k) for k in range(7))  # and its sweep radii
@@ -247,19 +247,17 @@ class EmbeddedFamily:
 def eigen_residual_3d(zeta) -> float:
     """Sup-norm finite-difference residual of the explicit eigen-triple.
 
-    Checked on u = r psi, u(0) = 0, over _EIGEN_N cells up to _EIGEN_R_MAX;
+    Checked on u = r psi, u(0) = 0, over the interior of _EIGEN_GRID;
     _EIGEN_BAND cells around r = 1 are excluded because V jumps there and
     the pointwise stencil is discretization-limited.
     """
-    h = _EIGEN_R_MAX / _EIGEN_N
-    r = h * np.arange(1, _EIGEN_N + 1)
+    h, r, inner = _EIGEN_GRID.spacing, _EIGEN_GRID.points, _EIGEN_GRID.interior
     psi, v = embedded_potential_3d(zeta, r)
     u = r * psi
     zeta = complex(zeta)
-    upad = np.concatenate([[0.0], u])  # u(0) = 0 exactly
-    resid = (-(upad[2:] - 2 * upad[1:-1] + upad[:-2]) / h**2
-             + (v[:-1] - zeta**2) * u[:-1])
-    keep = np.abs(r[:-1] - 1.0) > _EIGEN_BAND * h
+    # u(0) = 0 exactly; the value beyond r = R only reaches the dropped edge
+    resid = second_difference(u, h, (0.0, 0.0))[inner] + (v[inner] - zeta**2) * u[inner]
+    keep = np.abs(r[inner] - 1.0) > _EIGEN_BAND * h
     return float(np.max(np.abs(resid[keep])))
 
 

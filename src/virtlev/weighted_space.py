@@ -1,5 +1,7 @@
 """Grids, polynomial weights, cell averages, line fits and operator-norm
-estimation.
+estimation.  The lattice -Lap_h + V lives here: each grid type owns its
+boundary (`edges`, `interior`), and `second_difference` and `cell_average`
+are the one stencil and the one cell rule.
 
 Operators are kernel matrices sampled on one uniform grid.  A dense
 KernelOperator is a validated grid plus its `entries`.  Semiseparable
@@ -41,6 +43,9 @@ class Grid1D:
     Oddness makes x = 0 an exact grid point; potentials are centered there.
     """
 
+    edges = (0, -1)  # where the lattice meets the outside: both ends
+    interior = slice(1, -1)  # what a Dirichlet truncation keeps
+
     half_width: float
     n_points: int
 
@@ -63,6 +68,9 @@ class Grid1D:
     def refined(self) -> "Grid1D":
         return Grid1D(self.half_width, _REFINE_FACTOR * (self.n_points - 1) + 1)
 
+    def doubled(self) -> "Grid1D":  # twice the half-width, the same spacing
+        return Grid1D(2.0 * self.half_width, 2 * self.n_points - 1)
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -71,6 +79,9 @@ class RadialGrid:
     r = 0 is excluded; half-line operators built on this grid carry an
     implicit Dirichlet condition at the origin.
     """
+
+    edges = (-1,)  # r = R only
+    interior = slice(0, -1)  # r = R drops; r = 0 is no grid point
 
     max_radius: float
     n_points: int
@@ -92,6 +103,9 @@ class RadialGrid:
     def refined(self) -> "RadialGrid":
         return RadialGrid(self.max_radius, _REFINE_FACTOR * self.n_points)
 
+    def doubled(self) -> "RadialGrid":  # twice the radius, the same spacing
+        return RadialGrid(2.0 * self.max_radius, 2 * self.n_points)
+
 
 def weight(x, s: float):
     """Polynomial weight <x>^s = (1 + x^2)^(s/2); accepts scalars or arrays."""
@@ -102,9 +116,11 @@ _CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 def cell_average(sampler, points: np.ndarray, h: float, real: bool = False) -> np.ndarray:
-    """Finite-volume samples (1/h) int_{cell} V: midpoint-accurate for smooth
-    potentials and exact on indicator edges, keeping the lattice operator
-    second-order even for discontinuous wells.
+    """Finite-volume samples (1/h) int_{cell} V by 5-point Gauss-Legendre:
+    midpoint-accurate for smooth potentials, first order in h at a jump.
+
+    The rule has a node at the cell centre, so a jump that sits on a grid
+    node, tested with `<=` as the samplers do, weighs 0.6422 there, not 1/2.
 
     The result is complex.  With `real` (criticality forms) it is a float
     array, and a sampler whose imaginary part is not negligible raises
@@ -118,6 +134,18 @@ def cell_average(sampler, points: np.ndarray, h: float, real: bool = False) -> n
         vals += wgt * sampled
     vals = vals / 2.0
     return vals.real if real else vals
+
+
+def cell_indicator(grid, radius: float) -> np.ndarray:
+    """`cell_average` of 1_{|x| <= radius} on `grid`, a float array."""
+    return cell_average(lambda t: (np.abs(t) <= radius).astype(float),
+                        grid.points, grid.spacing).real
+
+
+def second_difference(u: np.ndarray, h: float, outside) -> np.ndarray:
+    """-(u[j+1] - 2 u[j] + u[j-1]) / h^2 at every j, `outside` the u beyond each end."""
+    padded = np.concatenate([[outside[0]], u, [outside[1]]])
+    return -(padded[2:] - 2 * padded[1:-1] + padded[:-2]) / h**2
 
 
 def linear_fit(x, y) -> tuple[float, float]:

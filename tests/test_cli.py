@@ -373,6 +373,18 @@ class TestErrorChannels:
             "error": "InvalidOperator",
             "message": "the kernel value (nan+nanj) is not finite"}
 
+    @pytest.mark.parametrize("potential", ["well:g=1e6", "bump:amp=1e200"])
+    def test_overflowing_jost_solution_exit_1_with_one_error_line(self, capsys, potential):
+        # theta overflows, so W (well) or theta- / W (bump) is not finite
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["jost", "--potential", potential, "--n", "1601"],
+                                     capsys)
+        assert [str(w.message) for w in caught] == []
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"error": "InvalidOperator",
+                                   "message": "kernel generators must be finite"}
+
     @pytest.mark.parametrize("argv,message", [
         (["sweep", "--op", "rankone1d"],
          "sweep --op rankone1d takes no potential; --op schrod1d does"),

@@ -20,7 +20,7 @@ from virtlev.criticality import (
     trace_csv,
 )
 from virtlev.errors import ConfigError, InvalidOperator
-from virtlev.weighted_space import Grid1D, RadialGrid, cell_average, weight
+from virtlev.weighted_space import Grid1D, RadialGrid, cell_average, cell_indicator, weight
 
 
 def resonant_potential(x):
@@ -79,10 +79,10 @@ class TestDoubling:
          lambda: QuadraticForm(RadialGrid(80.0, 3200), bump_potential)),
     ], ids=["free_line", "free_radial3d", "line", "radial3d"])
     def test_every_constructor_doubles(self, build, doubled):
+        # the grid doubles as null_state_iteration re-checks the form on it
         form, want = build(), doubled()
-        got = form.with_doubled_radius()
+        got = QuadraticForm(form.grid.doubled(), form.sampler)
         assert got.grid == want.grid
-        assert got.sampler is form.sampler
         assert np.array_equal(got.v, want.v)
 
     def test_free_forms_have_exactly_zero_potential(self):
@@ -336,7 +336,7 @@ def _band_form():
     and -1e-12 - 2 delta: neither shortcut of the re-check may decide."""
     grid = Grid1D(80.0, 3201)
     free = QuadraticForm(grid)
-    _, indicator = criticality._window_and_indicator(free, 1.0)
+    indicator = cell_indicator(grid, 1.0)
     d_last, e = free.tridiagonal(-(indicator / 64))
     d_first, _ = free.tridiagonal(-indicator)
     _, delta = _gershgorin_and_error(np.maximum(np.abs(d_first), np.abs(d_last)), e)
@@ -360,7 +360,7 @@ class TestDoubledVerdict:
         "bump": lambda: QuadraticForm(Grid1D(80.0, 3201), bump_potential),
         "resonant": lambda: QuadraticForm(Grid1D(80.0, 3201), resonant_potential),
         # the doubled form of `critical --R 60 --n 2401`, whose verdicts differ
-        "line_r60_doubled": lambda: QuadraticForm(Grid1D(60.0, 2401)).with_doubled_radius(),
+        "line_r60_doubled": lambda: QuadraticForm(Grid1D(60.0, 2401).doubled()),
         "band": _band_form,
     }
 
