@@ -316,9 +316,9 @@ def criterion_10() -> CriterionResult:
         f = np.exp(-(x**2))
         K = build_free_kernel_operator(1, grid, SpectralParameter.interior(-1.0))
         u = K.apply(f)
-        resid_left = (second_difference(u, h, (0.0, 0.0))[inner] + 1.0 * u[inner]) - f[inner]
+        resid_left = (second_difference(u, h)[inner] + 1.0 * u[inner]) - f[inner]
         smooth = np.exp(-(x**2))
-        rhs = second_difference(smooth, h, (0.0, 0.0))[inner] + smooth[inner]
+        rhs = second_difference(smooth, h)[inner] + smooth[inner]
         recon = K.apply(np.concatenate([[rhs[0]], rhs, [rhs[-1]]]))
         resid_right = recon[inner] - smooth[inner]
         errs[n] = (float(np.max(np.abs(resid_left))), float(np.max(np.abs(resid_right))))

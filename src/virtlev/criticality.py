@@ -282,7 +282,7 @@ def _dichotomy_once(form: QuadraticForm, compact_radius: float, j_max: int,
     trace = [(jj, ll, float(np.max(np.abs((st - phi)[window]))))
              for jj, ll, st in zip(js, lams, states)]
     if dists and dists[-1] <= conv_tol:
-        hphi = second_difference(phi, form.grid.spacing, (0.0, 0.0)) + form.v * phi
+        hphi = second_difference(phi, form.grid.spacing) + form.v * phi
         residual = float(np.max(np.abs(hphi[window])))
         return DichotomyResult(Dichotomy.NULL_STATE, phi=phi, residual=residual,
                                trace=trace,

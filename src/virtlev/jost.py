@@ -264,8 +264,7 @@ def _wronskian_profile(tp, tm, h: float):
     """
     t = np.stack([tp, tm])
     d = (-t[:, 4:] + 8 * t[:, 3:-1] - 8 * t[:, 1:-3] + t[:, :-4]) / (12 * h)
-    with np.errstate(over="ignore", invalid="ignore"):  # W of an overflowing theta: not finite
-        w = t[0, 2:-2] * d[1] - d[0] * t[1, 2:-2]
+    w = t[0, 2:-2] * d[1] - d[0] * t[1, 2:-2]
     d4 = np.abs(t[:, :-4] - 4 * t[:, 1:-3] + 6 * t[:, 2:-2] - 4 * t[:, 3:-1] + t[:, 4:])
     thresh = 1e-7 * np.fmax(1.0, np.max(np.abs(t), axis=1, keepdims=True))
     near = (d4 > thresh).any(axis=0)  # either side's stencil straddles a kink
@@ -298,10 +297,17 @@ def wronskian(pair: JostPair) -> complex:
 
 def jost_pair(pot: Potential1D) -> JostPair:
     """Solve both sides at z = 0 and record the Wronskian with its drift
-    diagnostic."""
+    diagnostic.
+
+    Solutions that overflow, or whose W(0), drift or scale does, are
+    refused as InvalidOperator: every verdict reads those three numbers.
+    """
     tp, tm = jost_solve(pot)
-    w0, dev = _wronskian_profile(tp, tm, pot.grid.spacing)
-    scale = 1.0 + float(np.max(np.abs(tp)) * np.max(np.abs(tm)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        w0, dev = _wronskian_profile(tp, tm, pot.grid.spacing)
+        scale = 1.0 + float(np.max(np.abs(tp)) * np.max(np.abs(tm)))
+    if not (cmath.isfinite(w0) and np.isfinite(dev) and np.isfinite(scale)):
+        raise InvalidOperator("kernel generators must be finite")
     return JostPair(tp, tm, w0, dev, scale, pot.grid)
 
 
@@ -317,9 +323,8 @@ def green_kernel(pair: JostPair) -> SemiseparableKernel:
         raise VirtualLevelError(
             "Wronskian is zero: the Jost solutions are linearly dependent"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # SemiseparableKernel refuses non-finite
-        left = pair.theta_minus / pair.wronskian
-    return SemiseparableKernel(pair.grid, left, pair.theta_plus, 1.0)
+    return SemiseparableKernel(pair.grid, pair.theta_minus / pair.wronskian,
+                               pair.theta_plus, 1.0)
 
 
 def classify_threshold_1d(pot: Potential1D, tol: float = 1e-6) -> ThresholdReport:

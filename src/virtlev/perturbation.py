@@ -256,7 +256,7 @@ def eigen_residual_3d(zeta) -> float:
     u = r * psi
     zeta = complex(zeta)
     # u(0) = 0 exactly; the value beyond r = R only reaches the dropped edge
-    resid = second_difference(u, h, (0.0, 0.0))[inner] + (v[inner] - zeta**2) * u[inner]
+    resid = second_difference(u, h)[inner] + (v[inner] - zeta**2) * u[inner]
     keep = np.abs(r[inner] - 1.0) > _EIGEN_BAND * h
     return float(np.max(np.abs(resid[keep])))
 

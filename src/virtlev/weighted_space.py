@@ -142,9 +142,9 @@ def cell_indicator(grid, radius: float) -> np.ndarray:
                         grid.points, grid.spacing).real
 
 
-def second_difference(u: np.ndarray, h: float, outside) -> np.ndarray:
-    """-(u[j+1] - 2 u[j] + u[j-1]) / h^2 at every j, `outside` the u beyond each end."""
-    padded = np.concatenate([[outside[0]], u, [outside[1]]])
+def second_difference(u: np.ndarray, h: float) -> np.ndarray:
+    """-(u[j+1] - 2 u[j] + u[j-1]) / h^2 at every j, with u = 0 beyond each end."""
+    padded = np.concatenate([[0.0], u, [0.0]])
     return -(padded[2:] - 2 * padded[1:-1] + padded[:-2]) / h**2
 
 

@@ -373,9 +373,11 @@ class TestErrorChannels:
             "error": "InvalidOperator",
             "message": "the kernel value (nan+nanj) is not finite"}
 
-    @pytest.mark.parametrize("potential", ["well:g=1e6", "bump:amp=1e200"])
+    @pytest.mark.parametrize("potential", ["well:g=1e5", "well:g=4e5", "well:g=1e6",
+                                           "bump:amp=1e200"])
     def test_overflowing_jost_solution_exit_1_with_one_error_line(self, capsys, potential):
-        # theta overflows, so W (well) or theta- / W (bump) is not finite
+        # the scale 1 + sup|theta+| sup|theta-| overflows (from g = 1e5), so
+        # does W(0) (from g = 4e5), and theta itself (g = 1e6, the bump)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(["jost", "--potential", potential, "--n", "1601"],

@@ -68,22 +68,19 @@ class TestForm:
 
 
 class TestDoubling:
-    @pytest.mark.parametrize("build, doubled", [
-        (lambda: QuadraticForm(Grid1D(40.0, 1601)),
-         lambda: QuadraticForm(Grid1D(80.0, 3201))),
-        (lambda: QuadraticForm(RadialGrid(40.0, 1600)),
-         lambda: QuadraticForm(RadialGrid(80.0, 3200))),
-        (lambda: QuadraticForm(Grid1D(40.0, 1601), bump_potential),
-         lambda: QuadraticForm(Grid1D(80.0, 3201), bump_potential)),
-        (lambda: QuadraticForm(RadialGrid(40.0, 1600), bump_potential),
-         lambda: QuadraticForm(RadialGrid(80.0, 3200), bump_potential)),
-    ], ids=["free_line", "free_radial3d", "line", "radial3d"])
-    def test_every_constructor_doubles(self, build, doubled):
-        # the grid doubles as null_state_iteration re-checks the form on it
-        form, want = build(), doubled()
-        got = QuadraticForm(form.grid.doubled(), form.sampler)
-        assert got.grid == want.grid
-        assert np.array_equal(got.v, want.v)
+    def test_recheck_runs_on_the_doubled_grid(self):
+        # `critical --R 60 --n 2401`: a weighted gap on R = 60 and a null
+        # state on R = 120, so only a re-check on the doubled grid disagrees
+        res = null_state_iteration(QuadraticForm(Grid1D(60.0, 2401)))
+        assert res.verdict is Dichotomy.INCONCLUSIVE
+        assert res.diagnostics == {"reason": "verdict unstable under radius doubling",
+                                   "base": "weighted_gap", "doubled": "null_state"}
+
+    def test_recheck_keeps_the_potential(self):
+        # the free line doubled to R = 120 has a null state; the bump keeps its gap
+        res = null_state_iteration(QuadraticForm(Grid1D(60.0, 2401), bump_potential))
+        assert res.verdict is Dichotomy.WEIGHTED_GAP
+        assert res.diagnostics["doubled_verdict"] == "weighted_gap"
 
     def test_free_forms_have_exactly_zero_potential(self):
         assert np.all(QuadraticForm.free_line(40.0, 1601).v == 0.0)

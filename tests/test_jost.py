@@ -127,6 +127,29 @@ class TestWronskian:
         pair = jost_pair(Potential1D.square_well(1.0, Grid1D(2.0, 25)))
         assert 2e-5 < pair.wronskian_deviation < 4e-5
 
+    @pytest.mark.parametrize("g", [1e5, 4e5])
+    def test_finite_solutions_with_an_overflowing_scale_are_refused(self, g):
+        # h sqrt(g) = 6.3 and 12.6: theta stays finite, but
+        # sup|theta+| sup|theta-| overflows, and at g = 4e5 so does W(0); an
+        # inf scale made any |W| count as small, a confident virtual
+        pot = Potential1D.square_well(g, Grid1D(16.0, 1601))
+        assert all(np.isfinite(theta).all() for theta in jost_solve(pot))
+        with pytest.raises(InvalidOperator, match="kernel generators must be finite"):
+            jost_pair(pot)
+
+    def test_overflowing_wronskian_under_a_finite_scale_is_refused(self, monkeypatch):
+        # theta-, 6e153 everywhere, doubles just right of x = 0: its centered
+        # derivative there is 2e155, so W(0) = 1.2e309 overflows while the
+        # scale 1 + sup|theta+| sup|theta-| = 7.2e307 is finite.  Accepted,
+        # W = inf would pass as regular with an all-zero Green kernel.
+        grid = Grid1D(16.0, 1601)
+        theta_plus = np.full(grid.n_points, 6e153 + 0j)
+        theta_minus = theta_plus.copy()
+        theta_minus[grid.n_points // 2 + 1] *= 2
+        monkeypatch.setattr(jost_module, "jost_solve", lambda pot: (theta_plus, theta_minus))
+        with pytest.raises(InvalidOperator, match="kernel generators must be finite"):
+            jost_pair(zero_potential(grid))
+
     def test_pair_samples_the_potential_once_per_stencil(self, monkeypatch):
         # both sides step through one set of samples: below, above and midway
         calls = []

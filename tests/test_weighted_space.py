@@ -41,6 +41,15 @@ def test_grid_validation():
                 grid_type(extent, 101)
 
 
+@pytest.mark.parametrize("grid, want", [
+    (Grid1D(40.0, 1601), Grid1D(80.0, 3201)),
+    (RadialGrid(40.0, 1600), RadialGrid(80.0, 3200)),
+], ids=["line", "radial3d"])
+def test_doubled_grid_has_twice_the_extent_and_the_same_spacing(grid, want):
+    assert grid.doubled() == want
+    assert grid.doubled().spacing == grid.spacing
+
+
 def test_radial_grid_excludes_origin():
     g = RadialGrid(5.0, 500)
     assert g.points[0] == pytest.approx(g.spacing)
