@@ -20,12 +20,39 @@ weighted_space; verdicts are re-checked under doubling of the radius.
 Only eigen-solves whose results reach an output run.  A form is accepted as
 nonnegative without a solve when its Gershgorin lower bound clears the
 threshold by more than LAPACK's bisection error (`_gershgorin_and_error`).
-The radius-doubled re-check reports only its verdict, so it solves the last
+The radius-doubled re-check reports only its verdict, so it decides the last
 j first.  A non-binding last j means the weighted-gap branch, which needs
 only the critical coupling c* (it may raise).  A last j binding by more than
 the bisection error binds every earlier j too, and the verdict needs only
 the Cauchy increment between the last two j.  In the band between, the full
 construction runs.
+
+Where a check reads only the sign of lambda_min - t, a Sturm count replaces
+the solve (`_count_clears`): dstebz with RANGE = 'V' counts the eigenvalues
+at or below x, and a count of 0 at x = t + delta stands for a solve that
+returns at least t.  Where the count is not 0 the solve runs as before, so
+every printed value and refusal is the solve's.  Why a count of 0 suffices:
+
+1. Monotone counts.  The count N(sigma) that dstebz computes is monotone in
+   the shift sigma in IEEE arithmetic (Demmel, Dhillon & Ren, ETNA 3, 1995),
+   and the solve keeps a bracket [a, b] of the bottom with N(a) = 0 and
+   N(b) >= 1 and returns its midpoint.  So N(x) = 0 puts b above x.
+2. delta bounds dstebz's bracket.  At tol = 0 the solve stops once b - a is
+   below ulp ||T||_1 (plus pivmin), well inside delta, so it returns more
+   than x - delta = t.  A count at t alone would not do.
+3. The same bands and pivmin in RANGE 'V' and 'I'.  dstebz splits T and
+   sets pivmin from d and e before it reads RANGE, and its end counts (RANGE
+   'V') and bisection counts (RANGE 'I') run the same recurrence, apart from
+   a pivot exactly equal to pivmin.  So the count is the solve's own count
+   at x, provided it reads the very bands the solve reads.
+4. Sylvester inertia for the pencil.  c* is the bottom of S T S, S =
+   diag(weight)^{-1/2} (`QuadraticForm.pencil`), congruent to T.  The solve
+   bisects it to relative precision (tol = tiny), and a bracket straddling 0
+   never meets the relative stopping rule 2 ulp max(|a|, |b|), only the
+   absolute pivmin, so a count of 0 at x = 0 on those bands gives c* > 0
+   unless |c*| < pivmin.  No delta is needed there: a count at shift 0
+   subtracts nothing, so its error is a few ulps relative in each entry,
+   which the congruence carries to T unchanged.
 """
 
 from __future__ import annotations
@@ -36,7 +63,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .errors import ConfigError, InvalidOperator
 from .reports import csv_table
@@ -79,6 +106,27 @@ def _gershgorin_and_error(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     return float(np.min(d - off)), delta
 
 
+def _count_clears(d: np.ndarray, e: np.ndarray, x: float) -> bool:
+    """True when the Gershgorin bound or one Sturm count shows that
+    tridiag(e, d, e) has no eigenvalue at or below x; False where it has one
+    or a band entry is not finite.
+
+    dstebz with RANGE = 'V' counts the eigenvalues in (vl, x].  vl, the
+    Gershgorin bound less delta, lies below every eigenvalue and every
+    count's error, so that is the count at or below x.  An abstol of x - vl
+    covers the whole interval: dstebz takes the end counts and one midpoint
+    count, and bisects no further.
+    """
+    lower, delta = _gershgorin_and_error(d, e)
+    vl = lower - delta
+    if not np.isfinite(vl):
+        return False
+    if lower >= x:  # every eigenvalue lies above x: no count needed
+        return True
+    m, _, _, _, info = lapack.dstebz(d, e, 1, vl, x, 0, 0, x - vl, "E")
+    return info == 0 and m == 0
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Discrete form a[u] = h sum |du/h|^2 + h sum V u^2 with Dirichlet edges.
@@ -97,8 +145,8 @@ class QuadraticForm:
         if not (h > 1e-75 and extent < 1e75):
             raise ConfigError(f"grid spacing {h:.3g} and extent {extent:.3g} must lie in "
                               "(1e-75, 1e75)")
-        lower, delta = _gershgorin_and_error(*self.tridiagonal())
-        if lower - delta >= -1e-10:
+        d, e = self.tridiagonal()
+        if _count_clears(d, e, -1e-10 + _gershgorin_and_error(d, e)[1]):
             return  # the eigen-solve below would give at least -1e-10
         lam = self.smallest_eigenvalue()
         if lam < -1e-10:
@@ -139,14 +187,22 @@ class QuadraticForm:
         tolerance eps ||S T S||_1 would swamp the small bottom eigenvalue;
         the pencil is bisected to full relative precision instead.
         """
-        d, e = self.tridiagonal(extra_potential)
-        tol = 0.0  # LAPACK default
-        if weight is not None:
-            s = 1.0 / np.sqrt(weight[self.grid.interior])
-            d, e, tol = d * s * s, e * s[:-1] * s[1:], np.finfo(float).tiny
+        if weight is None:
+            d, e = self.tridiagonal(extra_potential)
+            tol = 0.0  # LAPACK default
+        else:
+            d, e = self.pencil(weight, extra_potential)
+            tol = np.finfo(float).tiny
         vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
                                 eigvals_only=True, tol=tol)
         return float(vals[0])
+
+    def pencil(self, weight: np.ndarray, extra_potential: np.ndarray | None = None):
+        """Bands of S (T + diag(extra_potential)) S, S = diag(weight)^{-1/2} on
+        the interior: the pencil the weighted solve bisects and its count reads."""
+        d, e = self.tridiagonal(extra_potential)
+        s = 1.0 / np.sqrt(weight[self.grid.interior])
+        return d * s * s, e * s[:-1] * s[1:]
 
     @staticmethod
     def free_line(half_width: float, n_points: int) -> "QuadraticForm":
@@ -234,22 +290,34 @@ def _doubled_verdict(form: QuadraticForm, compact_radius: float, j_max: int,
     lambda_last below -1e-12 by more than two bisection errors means every j
     binds, and the verdict needs only the last Cauchy increment.  Otherwise
     the full loop decides.
+
+    The weighted-gap branch reads two signs, so counts decide it where they
+    can (module docstring, points 1-4).  No eigenvalue of T - W_last at or
+    below -1e-12 + delta means the solve would return lambda_last >= -1e-12;
+    delta here bounds the bands of every j, at least those of j_last.  No
+    eigenvalue of the pencil bands at or below 0 means c* > 0, where
+    `_critical_coupling` cannot raise.  A count that is not 0 leaves the
+    solve to decide, as before.
     """
     window = np.abs(form.grid.points) <= compact_radius
     indicator = cell_indicator(form.grid, compact_radius)
     j_last = 1
     while 2 * j_last <= j_max:
         j_last *= 2
-    lam, psi = form.smallest_eigenpair(extra_potential=-(indicator / j_last))
-    if lam >= -1e-12:
-        _critical_coupling(form, weight(form.grid.points, -4.0))
-        return Dichotomy.WEIGHTED_GAP
-    if j_last == 1:  # no earlier j and no increment
-        return Dichotomy.INCONCLUSIVE
     # one error bound for every T - W_j: each diagonal lies between j = 1's and j_last's
     d_last, e = form.tridiagonal(-(indicator / j_last))
     d_first, _ = form.tridiagonal(-indicator)
     _, delta = _gershgorin_and_error(np.maximum(np.abs(d_first), np.abs(d_last)), e)
+    certified = _count_clears(d_last, e, -1e-12 + delta)
+    if not certified:
+        lam, psi = form.smallest_eigenpair(extra_potential=-(indicator / j_last))
+    if certified or lam >= -1e-12:
+        base = weight(form.grid.points, -4.0)
+        if not _count_clears(*form.pencil(base), 0.0):
+            _critical_coupling(form, base)
+        return Dichotomy.WEIGHTED_GAP
+    if j_last == 1:  # no earlier j and no increment
+        return Dichotomy.INCONCLUSIVE
     if lam < -1e-12 - 2.0 * delta:
         _, prev = form.smallest_eigenpair(extra_potential=-(indicator / (j_last // 2)))
         increment = float(np.max(np.abs((psi - prev)[window])))

@@ -1,5 +1,7 @@
 """Null-state / weighted-gap dichotomy and Hardy checks."""
 
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from virtlev.criticality import (
     QuadraticForm,
     _dichotomy_once,
     _doubled_verdict,
+    _count_clears,
     _gershgorin_and_error,
     _weighted_gap_search,
     null_state_iteration,
@@ -244,16 +247,28 @@ def test_trace_csv_format():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts every eigen-solve of the module: a list, one entry per call."""
+    """Records every eigen call of the module, one entry per call: ("solve",
+    d, e) for `eigh_tridiagonal`, ("count", d, e, x) for a `lapack.dstebz`
+    count at or below x.  `tests/test_lattice_guard.py` keeps every such call
+    where these patches see it."""
     calls = []
-    real = criticality.eigh_tridiagonal
+    real_solve, real_count = criticality.eigh_tridiagonal, criticality.lapack.dstebz
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def solve(d, e, *args, **kwargs):
+        calls.append(("solve", d, e))
+        return real_solve(d, e, *args, **kwargs)
 
-    monkeypatch.setattr(criticality, "eigh_tridiagonal", counted)
+    def count(d, e, rng, vl, vu, *args):
+        calls.append(("count", d, e, vu))
+        return real_count(d, e, rng, vl, vu, *args)
+
+    monkeypatch.setattr(criticality, "eigh_tridiagonal", solve)
+    monkeypatch.setattr(criticality, "lapack", SimpleNamespace(dstebz=count))
     return calls
+
+
+def kinds(calls) -> list:
+    return [c[0] for c in calls]
 
 
 def _constant(value):
@@ -278,10 +293,31 @@ class TestCertificate:
         build()
         assert solves == []
 
-    def test_negative_part_falls_back_to_the_solve(self, solves):
-        # criterion 8's resonant potential dips below 0: Gershgorin cannot help
-        QuadraticForm(Grid1D(80.0, 3201), resonant_potential)
-        assert len(solves) == 1
+    def test_negative_part_falls_back_to_a_count(self, solves):
+        # criterion 8's resonant potential dips below 0: Gershgorin cannot
+        # help, and one count at -1e-10 + delta on the form's own bands can
+        form = QuadraticForm(Grid1D(80.0, 3201), resonant_potential)
+        d, e = form.tridiagonal()
+        [(kind, counted_d, counted_e, x)] = solves
+        assert kind == "count" and x == -1e-10 + _gershgorin_and_error(d, e)[1]
+        assert np.array_equal(counted_d, d) and np.array_equal(counted_e, e)
+
+    @pytest.mark.parametrize("depth, refused", [(None, False), (-5.0, True)])
+    def test_bottom_below_the_count_threshold_is_solved(self, depth, refused, solves):
+        # a bottom delta / 2 above -1e-10: the count at -1e-10 + delta sees
+        # it and the solve accepts; the -5 well is refused with the solved value
+        free = QuadraticForm(Grid1D(40.0, 1601))
+        _, delta = _gershgorin_and_error(*free.tridiagonal())
+        sampler = (_constant(-free.smallest_eigenvalue() - 1e-10 + delta / 2)
+                   if depth is None else _well(depth))
+        solves.clear()
+        try:
+            QuadraticForm(free.grid, sampler)
+        except InvalidOperator as exc:
+            assert refused and "smallest eigenvalue -" in str(exc)
+        else:
+            assert not refused
+        assert kinds(solves) == ["count", "solve"]
 
     def test_error_bound_scales_with_the_norm(self):
         # V = 1e30 on |x| <= 1: the bound is 0, and only a delta of order
@@ -328,23 +364,102 @@ class TestCertificate:
         assert refused == (lam < -1e-10)
 
 
-def _band_form():
-    """A line form whose last perturbed bottom, at j = 64, lies between -1e-12
-    and -1e-12 - 2 delta: neither shortcut of the re-check may decide."""
+class TestCount:
+    """`_count_clears`: one dstebz count where a solve's sign is all a check
+    reads."""
+
+    @pytest.mark.parametrize("grid", [Grid1D(40.0, 201), RadialGrid(40.0, 200),
+                                      Grid1D(1e-3, 201), RadialGrid(1e6, 200)],
+                             ids=["line", "half_line", "fine_line", "wide_half_line"])
+    def test_dirichlet_lattice_bottom(self, grid, solves):
+        # -Lap_h on m interior points: (4/h^2) sin^2(k pi / (2 (m + 1)))
+        d, e = QuadraticForm(grid).tridiagonal()
+        solves.clear()  # h = 1e-5 makes delta > 1e-10: the form's own check counts
+        lam1 = 4.0 / grid.spacing**2 * np.sin(np.pi / (2 * (d.size + 1))) ** 2
+        assert _count_clears(d, e, lam1 * (1 - 1e-9))
+        assert not _count_clears(d, e, lam1 * (1 + 1e-9))
+        assert kinds(solves) == ["count", "count"]
+
+    def test_gershgorin_bound_clears_without_a_count(self, solves):
+        # tridiag(-1, 3, -1) on 5 points: bound 1, bottom 3 - 2 cos(pi / 6)
+        d, e = np.full(5, 3.0), np.full(4, -1.0)
+        assert _count_clears(d, e, 1.0)
+        assert solves == []
+        assert _count_clears(d, e, 1.26) and not _count_clears(d, e, 1.27)
+        assert kinds(solves) == ["count", "count"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("band", ["d", "e"])
+    def test_non_finite_bands_certify_nothing(self, band, value, solves):
+        d, e = np.full(5, 3.0), np.full(4, -1.0)
+        (d if band == "d" else e)[2] = value
+        for x in (-1e300, 0.0, 1e300):
+            assert not _count_clears(d, e, x)
+        assert solves == []
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(h=st.floats(1e-3, 1.0), half=st.integers(2, 100), radial=st.booleans(),
+           height=st.floats(0.0, 10.0), center=st.floats(-1.0, 1.0))
+    def test_a_count_clears_only_what_the_solve_clears(self, h, half, radial, height,
+                                                        center):
+        # a bump, shifted so the bottom of T sits at threshold + offset delta
+        # for each threshold the module counts at: -1e-12 and -1e-10 on T
+        # itself at x = threshold + delta, 0 on the pencil bands of c*
+        # (bisected at tol = tiny) at x = 0.  Of these 60 x 39 cases, 1101
+        # are cleared by a count (285, 290 and 526 per threshold) and 1239
+        # are not
+        grid = RadialGrid(h * 2 * half, 2 * half) if radial else Grid1D(h * half, 2 * half + 1)
+        free = QuadraticForm(grid)
+        bump = cell_average(lambda t: height * np.exp(-((np.asarray(t) - center) / 0.3) ** 2),
+                            grid.points, grid.spacing, real=True)
+        bottom = free.smallest_eigenvalue(bump)
+        _, delta = _gershgorin_and_error(*free.tridiagonal(bump))
+        for threshold in (-1e-12, -1e-10, 0.0):
+            for offset in (-4.0, -1.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 4.0):
+                v = bump + (threshold + offset * delta - bottom)
+                if threshold == 0.0:
+                    d, e = free.pencil(weight(grid.points, -4.0), v)
+                    x, tol = 0.0, np.finfo(float).tiny
+                else:
+                    d, e = free.tridiagonal(v)
+                    x, tol = threshold + _gershgorin_and_error(d, e)[1], 0.0
+                lam = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
+                                       eigvals_only=True, tol=tol)[0]
+                if _count_clears(d, e, x):
+                    assert lam > 0.0 if threshold == 0.0 else lam >= threshold
+                else:  # and a count that sees an eigenvalue sees one near x
+                    assert lam <= x + _gershgorin_and_error(d, e)[1]
+
+
+def _last_bottom_form(offset: float):
+    """A line form whose last perturbed bottom, at j = 64, lies at
+    -1e-12 + offset delta, to within delta / 4."""
     grid = Grid1D(80.0, 3201)
     free = QuadraticForm(grid)
     indicator = cell_indicator(grid, 1.0)
     d_last, e = free.tridiagonal(-(indicator / 64))
     d_first, _ = free.tridiagonal(-indicator)
     _, delta = _gershgorin_and_error(np.maximum(np.abs(d_first), np.abs(d_last)), e)
-    target = -1e-12 - delta
+    target = -1e-12 + offset * delta
     shift = -free.smallest_eigenvalue(-(indicator / 64)) + target
     for _ in range(3):  # the cell average and the solve round: correct twice
         form = QuadraticForm(grid, _constant(shift))
         lam = form.smallest_eigenvalue(-(indicator / 64))
         shift += target - lam
-    assert -1e-12 - 2 * delta < lam < -1e-12
+    assert abs(lam - target) < delta / 4
     return form
+
+
+def _band_form():
+    """Between -1e-12 and -1e-12 - 2 delta: neither shortcut of the re-check
+    may decide."""
+    return _last_bottom_form(-1.0)
+
+
+def _knife_form():
+    """delta / 2 above -1e-12: the count at -1e-12 + delta sees the bottom,
+    and only the solve shows that j = 64 does not bind."""
+    return _last_bottom_form(0.5)
 
 
 class TestDoubledVerdict:
@@ -359,6 +474,7 @@ class TestDoubledVerdict:
         # the doubled form of `critical --R 60 --n 2401`, whose verdicts differ
         "line_r60_doubled": lambda: QuadraticForm(Grid1D(60.0, 2401).doubled()),
         "band": _band_form,
+        "knife": _knife_form,
     }
 
     @pytest.mark.parametrize("j_max", [1, 3, 48, 64])
@@ -373,18 +489,44 @@ class TestDoubledVerdict:
         form = _band_form()
         solves.clear()
         _doubled_verdict(form, 1.0, 64, 0.02)
-        assert len(solves) == 1 + 7  # j_last, then every j of the loop
+        # a count that sees j_last's bottom, its solve, then every j of the loop
+        assert kinds(solves) == ["count"] + ["solve"] * (1 + 7)
 
     @pytest.mark.parametrize("name", ["free_line", "free_radial3d", "line_r60_doubled",
                                       "resonant"])
     def test_solves_only_what_the_verdict_reads(self, name, solves):
-        # j_last, then c* or the ground state at j_last / 2
+        # a null state counts and solves j_last, then solves j_last / 2; a
+        # weighted gap counts j_last and c* and solves neither
         form = self.FORMS[name]()
         solves.clear()
         _doubled_verdict(form, 1.0, 64, 0.05)
-        assert len(solves) == 2
+        want = (["count", "count"] if name == "free_radial3d"
+                else ["count", "solve", "solve"])
+        assert kinds(solves) == want
 
-    def test_raises_where_the_full_loop_raises(self):
+    def test_knife_edge_is_solved(self, solves):
+        form = _knife_form()
+        solves.clear()
+        assert _doubled_verdict(form, 1.0, 64, 0.02) is Dichotomy.WEIGHTED_GAP
+        # j_last counted and solved; c* > 0 shown by its count
+        assert kinds(solves) == ["count", "solve", "count"]
+
+    def test_counts_read_the_bands_their_solves_read(self, solves):
+        # T - W_64 at -1e-12 + delta, and the pencil bands of c* at 0
+        form = self.FORMS["free_radial3d"]()
+        indicator = cell_indicator(form.grid, 1.0)
+        d_last, e = form.tridiagonal(-(indicator / 64))
+        d_first, _ = form.tridiagonal(-indicator)
+        _, delta = _gershgorin_and_error(np.maximum(np.abs(d_first), np.abs(d_last)), e)
+        pencil = form.pencil(weight(form.grid.points, -4.0))
+        solves.clear()
+        _doubled_verdict(form, 1.0, 64, 0.05)
+        (_, d1, e1, x1), (_, d2, e2, x2) = solves
+        assert x1 == -1e-12 + delta and x2 == 0.0
+        assert np.array_equal(d1, d_last) and np.array_equal(e1, e)
+        assert np.array_equal(d2, pencil[0]) and np.array_equal(e2, pencil[1])
+
+    def test_raises_where_the_full_loop_raises(self, solves):
         # bottom -5e-13, and a window between the radial quadrature nodes so
         # W_j = 0: no j binds, and c* < 0 has no positive weighted gap
         grid = RadialGrid(40.0, 1600)
@@ -393,20 +535,25 @@ class TestDoubledVerdict:
         assert -1e-12 <= form.smallest_eigenvalue() < 0
         with pytest.raises(InvalidOperator, match="no positive weighted gap"):
             _dichotomy_once(form, 1e-6, 64, 0.02)
+        solves.clear()
         with pytest.raises(InvalidOperator, match="no positive weighted gap"):
             _doubled_verdict(form, 1e-6, 64, 0.02)
+        # the bottom lies within delta of -1e-12, and c* below 0: each count
+        # sees an eigenvalue, and each solve decides
+        assert kinds(solves) == ["count", "solve", "count", "solve"]
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["--case", "free1d"], 9),
-    (["--case", "free3d"], 5),
-    (["--case", "potential", "--potential", "bump:amp=2,a=1"], 5),
-    (["--case", "potential", "--potential", "well:g=-2,a=1"], 5),
-])
+    (["--case", "free1d"], ["solve"] * 7 + ["count"] + ["solve"] * 2),
+    (["--case", "free3d"], ["solve"] * 3 + ["count"] * 2),
+    (["--case", "potential", "--potential", "bump:amp=2,a=1"], ["solve"] * 3 + ["count"] * 2),
+    (["--case", "potential", "--potential", "well:g=-2,a=1"], ["solve"] * 3 + ["count"] * 2),
+], ids=["free1d", "free3d", "bump", "repulsive_well"])
 def test_critical_verdict_eigensolve_traffic(argv, want, solves, capsys):
-    # both forms certified (0 solves); the base loop solves 7 binding j, or
-    # j = 1, c* and the margin; the doubled re-check j_last and j_last / 2,
-    # or j_last and c*.  A discarded solve brought back fails here.
+    # both forms certified by Gershgorin (no call); the base loop solves 7
+    # binding j, or j = 1, c* and the margin; the doubled re-check counts
+    # j_last and solves it and j_last / 2, or counts j_last and c*.  A
+    # discarded solve brought back fails here.
     assert main(["critical", *argv, "--R", "160", "--n", "6401"]) == 0
     capsys.readouterr()
-    assert len(solves) == want
+    assert kinds(solves) == want

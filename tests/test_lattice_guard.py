@@ -10,6 +10,12 @@ The second finds every `isinstance` whose class argument names `Grid1D` or
 `doubled()`), so only `weighted_space` may branch on it; the one exception
 is `free_resolvent.build_free_kernel_operator`, whose checks refuse a grid
 of the wrong type for the dimension it is asked for.
+
+The third finds every name `eigh_tridiagonal` or `dstebz`, imported or
+used.  The lattice's eigen calls stay in `criticality`, in
+`QuadraticForm`'s two solve methods and the count `_count_clears`, so
+patching `criticality.eigh_tridiagonal` and `criticality.lapack` sees every
+one of them (`tests/test_criticality.py`'s `solves` fixture).
 """
 
 import ast
@@ -69,6 +75,22 @@ def grid_type_checks(modules) -> list:
                        for n in ast.walk(node.args[1])} & _GRID_TYPES)
 
 
+_EIGEN = {"eigh_tridiagonal", "dstebz"}
+
+
+def eigen_call_sites(modules) -> list:
+    """Where an eigen routine is named, once per function (a module-level
+    import counts for the module)."""
+    sites = set()
+    for stem, tree in modules:
+        for where, node in _walk(tree, stem):
+            names = ({a.name for a in node.names} if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else {getattr(node, "id", getattr(node, "attr", None))})
+            if names & _EIGEN:
+                sites.add(where)
+    return sorted(sites)
+
+
 def test_one_second_difference_stencil():
     assert second_difference_sites(_package()) == ["weighted_space.second_difference"]
 
@@ -76,6 +98,12 @@ def test_one_second_difference_stencil():
 def test_only_weighted_space_branches_on_the_grid_type():
     outside = [w for w in grid_type_checks(_package()) if not w.startswith("weighted_space.")]
     assert outside == ["free_resolvent.build_free_kernel_operator"] * 2
+
+
+def test_eigen_calls_stay_where_the_solve_fixture_sees_them():
+    assert eigen_call_sites(_package()) == [
+        "criticality", "criticality.QuadraticForm.smallest_eigenpair",
+        "criticality.QuadraticForm.smallest_eigenvalue", "criticality._count_clears"]
 
 
 def test_the_guards_see_what_they_forbid():
@@ -91,7 +119,15 @@ def branch(g):
 
 def fine(t, g):
     return t[:, 4:] - t[:, :-4] + t[1:-1], isinstance(g, float)
+
+def solve(d, e):
+    from scipy.linalg.lapack import dstebz
+    return sl.eigh_tridiagonal(d, e), lapack.dstebz
+
+def near_miss(d, e):
+    return eigh(d, e), lapack.dstein
 """
     tree = [("m", ast.parse(source))]
     assert second_difference_sites(tree) == ["m.stacked", "m.stencil"]
     assert grid_type_checks(tree) == ["m.branch", "m.branch"]
+    assert eigen_call_sites(tree) == ["m.solve"]
