@@ -46,7 +46,7 @@ every printed value and refusal is the solve's.  Why a count of 0 suffices:
    a pivot exactly equal to pivmin.  So the count is the solve's own count
    at x, provided it reads the very bands the solve reads.
 4. Sylvester inertia for the pencil.  c* is the bottom of S T S, S =
-   diag(weight)^{-1/2} (`QuadraticForm.pencil`), congruent to T.  The solve
+   diag(weight)^{-1/2} (`_pencil`), congruent to T.  The solve
    bisects it to relative precision (tol = tiny), and a bracket straddling 0
    never meets the relative stopping rule 2 ulp max(|a|, |b|), only the
    absolute pivmin, so a count of 0 at x = 0 on those bands gives c* > 0
@@ -127,6 +127,13 @@ def _count_clears(d: np.ndarray, e: np.ndarray, x: float) -> bool:
     return info == 0 and m == 0
 
 
+def _pencil(d: np.ndarray, e: np.ndarray, w: np.ndarray):
+    """Bands of S T S, T = tridiag(e, d, e), S = diag(w)^{-1/2}: the pencil
+    (T, diag w) that the weighted solve bisects and its count reads."""
+    s = 1.0 / np.sqrt(w)
+    return d * s * s, e * s[:-1] * s[1:]
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Discrete form a[u] = h sum |du/h|^2 + h sum V u^2 with Dirichlet edges.
@@ -187,22 +194,14 @@ class QuadraticForm:
         tolerance eps ||S T S||_1 would swamp the small bottom eigenvalue;
         the pencil is bisected to full relative precision instead.
         """
-        if weight is None:
-            d, e = self.tridiagonal(extra_potential)
-            tol = 0.0  # LAPACK default
-        else:
-            d, e = self.pencil(weight, extra_potential)
+        d, e = self.tridiagonal(extra_potential)
+        tol = 0.0  # LAPACK default
+        if weight is not None:
+            d, e = _pencil(d, e, weight[self.grid.interior])
             tol = np.finfo(float).tiny
         vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
                                 eigvals_only=True, tol=tol)
         return float(vals[0])
-
-    def pencil(self, weight: np.ndarray, extra_potential: np.ndarray | None = None):
-        """Bands of S (T + diag(extra_potential)) S, S = diag(weight)^{-1/2} on
-        the interior: the pencil the weighted solve bisects and its count reads."""
-        d, e = self.tridiagonal(extra_potential)
-        s = 1.0 / np.sqrt(weight[self.grid.interior])
-        return d * s * s, e * s[:-1] * s[1:]
 
     @staticmethod
     def free_line(half_width: float, n_points: int) -> "QuadraticForm":
@@ -313,7 +312,8 @@ def _doubled_verdict(form: QuadraticForm, compact_radius: float, j_max: int,
         lam, psi = form.smallest_eigenpair(extra_potential=-(indicator / j_last))
     if certified or lam >= -1e-12:
         base = weight(form.grid.points, -4.0)
-        if not _count_clears(*form.pencil(base), 0.0):
+        pencil = _pencil(*form.tridiagonal(), base[form.grid.interior])
+        if not _count_clears(*pencil, 0.0):
             _critical_coupling(form, base)
         return Dichotomy.WEIGHTED_GAP
     if j_last == 1:  # no earlier j and no increment

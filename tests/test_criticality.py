@@ -18,6 +18,7 @@ from virtlev.criticality import (
     _doubled_verdict,
     _count_clears,
     _gershgorin_and_error,
+    _pencil,
     _weighted_gap_search,
     null_state_iteration,
     trace_csv,
@@ -418,7 +419,8 @@ class TestCount:
             for offset in (-4.0, -1.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 4.0):
                 v = bump + (threshold + offset * delta - bottom)
                 if threshold == 0.0:
-                    d, e = free.pencil(weight(grid.points, -4.0), v)
+                    d, e = _pencil(*free.tridiagonal(v),
+                                   weight(grid.points, -4.0)[grid.interior])
                     x, tol = 0.0, np.finfo(float).tiny
                 else:
                     d, e = free.tridiagonal(v)
@@ -518,7 +520,8 @@ class TestDoubledVerdict:
         d_last, e = form.tridiagonal(-(indicator / 64))
         d_first, _ = form.tridiagonal(-indicator)
         _, delta = _gershgorin_and_error(np.maximum(np.abs(d_first), np.abs(d_last)), e)
-        pencil = form.pencil(weight(form.grid.points, -4.0))
+        base = weight(form.grid.points, -4.0)
+        pencil = _pencil(*form.tridiagonal(), base[form.grid.interior])
         solves.clear()
         _doubled_verdict(form, 1.0, 64, 0.05)
         (_, d1, e1, x1), (_, d2, e2, x2) = solves

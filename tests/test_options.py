@@ -40,7 +40,6 @@ OPTIONS = {
     "criticality.QuadraticForm.tridiagonal.extra_potential":
         "smallest_eigenpair, smallest_eigenvalue",
     "criticality.QuadraticForm.smallest_eigenpair.extra_potential": "_dichotomy_once",
-    "criticality.QuadraticForm.pencil.extra_potential": "smallest_eigenvalue; tests",
     "criticality.QuadraticForm.smallest_eigenvalue.extra_potential":
         "_weighted_gap_search; tests",
     "criticality.QuadraticForm.smallest_eigenvalue.weight": "_weighted_gap_search; tests",
