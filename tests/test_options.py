@@ -42,7 +42,7 @@ OPTIONS = {
     "criticality.QuadraticForm.smallest_eigenpair.extra_potential": "_dichotomy_once",
     "criticality.QuadraticForm.smallest_eigenvalue.extra_potential":
         "_weighted_gap_search; tests",
-    "criticality.QuadraticForm.smallest_eigenvalue.weight": "_weighted_gap_search; tests",
+    "criticality.QuadraticForm.smallest_eigenvalue.weight": "_critical_coupling; tests",
     "criticality.null_state_iteration.compact_radius": "cli critical --K",
     "criticality.null_state_iteration.j_max": "cli critical --jmax; tests",
     "criticality.null_state_iteration.conv_tol": "criterion 8; tests",
