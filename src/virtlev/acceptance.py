@@ -19,12 +19,12 @@ from . import discrete_ops as do
 from . import jost
 from . import lap_sweep as ls
 from . import perturbation as pt
-from .errors import ConfigError
+from .errors import ConfigError, SamplingFailure
 from .free_resolvent import (SpectralParameter, build_free_kernel_operator,
                              kernel_1d, kernel_2d, kernel_3d)
 from .reports import Classification
 from .weighted_space import (Grid1D, KernelOperator, RadialGrid, operator_norm_weighted,
-                             second_difference)
+                             second_difference, zero_potential)
 
 SWEEP_RADII = tuple(1e-2 * 10 ** (-0.5 * k) for k in range(7))  # 1e-2 .. 1e-5
 SUITE_RADII = tuple(3e-2 * 10 ** (-0.5 * k) for k in range(7))  # 3e-2 .. 3e-5
@@ -44,10 +44,6 @@ class CriterionResult:
         return f"{status} criterion {self.number} ({self.name}): {self.details}"
 
 
-def _result(number, name, passed, details, artifacts=None) -> CriterionResult:
-    return CriterionResult(number, name, bool(passed), details, artifacts)
-
-
 def criterion_1() -> CriterionResult:
     """Free 1D resolvent norms diverge like r^-1/2 in L2_2 -> L2_-2."""
     op = ls.OperatorSpec.free1d(Grid1D(20.0, 4001))
@@ -55,9 +51,10 @@ def criterion_1() -> CriterionResult:
     res = ls.sweep(op, cfg)
     alpha, r2 = ls.fit_exponent(res)
     ok = 0.45 <= alpha <= 0.55 and r2 >= 0.99 and res.aborted is None
-    return _result(1, "1D threshold divergence", ok,
-                   f"alpha={alpha:.4f} (need [0.45,0.55]), r2={r2:.5f} (need >=0.99)",
-                   {"sweep_1d.csv": ls.sweep_csv(res)})
+    return CriterionResult(
+        1, "1D threshold divergence", bool(ok),
+        f"alpha={alpha:.4f} (need [0.45,0.55]), r2={r2:.5f} (need >=0.99)",
+        {"sweep_1d.csv": ls.sweep_csv(res)})
 
 
 def criterion_2() -> CriterionResult:
@@ -80,11 +77,12 @@ def criterion_2() -> CriterionResult:
     variation = float((norms.max() - norms.min()) / norms.min())
     bounded_and_monotone = bool(np.all(np.diff(norms) > 0) and norms.max() < 10.0)
     ok = variation <= 0.05 and alpha <= 0.05 and res.aborted is None
-    return _result(2, "3D threshold regularity", ok,
-                   f"variation={100 * variation:.1f}% (need <=5%), alpha={alpha:.4f} "
-                   f"(need <=0.05); boundedness+monotone approach to a limit: "
-                   f"{bounded_and_monotone}",
-                   {"sweep_3d.csv": ls.sweep_csv(res)})
+    return CriterionResult(
+        2, "3D threshold regularity", bool(ok),
+        f"variation={100 * variation:.1f}% (need <=5%), alpha={alpha:.4f} "
+        f"(need <=0.05); boundedness+monotone approach to a limit: "
+        f"{bounded_and_monotone}",
+        {"sweep_3d.csv": ls.sweep_csv(res)})
 
 
 def criterion_3() -> CriterionResult:
@@ -95,10 +93,11 @@ def criterion_3() -> CriterionResult:
     ratio_ok = bool(np.all(ratios <= 3.0 * curve.couplings))
     slope = curve.loglog_slope()
     slope_ok = abs(slope - 2.0) <= 0.05
-    return _result(3, "square-well bifurcation law", ratio_ok and slope_ok,
-                   f"max |E/(-g^2)-1| / (3g) = {np.max(ratios / (3 * curve.couplings)):.3f} "
-                   f"(need <=1), slope={slope:.4f} (need 2 +- 0.05)",
-                   {"bifurcation.csv": pt.bifurcation_csv(curve)})
+    return CriterionResult(
+        3, "square-well bifurcation law", bool(ratio_ok and slope_ok),
+        f"max |E/(-g^2)-1| / (3g) = {np.max(ratios / (3 * curve.couplings)):.3f} "
+        f"(need <=1), slope={slope:.4f} (need 2 +- 0.05)",
+        {"bifurcation.csv": pt.bifurcation_csv(curve)})
 
 
 def _suite_potentials(grid: Grid1D):
@@ -118,7 +117,7 @@ def _suite_potentials(grid: Grid1D):
         return 0.7 * np.clip(1.0 - np.abs(np.asarray(x, dtype=float)), 0.0, None)
 
     return [
-        ("zero", jost.Potential1D(1.0, lambda x: np.zeros(np.shape(x)), grid),
+        ("zero", jost.Potential1D(1.0, zero_potential, grid),
          Classification.VIRTUAL),
         ("barrier", jost.Potential1D.square_well(-1.0, grid), Classification.REGULAR),
         ("well g=0.5", jost.Potential1D.square_well(0.5, grid), Classification.REGULAR),
@@ -139,7 +138,7 @@ def _suite_potentials(grid: Grid1D):
 def criterion_4() -> CriterionResult:
     """Wronskian dichotomy and agreement of the two classifiers."""
     fine = Grid1D(16.0, 6401)
-    pair0 = jost.jost_pair(jost.Potential1D(1.0, lambda x: np.zeros(np.shape(x)), fine))
+    pair0 = jost.jost_pair(jost.Potential1D(1.0, zero_potential, fine))
     w0_ok = abs(pair0.wronskian) <= 1e-8
     pair1 = jost.jost_pair(jost.Potential1D.square_well(-1.0, fine))
     w1_err = abs(pair1.wronskian - np.sinh(2.0)) / np.sinh(2.0)
@@ -161,7 +160,7 @@ def criterion_4() -> CriterionResult:
               f"agreement on {11 - len(disagreements)}/11 potentials")
     if disagreements:
         detail += "; disagreements: " + "; ".join(disagreements)
-    return _result(4, "Wronskian dichotomy", ok, detail)
+    return CriterionResult(4, "Wronskian dichotomy", bool(ok), detail)
 
 
 def criterion_5() -> CriterionResult:
@@ -179,10 +178,11 @@ def criterion_5() -> CriterionResult:
         dev = float(np.max(np.abs(s[quarter: 3 * quarter + 1] - 1.0)))
     state_ok = dev <= 0.05
     ok = det_ok and perturbed_ok and free_ok and state_ok
-    return _result(5, "rank-one regularization", ok,
-                   f"|det|={abs(det_n):.4f} (need >0.1), perturbed alpha={rep.alpha:.4f} "
-                   f"(need <=0.1), free verdict virtual={free_ok}, "
-                   f"state dev={dev:.4f} (need <=0.05)")
+    return CriterionResult(
+        5, "rank-one regularization", bool(ok),
+        f"|det|={abs(det_n):.4f} (need >0.1), perturbed alpha={rep.alpha:.4f} "
+        f"(need <=0.1), free verdict virtual={free_ok}, "
+        f"state dev={dev:.4f} (need <=0.05)")
 
 
 def criterion_6() -> CriterionResult:
@@ -204,9 +204,10 @@ def criterion_6() -> CriterionResult:
             worst_resid = max(worst_resid, lvl.residual)
     resid_ok = worst_resid <= 1e-10
     ok = bound_ok and resid_ok
-    return _result(6, "shift operator", ok,
-                   f"max l1->linf norm={worst:.15f} (need <=1+1e-12), "
-                   f"max residual={worst_resid:.2e} (need <=1e-10)")
+    return CriterionResult(
+        6, "shift operator", bool(ok),
+        f"max l1->linf norm={worst:.15f} (need <=1+1e-12), "
+        f"max residual={worst_resid:.2e} (need <=1e-10)")
 
 
 def criterion_7() -> CriterionResult:
@@ -224,8 +225,9 @@ def criterion_7() -> CriterionResult:
                        f"(need <=1e-6), monotone growth={fam.monotone_growth}")
         artifacts[f"embedded_family_zeta{zeta0:g}.csv"] = pt.embedded_csv(fam)
         artifacts[f"embedded_sweep_zeta{zeta0:g}.csv"] = ls.sweep_csv(fam.sweep_result)
-    return _result(7, "embedded eigenvalue family", ok, "; ".join(details),
-                   artifacts)
+    return CriterionResult(
+        7, "embedded eigenvalue family", bool(ok), "; ".join(details),
+        artifacts)
 
 
 def criterion_8() -> CriterionResult:
@@ -256,11 +258,12 @@ def criterion_8() -> CriterionResult:
         cross_ok = cross_ok and agree
         notes.append(f"{name}:{rr.verdict.value}{'' if agree else '(!)'}")
     ok = null_ok and gap_ok and stable_ok and cross_ok
-    return _result(8, "criticality dichotomy", ok,
-                   f"1D null-state dev={dev:.4f} (need <=0.05), 3D margin="
-                   f"{r3.margin if r3.margin is not None else float('nan'):.3e} (need >0), "
-                   f"stable={stable_ok}, cross: {', '.join(notes)}",
-                   {"null_state_trace.csv": cr.trace_csv(r1)})
+    return CriterionResult(
+        8, "criticality dichotomy", bool(ok),
+        f"1D null-state dev={dev:.4f} (need <=0.05), 3D margin="
+        f"{r3.margin if r3.margin is not None else float('nan'):.3e} (need >0), "
+        f"stable={stable_ok}, cross: {', '.join(notes)}",
+        {"null_state_trace.csv": cr.trace_csv(r1)})
 
 
 def criterion_9() -> CriterionResult:
@@ -284,11 +287,11 @@ def criterion_9() -> CriterionResult:
         m = qu @ np.diag(sing) @ qv.conj().T
         try:
             got = pt.matrix_nullity_by_perturbation(m, trials=128, rng_seed=trial)
-        except Exception:
+        except SamplingFailure:
             try:
                 got = pt.matrix_nullity_by_perturbation(m, trials=512,
                                                         rng_seed=trial + 1000)
-            except Exception:
+            except SamplingFailure:
                 failures += 1
                 continue
         if got != nullity:
@@ -296,9 +299,10 @@ def criterion_9() -> CriterionResult:
     jordan = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=float)
     jordan_ok = pt.matrix_nullity_by_perturbation(jordan) == 1
     ok = failures == 0 and jordan_ok
-    return _result(9, "matrix nullity", ok,
-                   f"agreement on {100 - failures}/100 planted matrices, "
-                   f"Jordan block -> {'1' if jordan_ok else 'wrong'}")
+    return CriterionResult(
+        9, "matrix nullity", bool(ok),
+        f"agreement on {100 - failures}/100 planted matrices, "
+        f"Jordan block -> {'1' if jordan_ok else 'wrong'}")
 
 
 def criterion_10() -> CriterionResult:
@@ -375,7 +379,7 @@ def criterion_10() -> CriterionResult:
     det_ok = emit() == emit()
     ok = ok and det_ok
     notes.append(f"deterministic output={det_ok}")
-    return _result(10, "numerical hygiene", ok, "; ".join(notes))
+    return CriterionResult(10, "numerical hygiene", bool(ok), "; ".join(notes))
 
 
 ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -68,11 +68,7 @@ from scipy.linalg import eigh_tridiagonal, lapack
 from .errors import ConfigError, InvalidOperator
 from .reports import csv_table
 from .weighted_space import (Grid1D, RadialGrid, cell_average, cell_indicator,
-                             second_difference, weight)
-
-
-def _zero(t):
-    return np.zeros(np.shape(t))
+                             second_difference, weight, zero_potential)
 
 
 def _gershgorin_and_error(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
@@ -144,7 +140,7 @@ class QuadraticForm:
     """
 
     grid: Grid1D | RadialGrid
-    sampler: Callable = field(default=_zero, repr=False)
+    sampler: Callable = field(default=zero_potential, repr=False)
 
     def __post_init__(self):
         # 1/h^2 and the weight <x>^-4 (every |x| < n h) stay normal floats
@@ -163,7 +159,17 @@ class QuadraticForm:
 
     @cached_property
     def v(self) -> np.ndarray:
-        return cell_average(self.sampler, self.grid.points, self.grid.spacing, real=True)
+        """The real part of `cell_average`.  At each Gauss node in turn, the
+        samples of `sampler` must have no imaginary part above 1e-14 max(1,
+        their largest modulus): imaginary parts that cancel in a cell's
+        average are still refused."""
+        def real_samples(t):
+            sampled = np.asarray(self.sampler(t), dtype=complex)
+            if np.max(np.abs(sampled.imag)) > 1e-14 * max(1.0, np.max(np.abs(sampled))):
+                raise InvalidOperator("criticality analysis requires a real potential")
+            return sampled
+
+        return cell_average(real_samples, self.grid).real
 
     def tridiagonal(self, extra_potential: np.ndarray | None = None):
         h = self.grid.spacing
@@ -219,7 +225,6 @@ class DichotomyResult:
     verdict: Dichotomy
     phi: np.ndarray | None = None
     weight_coefficient: float | None = None
-    weight: np.ndarray | None = None
     margin: float | None = None
     residual: float | None = None
     trace: list = field(default_factory=list)  # rows (j, lambda_j, sup_dist_to_limit)
@@ -234,17 +239,17 @@ def _critical_coupling(form: QuadraticForm, base: np.ndarray) -> float:
     return c_star
 
 
-def _weighted_gap_search(form: QuadraticForm) -> tuple[float, np.ndarray, float]:
+def _weighted_gap_search(form: QuadraticForm) -> tuple[float, float]:
     """Largest c with H - c <x>^{-4} nonnegative, halved for a positive margin.
 
     That c is c* = lambda_min(B^{-1/2} T B^{-1/2}) with B = diag <x>^{-4},
     the bottom of the pencil (T, B), found in one eigen-solve.  Returns
-    c = c*/2, the weight c <x>^{-4} and the margin lambda_min(T - c B).
+    c = c*/2 and the margin lambda_min(T - c B).
     """
     base = weight(form.grid.points, -4.0)
     c = 0.5 * _critical_coupling(form, base)
     margin = form.smallest_eigenvalue(-c * base)
-    return c, c * base, margin
+    return c, margin
 
 
 def null_state_iteration(form: QuadraticForm, compact_radius: float = 1.0,
@@ -338,10 +343,10 @@ def _dichotomy_once(form: QuadraticForm, compact_radius: float, j_max: int,
         lams.append(lam)
         states.append(psi)
         if lam >= -1e-12:
-            c, w, margin = _weighted_gap_search(form)
+            c, margin = _weighted_gap_search(form)
             trace = [(jj, ll, np.nan) for jj, ll in zip(js, lams)]
             return DichotomyResult(Dichotomy.WEIGHTED_GAP, weight_coefficient=c,
-                                   weight=w, margin=margin, trace=trace,
+                                   margin=margin, trace=trace,
                                    diagnostics={"first_nonbinding_j": j})
         j *= 2
     dists = [float(np.max(np.abs((states[i] - states[i - 1])[window])))

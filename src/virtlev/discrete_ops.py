@@ -204,13 +204,10 @@ def virtual_state_space_dimension(lvl: ShiftVirtualLevel) -> int:
             f"cannot certify a single small singular value: sigma_min(S0) >= "
             f"{1.0 / s0_inv:.3g} is not above the threshold {threshold_hi:.3g}")
 
-    def s0_solve(b, trans=0):
-        return ztbsv(1, band, b, trans=trans)
-
-    w = s0_solve(u)  # S0^-1 u, a null vector of S when delta = 0
+    w = ztbsv(1, band, u)  # S0^-1 u, a null vector of S when delta = 0
     rh = np.zeros(n, dtype=complex)
     rh[cols] = np.conj(r)
-    w_h = s0_solve(rh, trans=2)  # S0^-H r^H
+    w_h = ztbsv(1, band, rh, trans=2)  # S0^-H r^H
     delta = 1.0 - np.dot(r, w[cols])
     if delta != 0.0:
         sigma_lower = 1.0 / (s0_inv + np.linalg.norm(w) * np.linalg.norm(w_h) / abs(delta))

@@ -52,17 +52,16 @@ class Potential1D:
         if self.grid.half_width <= self.support_radius:
             raise ValueError("grid half_width must exceed the potential support")
 
-    def sample(self, x):
+    def sample(self, x: np.ndarray) -> np.ndarray:
+        """V at each abscissa of the array x, as a complex array."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         inside = np.abs(x) <= self.support_radius
         v = np.zeros(x.shape, dtype=complex)
         if np.any(inside):
             v[inside] = np.asarray(self.func(x[inside]), dtype=complex)
         if not np.all(np.isfinite(v)):
             raise InvalidOperator("potential samples must be finite")
-        return complex(v[0]) if scalar else v
+        return v
 
     @classmethod
     def square_well(cls, g, grid: Grid1D, half_width: float = 1.0,
@@ -306,8 +305,11 @@ def jost_pair(pot: Potential1D) -> JostPair:
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         w0, dev = _wronskian_profile(tp, tm, pot.grid.spacing)
         scale = 1.0 + float(np.max(np.abs(tp)) * np.max(np.abs(tm)))
+    if not (np.all(np.isfinite(tp)) and np.all(np.isfinite(tm))):
+        raise InvalidOperator("a Jost solution overflows")
     if not (cmath.isfinite(w0) and np.isfinite(dev) and np.isfinite(scale)):
-        raise InvalidOperator("kernel generators must be finite")
+        raise InvalidOperator(f"the Jost data overflow: W(0) = {w0:.3g}, drift {dev:.3g}, "
+                              f"scale 1 + sup|theta+| sup|theta-| = {scale:.3g}")
     return JostPair(tp, tm, w0, dev, scale, pot.grid)
 
 

@@ -54,6 +54,7 @@ from .weighted_space import (
     cell_indicator,
     linear_fit,
     weight,
+    zero_potential,
 )
 
 _MAX_GRID_SPACING = 0.01  # resolution contract for differential operators
@@ -76,11 +77,11 @@ class OperatorKind(enum.Enum):
 @dataclass(frozen=True)
 class OperatorSpec:
     """A model operator a sweep can be run against: -Lap + V on `grid`, with V
-    the cell average of `sampler` (None: V = 0)."""
+    the cell average of `sampler`."""
 
     kind: OperatorKind
     grid: Grid1D | RadialGrid
-    sampler: Callable | None = field(default=None, repr=False)
+    sampler: Callable = field(default=zero_potential, repr=False)
 
     @classmethod
     def free1d(cls, grid: Grid1D) -> "OperatorSpec":
@@ -137,10 +138,7 @@ class OperatorSpec:
     @cached_property
     def diagonal(self) -> np.ndarray:
         """The z-independent diagonal 2/h^2 + V of the tridiagonal part."""
-        h = self.grid.spacing
-        v = (np.zeros(self.grid.n_points, dtype=complex) if self.sampler is None
-             else cell_average(self.sampler, self.grid.points, h))
-        return 2.0 / h**2 + v
+        return 2.0 / self.grid.spacing**2 + cell_average(self.sampler, self.grid)
 
     @cached_property
     def indicator(self) -> np.ndarray:

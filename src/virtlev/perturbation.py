@@ -120,7 +120,6 @@ class BifurcationCurve:
     couplings: np.ndarray
     energies: np.ndarray
     predicted: np.ndarray
-    cubic_constant: float  # fitted C in |E + g^2| <= C g^3
 
     def loglog_slope(self) -> float:
         return linear_fit(np.log(self.couplings), np.log(np.abs(self.energies)))[0]
@@ -133,9 +132,7 @@ def square_well_curve(couplings) -> BifurcationCurve:
     es = np.array([square_well_eigenvalue(g) for g in gs])
     if np.any(es >= 0):
         raise NoBoundState("square-well energies must be negative")
-    pred = -gs * gs
-    c = float(np.max(np.abs(es - pred) / gs**3))
-    return BifurcationCurve(gs, es, pred, c)
+    return BifurcationCurve(gs, es, -gs * gs)
 
 
 def bifurcation_csv(curve: BifurcationCurve) -> str:
@@ -198,8 +195,9 @@ def rank_one_regularized_threshold() -> ThresholdReport:
 # embedded eigenvalue family in 3D
 
 
-def embedded_potential_3d(zeta, r):
-    """Explicit radial pair (psi, V) with (-Lap + V - zeta^2) psi = 0.
+def embedded_potential_3d(zeta, r: np.ndarray):
+    """Explicit radial pair (psi, V) with (-Lap + V - zeta^2) psi = 0, as
+    complex arrays at the radii of the array r.
 
     psi is exp(i zeta r)/r outside the unit ball and smooth inside; V is the
     piecewise-smooth potential zeta^2 + (Lap psi)/psi, identically zero for
@@ -208,8 +206,6 @@ def embedded_potential_3d(zeta, r):
     """
     zeta = complex(zeta)
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r).astype(float)
     if np.any(r < 0):
         raise ValueError("r must be nonnegative")
     outer = r >= 1.0
@@ -224,8 +220,6 @@ def embedded_potential_3d(zeta, r):
         -6.0 + 1j * zeta * (9.0 - 7.0 * ri * ri)
         - zeta**2 * ri * ri * (3.0 - ri * ri)
     ) / (3.0 - ri * ri)
-    if scalar:
-        return complex(psi[0]), complex(v[0])
     return psi, v
 
 
@@ -331,17 +325,12 @@ def matrix_nullity_by_perturbation(m: np.ndarray, trials: int = 64,
             acc += np.outer(u, v)
         return 1e-3 * acc / np.linalg.norm(acc)
 
-    found = None
-    for k in range(0, n + 1):
-        if k == 0:
-            if abs(np.linalg.det(m)) > threshold:
-                found = 0
-                break
-            continue
-        if any(abs(np.linalg.det(m + random_rank_k(k))) > threshold
-               for _ in range(trials)):
-            found = k
-            break
+    if abs(np.linalg.det(m)) > threshold:
+        found = 0
+    else:
+        found = next((k for k in range(1, n + 1)
+                      if any(abs(np.linalg.det(m + random_rank_k(k))) > threshold
+                             for _ in range(trials))), None)
     if found != svd_nullity:
         raise SamplingFailure(
             f"perturbation search returned {found}, SVD nullity is {svd_nullity}; "

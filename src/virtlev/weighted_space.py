@@ -1,7 +1,7 @@
 """Grids, polynomial weights, cell averages, line fits and operator-norm
 estimation.  The lattice -Lap_h + V lives here: each grid type owns its
-boundary (`edges`, `interior`), and `second_difference` and `cell_average`
-are the one stencil and the one cell rule.
+boundary (`edges`, `interior`), `second_difference` and `cell_average` are
+the one stencil and the one cell rule, and `zero_potential` is the one V = 0.
 
 Operators are kernel matrices sampled on one uniform grid.  A dense
 KernelOperator is a validated grid plus its `entries`.  Semiseparable
@@ -115,31 +115,30 @@ def weight(x, s: float):
 _CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
-def cell_average(sampler, points: np.ndarray, h: float, real: bool = False) -> np.ndarray:
-    """Finite-volume samples (1/h) int_{cell} V by 5-point Gauss-Legendre:
-    midpoint-accurate for smooth potentials, first order in h at a jump.
+def zero_potential(t):
+    """V = 0, the default sampler of every operator and form."""
+    return np.zeros(np.shape(t))
 
-    The rule has a node at the cell centre, so a jump that sits on a grid
-    node, tested with `<=` as the samplers do, weighs 0.6422 there, not 1/2.
 
-    The result is complex.  With `real` (criticality forms) it is a float
-    array, and a sampler whose imaginary part is not negligible raises
-    InvalidOperator.
+def cell_average(sampler, grid) -> np.ndarray:
+    """Finite-volume samples (1/h) int_{cell} V on `grid` by 5-point
+    Gauss-Legendre, a complex array: midpoint-accurate for smooth potentials,
+    first order in h at a jump.
+
+    `sampler` maps an array of abscissae to an array of values.  The rule has
+    a node at the cell centre, so a jump that sits on a grid node, tested
+    with `<=` as the samplers do, weighs 0.6422 there, not 1/2.
     """
-    vals = np.zeros(points.shape, dtype=complex)
+    x, h = grid.points, grid.spacing
+    vals = np.zeros(x.shape, dtype=complex)
     for node, wgt in zip(_CELL_NODES, _CELL_WEIGHTS):
-        sampled = np.asarray(sampler(points + 0.5 * h * node), dtype=complex)
-        if real and np.max(np.abs(sampled.imag)) > 1e-14 * max(1.0, np.max(np.abs(sampled))):
-            raise InvalidOperator("criticality analysis requires a real potential")
-        vals += wgt * sampled
-    vals = vals / 2.0
-    return vals.real if real else vals
+        vals += wgt * np.asarray(sampler(x + 0.5 * h * node), dtype=complex)
+    return vals / 2.0
 
 
 def cell_indicator(grid, radius: float) -> np.ndarray:
     """`cell_average` of 1_{|x| <= radius} on `grid`, a float array."""
-    return cell_average(lambda t: (np.abs(t) <= radius).astype(float),
-                        grid.points, grid.spacing).real
+    return cell_average(lambda t: (np.abs(t) <= radius).astype(float), grid).real
 
 
 def second_difference(u: np.ndarray, h: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import pytest
 
 import virtlev
 from virtlev import acceptance
-from virtlev.errors import ConfigError
+from virtlev.errors import ConfigError, SamplingFailure
 
 
 # criterion -> (sha256 of its res.line(), {artifact name: sha256 of its text});
@@ -96,6 +96,36 @@ def test_battery_output_digests(results, number):
     assert _digest(res.line()) == line_digest, res.line()
     assert {name: _digest(text) for name, text in (res.artifacts or {}).items()} == (
         artifact_digests)
+
+
+def test_passed_is_a_python_bool(results):
+    assert {type(res.passed) for res in results.values()} == {bool}
+
+
+def _nullity_stub(error):
+    """matrix_nullity_by_perturbation that answers the Jordan block (the
+    default trials) and raises `error` on every planted matrix."""
+    def stub(m, trials=64, rng_seed=0):
+        if trials == 64:
+            return 1
+        raise error
+
+    return stub
+
+
+def test_criterion_9_counts_sampling_failures(monkeypatch):
+    monkeypatch.setattr(acceptance.pt, "matrix_nullity_by_perturbation",
+                        _nullity_stub(SamplingFailure("marginal draw")))
+    res = acceptance.criterion_9()
+    assert not res.passed
+    assert res.details == "agreement on 0/100 planted matrices, Jordan block -> 1"
+
+
+def test_criterion_9_lets_programming_errors_through(monkeypatch):
+    monkeypatch.setattr(acceptance.pt, "matrix_nullity_by_perturbation",
+                        _nullity_stub(TypeError("a bug, not a draw")))
+    with pytest.raises(TypeError, match="a bug"):
+        acceptance.criterion_9()
 
 
 def test_runtime_budgets(results):

@@ -53,17 +53,17 @@ class TestParsers:
 
     def test_potential_formats(self, tmp_path):
         grid = Grid1D(8.0, 1601)
-        well = parse_potential("well:g=0.01", grid)
-        assert well.sample(0.0) == pytest.approx(-0.01)
-        assert well.sample(1.5) == 0.0
-        bump = parse_potential("bump:amp=2,a=1", grid)
-        assert bump.sample(0.0) == pytest.approx(2.0)
+        well = parse_potential("well:g=0.01", grid).sample(np.array([0.0, 1.5]))
+        assert well[0] == pytest.approx(-0.01)
+        assert well[1] == 0.0
+        bump = parse_potential("bump:amp=2,a=1", grid).sample(np.array([0.0]))
+        assert bump[0] == pytest.approx(2.0)
         table = tmp_path / "v.csv"
         table.write_text("-1,0.0\n0,1.0\n1,0.0\n")
-        pot = parse_potential(f"table:{table}", grid)
-        assert pot.sample(0.0) == pytest.approx(1.0)
-        assert pot.sample(0.5) == pytest.approx(0.5)  # linear interpolation
-        assert pot.sample(3.0) == 0.0
+        pot = parse_potential(f"table:{table}", grid).sample(np.array([0.0, 0.5, 3.0]))
+        assert pot[0] == pytest.approx(1.0)
+        assert pot[1] == pytest.approx(0.5)  # linear interpolation
+        assert pot[2] == 0.0
 
 
 class TestSubcommands:
@@ -373,9 +373,16 @@ class TestErrorChannels:
             "error": "InvalidOperator",
             "message": "the kernel value (nan+nanj) is not finite"}
 
-    @pytest.mark.parametrize("potential", ["well:g=1e5", "well:g=4e5", "well:g=1e6",
-                                           "bump:amp=1e200"])
-    def test_overflowing_jost_solution_exit_1_with_one_error_line(self, capsys, potential):
+    @pytest.mark.parametrize("potential,message", [
+        ("well:g=1e5", "the Jost data overflow: W(0) = 3.79e+181+0j, drift 3.68e+181, "
+                       "scale 1 + sup|theta+| sup|theta-| = inf"),
+        ("well:g=4e5", "the Jost data overflow: W(0) = -inf+0j, drift nan, "
+                       "scale 1 + sup|theta+| sup|theta-| = inf"),
+        ("well:g=1e6", "a Jost solution overflows"),
+        ("bump:amp=1e200", "a Jost solution overflows"),
+    ])
+    def test_overflowing_jost_solution_exit_1_with_one_error_line(self, capsys, potential,
+                                                                  message):
         # the scale 1 + sup|theta+| sup|theta-| overflows (from g = 1e5), so
         # does W(0) (from g = 4e5), and theta itself (g = 1e6, the bump)
         with warnings.catch_warnings(record=True) as caught:
@@ -384,8 +391,7 @@ class TestErrorChannels:
                                      capsys)
         assert [str(w.message) for w in caught] == []
         assert code == 1 and out == "" and err.count("\n") == 1
-        assert json.loads(err) == {"error": "InvalidOperator",
-                                   "message": "kernel generators must be finite"}
+        assert json.loads(err) == {"error": "InvalidOperator", "message": message}
 
     @pytest.mark.parametrize("argv,message", [
         (["sweep", "--op", "rankone1d"],

@@ -638,9 +638,7 @@ class TestSolverEngines:
     def test_cached_diagonal_gives_the_uncached_bands_bitwise(self, name, z):
         op = self.OPS[name]
         grid, h, n = op.grid, op.grid.spacing, op.grid.n_points
-        v = (np.zeros(n, dtype=complex) if op.sampler is None
-             else wsp.cell_average(op.sampler, grid.points, h))
-        d = (2.0 / h**2 + v - z).astype(complex)
+        d = (2.0 / h**2 + wsp.cell_average(op.sampler, grid) - z).astype(complex)
         edge = ls._dtn_root(z, h) / h**2
         d[-1] -= edge
         if isinstance(grid, Grid1D):
@@ -856,6 +854,18 @@ class TestOneLattice:
         assert np.any(d_form != d_form[-1])  # the potential reaches the bands
         assert np.array_equal(d[inner], d_form)
         assert np.array_equal(off[inner], e_form)
+
+    @pytest.mark.parametrize("make,grid", [
+        (OperatorSpec.free1d, Grid1D(20.0, 4001)),
+        (OperatorSpec.rank_one_perturbed_1d, Grid1D(20.0, 4001)),
+        (OperatorSpec.rank_one_perturbed_1d, GRID),
+        (OperatorSpec.free2d_radial, RadialGrid(20.0, 2000)),
+        (OperatorSpec.free3d_radial, RadialGrid(30.0, 3000)),
+    ], ids=["free1d", "rankone1d", "rankone1d_h001", "free2d", "free3d"])
+    def test_zero_potential_diagonal_is_two_over_h_squared_bitwise(self, make, grid):
+        # V = 0 is a sampler like any other; its cell average adds exact +0
+        want = np.full(grid.n_points, 2.0 / grid.spacing**2, dtype=complex)
+        assert make(grid).diagonal.tobytes() == want.tobytes()
 
 
 _G_STAR = np.pi**2 / 4.0  # the unit well's critical coupling

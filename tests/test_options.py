@@ -34,7 +34,6 @@ from pathlib import Path
 import virtlev
 
 OPTIONS = {
-    "acceptance._result.artifacts": "criteria 1, 2, 3, 7 and 8 (their CSV artifacts)",
     "acceptance.run_all.only": "cli suite --only; tests",
     "cli.main.argv": "tests and the benchmark; None reads sys.argv",
     "criticality.QuadraticForm.tridiagonal.extra_potential":
@@ -48,7 +47,6 @@ OPTIONS = {
     "criticality.null_state_iteration.conv_tol": "criterion 8; tests",
     "discrete_ops.sequence.n": "cli shift --n; tests",
     "discrete_ops.truncated_resolvent_matrix.n": "criterion 6; the benchmark; tests",
-    "discrete_ops.virtual_state_space_dimension.s0_solve.trans": "its S0^-H solves",
     "jost.Potential1D.square_well.half_width": "cli parse_potential (well:a=)",
     "jost.Potential1D.square_well.center": "cli parse_potential (well:center=); criterion 4",
     "jost.Potential1D.bump.amplitude": "cli parse_potential (bump:amp=); criterion 4",
@@ -63,7 +61,6 @@ OPTIONS = {
     "perturbation.embedded_family_check.n": "cli embedded --count",
     "perturbation.matrix_nullity_by_perturbation.trials": "cli nullity --trials; criterion 9",
     "perturbation.matrix_nullity_by_perturbation.rng_seed": "cli nullity --seed; criterion 9",
-    "weighted_space.cell_average.real": "QuadraticForm.v",
     "weighted_space.first_order_recursion.backward":
         "SemiseparableKernel.matvec, discrete_ops._geometric_sum",
     "weighted_space.first_order_recursion.overwrite": "SemiseparableKernel.matvec",

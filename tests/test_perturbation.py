@@ -73,11 +73,13 @@ class TestSquareWell:
         with pytest.raises(ValueError):
             square_well_eigenvalue(-0.1)
 
-    def test_curve_slope_and_cubic_constant(self):
+    def test_curve_slope_and_cubic_remainder(self):
         curve = square_well_curve([0.04, 0.02, 0.01])
         assert curve.loglog_slope() == pytest.approx(2.0, abs=0.05)
-        assert np.all(np.abs(curve.energies - curve.predicted)
-                      <= curve.cubic_constant * curve.couplings**3 * (1 + 1e-12))
+        assert np.array_equal(curve.predicted, -curve.couplings**2)
+        # kappa = q tan q with q^2 = g - kappa^2 gives E = -g^2 + (4/3) g^3 + O(g^4)
+        cubic = (curve.energies - curve.predicted) / curve.couplings**3
+        assert np.all(np.abs(cubic - 4.0 / 3.0) < 0.1)
 
     def test_no_coupling_is_a_config_error(self):
         with pytest.raises(ConfigError, match="at least one coupling"):
@@ -123,26 +125,23 @@ class TestRankOne:
 
 class TestEmbeddedPotential:
     def test_interior_values(self):
-        psi, v = embedded_potential_3d(0.0, 0.0)
-        assert v == pytest.approx(-2.0)
-        assert psi == pytest.approx(1.5)
+        psi, v = embedded_potential_3d(0.0, np.array([0.0]))
+        assert v == pytest.approx([-2.0])
+        assert psi == pytest.approx([1.5])
 
     def test_interface_values(self):
-        _, v_in = embedded_potential_3d(0.0, 1.0 - 1e-9)
+        _, (v_in, v_out) = embedded_potential_3d(0.0, np.array([1.0 - 1e-9, 1.5]))
         assert v_in == pytest.approx(-3.0, abs=1e-6)
-        _, v_out = embedded_potential_3d(0.0, 1.5)
         assert v_out == 0.0
 
     def test_psi_is_c1_at_interface(self):
         for zeta in (0.0, 1.0, 0.7 + 0.4j):
             eps = 1e-7
-            psi_m, _ = embedded_potential_3d(zeta, 1.0 - eps)
-            psi_p, _ = embedded_potential_3d(zeta, 1.0 + eps)
+            psi_mm, psi_m, psi_p, psi_pp = embedded_potential_3d(
+                zeta, 1.0 + eps * np.array([-2.0, -1.0, 1.0, 2.0]))[0]
             assert abs(psi_p - psi_m) < 1e-5
-            dm = (embedded_potential_3d(zeta, 1.0 - eps)[0]
-                  - embedded_potential_3d(zeta, 1.0 - 2 * eps)[0]) / eps
-            dp = (embedded_potential_3d(zeta, 1.0 + 2 * eps)[0]
-                  - embedded_potential_3d(zeta, 1.0 + eps)[0]) / eps
+            dm = (psi_m - psi_mm) / eps
+            dp = (psi_pp - psi_p) / eps
             assert abs(dp - dm) < 1e-4
 
     def test_psi_never_vanishes(self):
@@ -150,8 +149,8 @@ class TestEmbeddedPotential:
         for _ in range(30):
             zeta = complex(2 * rng.random(), 2 * rng.random())
             r = 4 * rng.random()
-            psi, _ = embedded_potential_3d(zeta, r)
-            assert abs(psi) > 0
+            psi, _ = embedded_potential_3d(zeta, np.array([r]))
+            assert abs(psi[0]) > 0
 
     def test_eigen_residual_small(self):
         for zeta in (1 + 1j, 2 + 1j, 0.5 + 0.25j):

@@ -11,8 +11,8 @@ Under the standard library's `sys.settrace`, in this one process, it runs:
   `sweep --op` (schrod1d with `--potential well:g=1`) in both norm flavors
   except the default l1_linf sweeps of schrod1d and rankone1d, which take
   about a minute each, `bifurcate`, `shift`, `embedded`, every
-  `critical --case` and every `nullity --demo`;
-- `acceptance.run_all()`, which is `virtlev suite`;
+  `critical --case`, every `nullity --demo` and `suite` with `--out`;
+- one usage error, and one `sweep --config` file that sets a bool key;
 - the call and the check of every benchmark item of each seed, from
   bench/workloads.py and bench/items.py, which it imports and leaves as
   they are.
@@ -43,7 +43,9 @@ import virtlev  # noqa: E402  (after the path set-up above)
 PACKAGE = os.path.dirname(virtlev.__file__)
 _HIT: set = set()  # (file name, line) of each line event in the package
 
-# every subcommand at its default size; `suite` is acceptance.run_all()
+CONFIG_FILE = "bool.cfg"  # written by run_traffic: `classify = off`
+
+# every subcommand at its default size, then the two runs the parser alone decides
 DEFAULT_RUNS = [
     *(["kernel", "--d", d] for d in ("1", "2", "3")),
     ["jost"],
@@ -59,6 +61,9 @@ DEFAULT_RUNS = [
       for case, extra in (("free1d", []), ("free3d", []),
                           ("potential", ["--potential", "well:g=-1"]))),
     *(["nullity", "--demo", demo] for demo in ("jordan3", "zero2", "identity3")),
+    ["suite", "--out", "suite"],
+    ["sweep", "--op", "free4d"],  # an invalid choice: exit 2
+    ["sweep", "--config", CONFIG_FILE],
 ]
 
 
@@ -134,7 +139,7 @@ def _quietly(fn, *args):
 
 def run_traffic(seeds: list) -> int:
     """Run the traffic under the tracer; the number of benchmark items that raised."""
-    from virtlev import acceptance, cli
+    from virtlev import cli
 
     spec = importlib.util.spec_from_file_location("golden", ROOT / "tests" / "test_golden.py")
     golden = importlib.util.module_from_spec(spec)
@@ -142,6 +147,7 @@ def run_traffic(seeds: list) -> int:
     import items
     import workloads
 
+    Path(CONFIG_FILE).write_text("classify = off\n", encoding="utf-8")
     failures = 0
     sys.settrace(_global)
     try:
@@ -149,7 +155,6 @@ def run_traffic(seeds: list) -> int:
             _quietly(cli.main, [*argv, "--out", "out.csv"] if out_digest else list(argv))
         for argv in DEFAULT_RUNS:
             _quietly(cli.main, argv)
-        _quietly(acceptance.run_all)
         for seed in seeds:
             for workload in workloads.WORKLOADS:
                 for item_spec in workloads.generate(workload, seed):
@@ -169,7 +174,7 @@ def main(argv: list) -> int:
         return 2
     with tempfile.TemporaryDirectory() as scratch:
         here = os.getcwd()
-        os.chdir(scratch)  # the CLI's --out files land here
+        os.chdir(scratch)  # the config file and the CLI's --out files land here
         try:
             failures = run_traffic([int(a) for a in argv])
         finally:
