@@ -73,7 +73,7 @@ class TestSquareWell:
         with pytest.raises(ValueError):
             square_well_eigenvalue(-0.1)
 
-    def test_curve_slope_and_cubic_remainder(self):
+    def test_curve_slope_and_cubic_constant(self):
         curve = square_well_curve([0.04, 0.02, 0.01])
         assert curve.loglog_slope() == pytest.approx(2.0, abs=0.05)
         assert np.array_equal(curve.predicted, -curve.couplings**2)

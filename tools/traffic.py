@@ -45,7 +45,7 @@ _HIT: set = set()  # (file name, line) of each line event in the package
 
 CONFIG_FILE = "bool.cfg"  # written by run_traffic: `classify = off`
 
-# every subcommand at its default size, then the two runs the parser alone decides
+# every subcommand at its default size, then a usage error and a config-file run
 DEFAULT_RUNS = [
     *(["kernel", "--d", d] for d in ("1", "2", "3")),
     ["jost"],
