@@ -21,6 +21,7 @@ import json
 import re
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,18 +97,20 @@ def parse_potential(spec: str, grid: Grid1D) -> jost.Potential1D:
         return jost.Potential1D.bump(grid, amplitude=value, half_width=a, center=center)
     if kind == "table":
         path = rest
-        data = np.genfromtxt(path, delimiter=",", dtype=float)
+        with warnings.catch_warnings():  # refused just below, with the path
+            warnings.filterwarnings("ignore", "genfromtxt: Empty input file")
+            data = np.genfromtxt(path, delimiter=",", dtype=float)
+        if data.size == 0:
+            raise ConfigError(f"table potential {path} has no rows")
         if data.ndim != 2 or data.shape[1] not in (2, 3):
             raise ConfigError("table potential needs columns x,V_re[,V_im]")
         bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
         if bad.size:  # a header line reads as a row of nan
             raise ConfigError(f"table potential {path}: row {bad[0] + 1} has a "
                               f"non-finite or non-numeric entry")
-        xs = data[:, 0]
-        vre = data[:, 1]
-        vim = data[:, 2] if data.shape[1] == 3 else np.zeros_like(vre)
-        order = np.argsort(xs)
-        xs, vre, vim = xs[order], vre[order], vim[order]
+        if data.shape[1] == 2:  # V_im = 0
+            data = np.column_stack([data, np.zeros(len(data))])
+        xs, vre, vim = data[np.argsort(data[:, 0])].T
         support = float(np.max(np.abs(xs)))
 
         def sampler(x):

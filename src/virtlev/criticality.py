@@ -70,6 +70,9 @@ from .reports import csv_table
 from .weighted_space import (Grid1D, RadialGrid, cell_average, cell_indicator,
                              second_difference, weight, zero_potential)
 
+_BINDING = -1e-12  # W_j binds below this lambda_min: an absolute round-off margin
+_NONNEGATIVE = -1e-10  # the form is nonnegative at or above this lambda_min: likewise
+
 
 def _gershgorin_and_error(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     """Gershgorin lower bound L of T = tridiag(e, d, e), and a bound delta on
@@ -149,10 +152,10 @@ class QuadraticForm:
             raise ConfigError(f"grid spacing {h:.3g} and extent {extent:.3g} must lie in "
                               "(1e-75, 1e75)")
         d, e = self.tridiagonal()
-        if _count_clears(d, e, -1e-10 + _gershgorin_and_error(d, e)[1]):
-            return  # the eigen-solve below would give at least -1e-10
+        if _count_clears(d, e, _NONNEGATIVE + _gershgorin_and_error(d, e)[1]):
+            return  # the eigen-solve below would give at least _NONNEGATIVE
         lam = self.smallest_eigenvalue()
-        if lam < -1e-10:
+        if lam < _NONNEGATIVE:
             raise InvalidOperator(
                 f"form is not nonnegative: smallest eigenvalue {lam:.3g}"
             )
@@ -175,19 +178,15 @@ class QuadraticForm:
         h = self.grid.spacing
         v = self.v if extra_potential is None else self.v + extra_potential
         d = 2.0 / h**2 + v[self.grid.interior]
-        e = np.full(d.size - 1, -1.0 / h**2)
-        return d, e
+        return d, np.full(d.size - 1, -1.0 / h**2)
 
     def smallest_eigenpair(self, extra_potential: np.ndarray | None = None):
         d, e = self.tridiagonal(extra_potential)
         vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-        lam = float(vals[0])
-        psi_int = vecs[:, 0]
         psi = np.zeros(self.grid.n_points)
-        psi[self.grid.interior] = psi_int
-        peak = np.argmax(np.abs(psi))
-        psi = psi * np.sign(psi[peak])
-        return lam, psi / np.max(np.abs(psi))
+        psi[self.grid.interior] = vecs[:, 0]
+        psi = psi * np.sign(psi[np.argmax(np.abs(psi))])
+        return float(vals[0]), psi / np.max(np.abs(psi))
 
     def smallest_eigenvalue(self, extra_potential: np.ndarray | None = None,
                             weight: np.ndarray | None = None) -> float:
@@ -248,8 +247,7 @@ def _weighted_gap_search(form: QuadraticForm) -> tuple[float, float]:
     """
     base = weight(form.grid.points, -4.0)
     c = 0.5 * _critical_coupling(form, base)
-    margin = form.smallest_eigenvalue(-c * base)
-    return c, margin
+    return c, form.smallest_eigenvalue(-c * base)
 
 
 def null_state_iteration(form: QuadraticForm, compact_radius: float = 1.0,
@@ -289,15 +287,15 @@ def _doubled_verdict(form: QuadraticForm, compact_radius: float, j_max: int,
     j_last, the largest power of two <= j_max, is the loop's last j, and
     W_j = W_1 / j rounds to a diagonal that is entrywise no larger for every
     earlier j, so lambda_min(T - W_j) <= lambda_min(T - W_last) exactly.
-    A computed lambda_last >= -1e-12 means the loop reaches the weighted-gap
+    A computed lambda_last >= _BINDING means the loop reaches the weighted-gap
     branch at or before j_last, whose verdict needs only c*.  A computed
-    lambda_last below -1e-12 by more than two bisection errors means every j
+    lambda_last below _BINDING by more than two bisection errors means every j
     binds, and the verdict needs only the last Cauchy increment.  Otherwise
     the full loop decides.
 
     The weighted-gap branch reads two signs, so counts decide it where they
     can (module docstring, points 1-4).  No eigenvalue of T - W_last at or
-    below -1e-12 + delta means the solve would return lambda_last >= -1e-12;
+    below _BINDING + delta means the solve would return lambda_last >= _BINDING;
     delta here bounds the bands of every j, at least those of j_last.  No
     eigenvalue of the pencil bands at or below 0 means c* > 0, where
     `_critical_coupling` cannot raise.  A count that is not 0 leaves the
@@ -312,10 +310,10 @@ def _doubled_verdict(form: QuadraticForm, compact_radius: float, j_max: int,
     d_last, e = form.tridiagonal(-(indicator / j_last))
     d_first, _ = form.tridiagonal(-indicator)
     _, delta = _gershgorin_and_error(np.maximum(np.abs(d_first), np.abs(d_last)), e)
-    certified = _count_clears(d_last, e, -1e-12 + delta)
+    certified = _count_clears(d_last, e, _BINDING + delta)
     if not certified:
         lam, psi = form.smallest_eigenpair(extra_potential=-(indicator / j_last))
-    if certified or lam >= -1e-12:
+    if certified or lam >= _BINDING:
         base = weight(form.grid.points, -4.0)
         pencil = _pencil(*form.tridiagonal(), base[form.grid.interior])
         if not _count_clears(*pencil, 0.0):
@@ -323,7 +321,7 @@ def _doubled_verdict(form: QuadraticForm, compact_radius: float, j_max: int,
         return Dichotomy.WEIGHTED_GAP
     if j_last == 1:  # no earlier j and no increment
         return Dichotomy.INCONCLUSIVE
-    if lam < -1e-12 - 2.0 * delta:
+    if lam < _BINDING - 2.0 * delta:
         _, prev = form.smallest_eigenpair(extra_potential=-(indicator / (j_last // 2)))
         increment = float(np.max(np.abs((psi - prev)[window])))
         return Dichotomy.NULL_STATE if increment <= conv_tol else Dichotomy.INCONCLUSIVE
@@ -337,12 +335,11 @@ def _dichotomy_once(form: QuadraticForm, compact_radius: float, j_max: int,
     js, lams, states = [], [], []
     j = 1
     while j <= j_max:
-        wj = indicator / j
-        lam, psi = form.smallest_eigenpair(extra_potential=-wj)
+        lam, psi = form.smallest_eigenpair(extra_potential=-(indicator / j))
         js.append(j)
         lams.append(lam)
         states.append(psi)
-        if lam >= -1e-12:
+        if lam >= _BINDING:
             c, margin = _weighted_gap_search(form)
             trace = [(jj, ll, np.nan) for jj, ll in zip(js, lams)]
             return DichotomyResult(Dichotomy.WEIGHTED_GAP, weight_coefficient=c,

@@ -318,8 +318,8 @@ def green_kernel(pair: JostPair) -> SemiseparableKernel:
 
     Returned as an O(n) semiseparable operator with left = theta- / W,
     right = theta+ and decay 1; `.entries` builds the n^2 matrix only on
-    request.  Requires |W| above _W_TOL * pair.scale: at a virtual level the
-    Wronskian vanishes and no such kernel exists.
+    request.  Requires |W| above _W_TOL * pair.scale, as every Regular verdict
+    has: at a virtual level the Wronskian vanishes and no such kernel exists.
     """
     if abs(pair.wronskian) <= _W_TOL * pair.scale:
         raise VirtualLevelError(
@@ -333,9 +333,10 @@ def classify_threshold_1d(pot: Potential1D, tol: float = 1e-6) -> ThresholdRepor
     """Wronskian dichotomy at z = 0: Regular / Virtual(rank 1) / Inconclusive.
 
     |W| <= tol * scale is Virtual with the bounded Jost solution as the
-    (sup-normalized) virtual state; |W| in [tol, 100 tol] * scale is flagged
-    Inconclusive instead of being misclassified.  `diagnostics["jost_pair"]`
-    keeps the solved pair.  `tol` must be finite and nonnegative.
+    (sup-normalized) virtual state; |W| up to max(100 tol, _W_TOL) * scale is
+    Inconclusive, so every Regular verdict admits `green_kernel(pair)`.
+    `diagnostics["jost_pair"]` keeps the solved pair.  `tol` must be finite
+    and nonnegative.
     """
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"tol = {tol} must be finite and nonnegative")
@@ -346,8 +347,6 @@ def classify_threshold_1d(pot: Potential1D, tol: float = 1e-6) -> ThresholdRepor
         state = pair.theta_plus / np.max(np.abs(pair.theta_plus))
         return ThresholdReport(Classification.VIRTUAL, rank=1, states=[state],
                                diagnostics=diagnostics)
-    if aw <= 100.0 * tol * scale:
+    if aw <= max(100.0 * tol, _W_TOL) * scale:
         return ThresholdReport(Classification.INCONCLUSIVE, diagnostics=diagnostics)
-    diagnostics["green_kernel"] = green_kernel(pair)
     return ThresholdReport(Classification.REGULAR, rank=0, diagnostics=diagnostics)
-

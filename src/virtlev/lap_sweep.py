@@ -235,8 +235,7 @@ def _dtn_root(z: complex, h: float) -> complex:
     """Decaying root of the free difference equation u_{j+1} = lam u_j."""
     b = 2.0 - z * h * h
     s = np.sqrt(complex(b * b - 4.0))
-    lam1 = (b - s) / 2.0
-    lam2 = (b + s) / 2.0
+    lam1, lam2 = (b - s) / 2.0, (b + s) / 2.0
     return lam1 if abs(lam1) <= abs(lam2) else lam2
 
 
@@ -449,29 +448,30 @@ def sweep(op: OperatorSpec, cfg: SweepConfig) -> SweepResult:
     return SweepResult(points, cfg, aborted, u)
 
 
-def fit_exponent(result: SweepResult) -> tuple[float, float]:
-    """Least-squares slope of log(norm) against -log(radius), with r^2."""
-    radii, norms = result.radii(), result.norms()
-    if radii.size < 4:
+def _checked_fit(result: SweepResult, abscissa, ordinate) -> tuple[float, float]:
+    """linear_fit(abscissa(radii), ordinate(norms)) after both fits' checks:
+    at least 4 points, the ordinate's own, abscissae that are not degenerate."""
+    if len(result.points) < 4:
         raise FitError("at least 4 points are required")
-    if np.any(norms <= 0):
-        raise FitError("norms must be positive")
-    x = -np.log(radii)
+    y, x = ordinate(result.norms()), abscissa(result.radii())
     if np.ptp(x) < 1e-12:
         raise FitError("degenerate abscissae")
-    y = np.log(norms)
     return linear_fit(x, y)
+
+
+def fit_exponent(result: SweepResult) -> tuple[float, float]:
+    """Least-squares slope of log(norm) against -log(radius), with r^2."""
+    def log_of_positive(norms):
+        if np.any(norms <= 0):
+            raise FitError("norms must be positive")
+        return np.log(norms)
+
+    return _checked_fit(result, lambda r: -np.log(r), log_of_positive)
 
 
 def fit_log_divergence(result: SweepResult) -> tuple[float, float]:
     """Slope and r^2 of norm against log(1/radius) (logarithmic growth)."""
-    radii, norms = result.radii(), result.norms()
-    if radii.size < 4:
-        raise FitError("at least 4 points are required")
-    x = np.log(1.0 / radii)
-    if np.ptp(x) < 1e-12:
-        raise FitError("degenerate abscissae")
-    return linear_fit(x, norms)
+    return _checked_fit(result, lambda r: np.log(1.0 / r), lambda norms: norms)
 
 
 def _extract_state(op: OperatorSpec, result: SweepResult):

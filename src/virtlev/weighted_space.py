@@ -160,7 +160,7 @@ def linear_fit(x, y) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class KernelOperator:
-    """Dense kernel K(x_i, y_j) on one grid, acting as f -> h * K @ f.
+    """Dense kernel K(x_i, y_j) on one grid, a validated matrix for operator_norm_weighted.
 
     Built as KernelOperator(grid, grid, entries): the second grid, that of
     the y_j, must equal the first, and entries[i, j] samples K(x_i, y_j).

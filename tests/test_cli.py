@@ -118,6 +118,28 @@ class TestSubcommands:
         w = complex(*payload["wronskian"])
         assert w == pytest.approx(-np.sin(2.0), rel=1e-8)
 
+    @pytest.mark.parametrize("g,tol,verdict", [
+        ("2.4674011002723395", "0", "inconclusive"),
+        ("2.4674011002723395", "1e-13", "inconclusive"),
+        ("2.4674011002723395", "1e-10", "virtual"),
+        ("0", "0", "virtual"),
+    ])
+    def test_jost_tol_boundary(self, capsys, g, tol, verdict):
+        # the critical well's W = -1.56e-10 lies within green_kernel's refusal
+        # (1e-8 scale), so below tol = 1e-10 it reads Inconclusive, not exit 1
+        code, out, _ = run_cli(["jost", "--potential", f"well:g={g}", "--tol", tol], capsys)
+        assert code == 0
+        assert json.loads(out)["classification"] == verdict
+
+    def test_l1_linf_sweep_of_a_diagonal_kernel(self, capsys):
+        # exp(-w h) underflows to 0 at w = 1e6, h = 0.01: K = diag(1/(2w))
+        code, out, _ = run_cli(["sweep", "--op", "free1d", "--flavor", "l1_linf",
+                                "--z0=-1e12", "--R", "2", "--n", "401", "--no-classify"],
+                               capsys)
+        assert code == 0
+        norms = [ln.split(",")[1] for ln in out.splitlines()[-9:]]
+        assert norms == ["4.99999999999998e-07", "4.99999999999999e-07"] + ["5e-07"] * 7
+
     def test_sweep_writes_csv_and_verdict(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
         code, out, _ = run_cli(["sweep", "--op", "free1d", "--z0", "0",
@@ -343,6 +365,17 @@ class TestErrorChannels:
             "error": "config",
             "message": f"table potential {table}: row {row} has a non-finite or "
                        f"non-numeric entry"}
+
+    @pytest.mark.parametrize("command", [["jost"], ["sweep", "--op", "schrod1d"]])
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_table_exit_2_without_a_warning(self, capsys, tmp_path, command, text):
+        # NumPy warned "genfromtxt: Empty input file" on stderr before the JSON
+        table = tmp_path / "v.csv"
+        table.write_text(text)
+        code, out, err = run_cli([*command, "--potential", f"table:{table}"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "config",
+                                   "message": f"table potential {table} has no rows"}
 
     @pytest.mark.parametrize("command,line,message", [
         ("sweep", "count = abc", "config key count: invalid int value: 'abc'"),

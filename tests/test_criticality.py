@@ -501,6 +501,18 @@ class TestDoubledVerdict:
             want = _dichotomy_once(form, 1.0, j_max, conv_tol).verdict
             assert _doubled_verdict(form, 1.0, j_max, conv_tol) is want
 
+    def test_both_read_the_one_binding_threshold(self, monkeypatch):
+        # free line: lambda_min(T - W_j) is -0.048 at j = 4 and -0.014 at
+        # j = 8, so a threshold of -0.03 makes j = 8 the first non-binding j
+        form = self.FORMS["free_line"]()
+        assert _dichotomy_once(form, 1.0, 64, 0.05).verdict is Dichotomy.NULL_STATE
+        assert _doubled_verdict(form, 1.0, 64, 0.05) is Dichotomy.NULL_STATE
+        monkeypatch.setattr(criticality, "_BINDING", -0.03)
+        result = _dichotomy_once(form, 1.0, 64, 0.05)
+        assert result.verdict is Dichotomy.WEIGHTED_GAP
+        assert result.diagnostics["first_nonbinding_j"] == 8
+        assert _doubled_verdict(form, 1.0, 64, 0.05) is Dichotomy.WEIGHTED_GAP
+
     def test_band_runs_the_full_loop(self, solves):
         form = _band_form()
         solves.clear()

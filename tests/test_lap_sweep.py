@@ -27,14 +27,15 @@ from virtlev.lap_sweep import (
     sweep_csv,
 )
 from virtlev.reports import Classification
-from virtlev.weighted_space import Grid1D, KernelOperator, RadialGrid, operator_norm_weighted
+from virtlev.weighted_space import (Grid1D, KernelOperator, RadialGrid, operator_norm_weighted,
+                                    zero_potential)
 
 GRID = Grid1D(16.0, 3201)  # h = 0.01
 SUITE_RADII = tuple(3e-2 * 10 ** (-0.5 * k) for k in range(7))
 
 
-def zero_potential(grid=GRID):
-    return Potential1D(1.0, lambda x: np.zeros(np.shape(x)), grid)
+def free_potential(grid=GRID):
+    return Potential1D(1.0, zero_potential, grid)
 
 
 class TestResolventMatrix:
@@ -46,7 +47,7 @@ class TestResolventMatrix:
     def test_schrodinger_free_consistency_order_h2(self):
         errs = []
         for grid in (Grid1D(8.0, 1601), Grid1D(8.0, 3201)):
-            pot = zero_potential(grid)
+            pot = free_potential(grid)
             s = resolvent_matrix(OperatorSpec.schrodinger1d(pot), -1.0)
             ref = build_free_kernel_operator(1, grid, SpectralParameter.interior(-1.0))
             errs.append(np.max(np.abs(s.entries - ref.entries)))
@@ -71,8 +72,7 @@ class TestResolventMatrix:
         grid = RadialGrid(10.0, 1000)
         free = resolvent_matrix(OperatorSpec.free3d_radial(grid), -0.5)
         schrod = resolvent_matrix(
-            OperatorSpec.schrodinger3d_radial(grid, lambda r: np.zeros(np.shape(r)),
-                                              support=1.0), -0.5)
+            OperatorSpec.schrodinger3d_radial(grid, zero_potential, support=1.0), -0.5)
         assert np.max(np.abs(free.entries - schrod.entries)) < 5e-4
 
     def test_near_spectrum_raises(self):
@@ -427,7 +427,7 @@ class TestOneSweepPerVerdict:
         assert np.array_equal(fine.norms(), sweep(self.OP.refined(), self.CFG).norms())
         assert len(classify(self.OP, self.CFG, refine=False).sweeps) == 1
 
-    @pytest.mark.parametrize("op", [OP, OperatorSpec.schrodinger1d(zero_potential())],
+    @pytest.mark.parametrize("op", [OP, OperatorSpec.schrodinger1d(free_potential())],
                              ids=["free1d", "zero_potential"])
     def test_state_matches_cold_start_extraction(self, op):
         rep = classify(op, self.CFG)

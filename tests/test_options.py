@@ -69,6 +69,7 @@ OPTIONS = {
 
 CALLERS = {
     "free_resolvent.radial_reduced_kernel_2d": "the benchmark",
+    "jost.green_kernel": "tests and library callers; every Regular jost verdict admits it",
     "jost.wronskian": "tests; the drift guard ROADMAP item 3 wires in",
     "lap_sweep.discrete_hamiltonian": "the benchmark",
     "lap_sweep.resolvent_matrix": "the benchmark",

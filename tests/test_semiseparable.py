@@ -128,6 +128,7 @@ def test_regular_classification_memory_stays_linear():
     tracemalloc.start()
     try:
         report = classify_threshold_1d(pot)
+        green_kernel(report.diagnostics["jost_pair"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

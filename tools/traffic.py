@@ -13,6 +13,10 @@ Under the standard library's `sys.settrace`, in this one process, it runs:
   about a minute each, `bifurcate`, `shift`, `embedded`, every
   `critical --case`, every `nullity --demo` and `suite` with `--out`;
 - one usage error, and one `sweep --config` file that sets a bool key;
+- `jost` on the critical well at `--tol 1e-13`, whose Wronskian lies
+  between 100 tol and the Green kernel's refusal: Inconclusive;
+- an l1_linf free1d sweep at `--z0=-1e12`, whose decay exp(-w h)
+  underflows to 0: the diagonal branch of the sup norm;
 - the call and the check of every benchmark item of each seed, from
   bench/workloads.py and bench/items.py, which it imports and leaves as
   they are.
@@ -45,7 +49,8 @@ _HIT: set = set()  # (file name, line) of each line event in the package
 
 CONFIG_FILE = "bool.cfg"  # written by run_traffic: `classify = off`
 
-# every subcommand at its default size, then a usage error and a config-file run
+# every subcommand at its default size, a usage error, a config-file run and
+# two runs that reach a band or a branch the defaults do not
 DEFAULT_RUNS = [
     *(["kernel", "--d", d] for d in ("1", "2", "3")),
     ["jost"],
@@ -64,6 +69,9 @@ DEFAULT_RUNS = [
     ["suite", "--out", "suite"],
     ["sweep", "--op", "free4d"],  # an invalid choice: exit 2
     ["sweep", "--config", CONFIG_FILE],
+    ["jost", "--potential", "well:g=2.4674011002723395", "--tol", "1e-13"],
+    ["sweep", "--op", "free1d", "--flavor", "l1_linf", "--z0=-1e12", "--R", "2",
+     "--n", "401", "--no-classify"],
 ]
 
 
