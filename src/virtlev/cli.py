@@ -99,15 +99,18 @@ def parse_potential(spec: str, grid: Grid1D) -> jost.Potential1D:
         path = rest
         with warnings.catch_warnings():  # refused just below, with the path
             warnings.filterwarnings("ignore", "genfromtxt: Empty input file")
-            data = np.genfromtxt(path, delimiter=",", dtype=float)
+            data = np.genfromtxt(path, delimiter=",", dtype=float, ndmin=2)
         if data.size == 0:
             raise ConfigError(f"table potential {path} has no rows")
-        if data.ndim != 2 or data.shape[1] not in (2, 3):
-            raise ConfigError("table potential needs columns x,V_re[,V_im]")
+        if data.shape[1] not in (2, 3):
+            raise ConfigError(f"table potential {path} needs columns x,V_re[,V_im]")
         bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
         if bad.size:  # a header line reads as a row of nan
             raise ConfigError(f"table potential {path}: row {bad[0] + 1} has a "
                               f"non-finite or non-numeric entry")
+        if len(data) < 2:
+            raise ConfigError(f"table potential {path} has one row; linear "
+                              "interpolation needs at least two")
         if data.shape[1] == 2:  # V_im = 0
             data = np.column_stack([data, np.zeros(len(data))])
         xs, vre, vim = data[np.argsort(data[:, 0])].T

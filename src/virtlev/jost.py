@@ -21,14 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DiscretizationFailure,
-    InvalidOperator,
-    VirtualLevelError,
-)
+from .errors import ConfigError, DiscretizationFailure, InvalidOperator, VirtualLevelError
 from .reports import Classification, ThresholdReport
-from .weighted_space import Grid1D, SemiseparableKernel
+from .weighted_space import Grid1D, SemiseparableKernel, wavelength_limit
 
 _DEV_TOL = 1e-4  # largest Wronskian drift across the grid, relative to max(1, |W|)
 _W_TOL = 1e-8  # smallest |W| / (1 + sup|theta+| sup|theta-|) of a Green kernel
@@ -112,7 +107,8 @@ def jost_solve(pot: Potential1D) -> tuple:
     that potentials with jumps exactly on grid nodes (square wells) are
     sampled on the correct side and keep the full order.  V is sampled once,
     just below each node, just above it and midway to the node before, and
-    both sides step through those same arrays.
+    both sides step through those same arrays, which first pass
+    `wavelength_limit` for sqrt(max|V|).
 
     The steps run on Python complex numbers, twice as fast as NumPy scalars:
     both multiply and add by the same IEEE formulas, without fused
@@ -129,6 +125,11 @@ def jost_solve(pot: Potential1D) -> tuple:
     lo = pot.sample(x - delta)   # just below each node
     hi = pot.sample(x + delta)   # just above each node
     half = pot.sample(x - h / 2.0)  # half[i] sits between nodes i-1 and i
+    vmax = float(max(np.max(np.abs(v)) for v in (lo, hi, half)))
+    limit = wavelength_limit(h, np.sqrt(vmax))
+    if limit < np.inf:
+        raise ConfigError(f"grid spacing {h:.4g} exceeds {limit:.4g}, 20 points "
+                          f"per wavelength of sqrt(max|V|) at max|V| = {vmax:.4g}")
     guard = 1e-12 * max(1.0, pot.support_radius)
 
     tp = np.empty(n, dtype=complex)
@@ -278,28 +279,14 @@ def _wronskian_profile(tp, tm, h: float):
     return complex(w0), float(np.max(np.abs(w[~near] - w0)))
 
 
-def wronskian(pair: JostPair) -> complex:
-    """W[theta+, theta-] at x = 0, as jost_pair recorded it.
-
-    W(x) must be constant for the stationary equation; the recorded drift
-    across the grid (away from detected potential discontinuities) is checked
-    against _DEV_TOL * max(1, |W|) and raised as DiscretizationFailure when
-    exceeded.
-    """
-    w0, dev = pair.wronskian, pair.wronskian_deviation
-    if dev > _DEV_TOL * max(1.0, abs(w0)):
-        raise DiscretizationFailure(
-            f"Wronskian drifts by {dev:.3g} across the grid (W(0) = {w0:.6g})"
-        )
-    return w0
-
-
 def jost_pair(pot: Potential1D) -> JostPair:
     """Solve both sides at z = 0 and record the Wronskian with its drift
     diagnostic.
 
     Solutions that overflow, or whose W(0), drift or scale does, are
     refused as InvalidOperator: every verdict reads those three numbers.
+    W(x) is constant, so a drift above _DEV_TOL * max(1, |W|) is a
+    DiscretizationFailure: every pair a caller gets passed both checks.
     """
     tp, tm = jost_solve(pot)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
@@ -310,6 +297,9 @@ def jost_pair(pot: Potential1D) -> JostPair:
     if not (cmath.isfinite(w0) and np.isfinite(dev) and np.isfinite(scale)):
         raise InvalidOperator(f"the Jost data overflow: W(0) = {w0:.3g}, drift {dev:.3g}, "
                               f"scale 1 + sup|theta+| sup|theta-| = {scale:.3g}")
+    if dev > _DEV_TOL * max(1.0, abs(w0)):
+        raise DiscretizationFailure(
+            f"Wronskian drifts by {dev:.3g} across the grid (W(0) = {w0:.6g})")
     return JostPair(tp, tm, w0, dev, scale, pot.grid)
 
 
@@ -322,9 +312,7 @@ def green_kernel(pair: JostPair) -> SemiseparableKernel:
     has: at a virtual level the Wronskian vanishes and no such kernel exists.
     """
     if abs(pair.wronskian) <= _W_TOL * pair.scale:
-        raise VirtualLevelError(
-            "Wronskian is zero: the Jost solutions are linearly dependent"
-        )
+        raise VirtualLevelError("Wronskian is zero: the Jost solutions are linearly dependent")
     return SemiseparableKernel(pair.grid, pair.theta_minus / pair.wronskian,
                                pair.theta_plus, 1.0)
 

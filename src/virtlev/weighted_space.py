@@ -1,7 +1,8 @@
 """Grids, polynomial weights, cell averages, line fits and operator-norm
 estimation.  The lattice -Lap_h + V lives here: each grid type owns its
 boundary (`edges`, `interior`), `second_difference` and `cell_average` are
-the one stencil and the one cell rule, and `zero_potential` is the one V = 0.
+the one stencil and the one cell rule, `zero_potential` is the one V = 0, and
+`wavelength_limit` is the one resolution rule that both detectors apply.
 
 Operators are kernel matrices sampled on one uniform grid.  A dense
 KernelOperator is a validated grid plus its `entries`.  Semiseparable
@@ -32,6 +33,7 @@ _PI_SEED = 12345
 _POWER_MAX_ITER = 20000
 _POWER_TOL = 1e-8  # relative change of the norm estimate that counts as settled
 _REFINE_FACTOR = 2  # spacing ratio of a grid to its refined() grid
+_POINTS_PER_WAVELENGTH = 20.0  # the fewest grid points that resolve one wavelength
 #: largest grid whose n x n rescaled matrix operator_norm_weighted builds
 _DENSE_NORM_MAX_POINTS = 2000
 
@@ -145,6 +147,14 @@ def second_difference(u: np.ndarray, h: float) -> np.ndarray:
     """-(u[j+1] - 2 u[j] + u[j-1]) / h^2 at every j, with u = 0 beyond each end."""
     padded = np.concatenate([[0.0], u, [0.0]])
     return -(padded[2:] - 2 * padded[1:-1] + padded[:-2]) / h**2
+
+
+def wavelength_limit(h: float, k: float) -> float:
+    """The spacing 2 pi / (20 k) that puts 20 points on each wavelength of the
+    wavenumber k >= 0, where the spacing h exceeds it by more than a rounding
+    (a relative 1e-9); inf where h resolves k, as at k = 0."""
+    limit = 2.0 * np.pi / k / _POINTS_PER_WAVELENGTH if k > 0 else np.inf
+    return limit if h > limit * (1.0 + 1e-9) else np.inf
 
 
 def linear_fit(x, y) -> tuple[float, float]:

@@ -330,10 +330,10 @@ class TestErrorChannels:
         assert payload["error"] == "config"
         assert fragment in payload["message"]
 
-    @pytest.mark.parametrize("n,h", [("3", "2"), ("5", "1"), ("7", "0.666667")])
+    @pytest.mark.parametrize("n,h", [("15", "0.285714"), ("23", "0.181818")])
     def test_grid_without_a_drift_point_exit_2(self, capsys, n, h):
         # the kinks at x = +-1 leave only x = 0, where the drift is 0 by
-        # definition; n = 3 has no interior point at all
+        # definition; the resolution rule refuses n <= 13 first
         code, out, err = run_cli(["jost", "--potential", "well:g=1", "--n", n,
                                   "--R", "2"], capsys)
         assert code == 2 and out == "" and err.count("\n") == 1
@@ -341,6 +341,40 @@ class TestErrorChannels:
             "error": "config",
             "message": f"the grid of n = {n} points at h = {h} has no interior point "
                        f"away from x = 0 and the kinks to measure the Wronskian drift on"}
+
+    @pytest.mark.parametrize("argv,code,message", [
+        *((["jost", "--potential", pot, *grid], 2,
+           f"grid spacing {h} exceeds {limit}, 20 points per wavelength of "
+           f"sqrt(max|V|) at max|V| = {vmax}")
+          for pot, grid, h, limit, vmax in (
+              ("well:g=1e4", ["--n", "1601"], "0.02", "0.003142", "1e+04"),
+              ("well:g=1", ["--R", "1e6"], "312.5", "0.3142", "1"),
+              ("well:g=2.4674011002723395", ["--n", "21"], "1.6", "0.2", "2.467"),
+              ("well:g=30", ["--n", "201"], "0.16", "0.05736", "30"),
+              ("well:g=1e5", ["--n", "1601"], "0.02", "0.0009935", "1e+05"),
+              ("well:g=4e5", ["--n", "1601"], "0.02", "0.0004967", "4e+05"),
+              ("well:g=1e6", ["--n", "1601"], "0.02", "0.0003142", "1e+06"),
+              ("bump:amp=1e200", ["--n", "1601"], "0.02", "3.142e-101", "1e+200"),
+              ("well:g=1", ["--n", "3", "--R", "2"], "2", "0.3142", "1"),
+              ("well:g=1", ["--n", "5", "--R", "2"], "1", "0.3142", "1"),
+              ("well:g=1", ["--n", "7", "--R", "2"], "0.6667", "0.3142", "1"),
+          )),
+        (["sweep", "--op", "schrod1d", "--potential", "well:g=1e6"], 2,
+         "grid spacing 0.01 exceeds 0.0003142, 20 points per wavelength of "
+         "sqrt(max|V|) at max|V| = 1e+06"),
+        (["jost", "--potential", "well:g=1", "--n", "121"], 1,
+         "Wronskian drifts by 0.000181 across the grid (W(0) = -0.891342+0j)"),
+        (["jost", "--potential", "bump:amp=10,a=0.1", "--n", "401"], 1,
+         "Wronskian drifts by 0.00807 across the grid (W(0) = 1.28263+0j)"),
+    ])
+    def test_unresolved_grid_exits_with_one_error_line(self, capsys, argv, code, message):
+        # each printed a verdict with exit 0, or exit 1 for an overflow, or
+        # (n = 3, 5, 7) the no-drift-point refusal, before the resolution
+        # rule (exit 2) and the Wronskian drift guard (exit 1)
+        got, out, err = run_cli(argv, capsys)
+        assert got == code and out == "" and err.count("\n") == 1
+        kind = "config" if code == 2 else "DiscretizationFailure"
+        assert json.loads(err) == {"error": kind, "message": message}
 
     @pytest.mark.parametrize("entry", ["inf", "nan"])
     def test_non_finite_matrix_entry_exit_2(self, capsys, tmp_path, entry):
@@ -377,6 +411,31 @@ class TestErrorChannels:
         assert json.loads(err) == {"error": "config",
                                    "message": f"table potential {table} has no rows"}
 
+    @pytest.mark.parametrize("command", [["jost"], ["sweep", "--op", "schrod1d"]])
+    @pytest.mark.parametrize("text,message", [
+        ("0,1\n", "has one row; linear interpolation needs at least two"),
+        ("0,1,0\n", "has one row; linear interpolation needs at least two"),
+        ("1\n2\n3\n", "needs columns x,V_re[,V_im]"),
+        ("0,1,0,0\n", "needs columns x,V_re[,V_im]"),
+    ])
+    def test_table_of_one_row_or_bad_columns_exit_2(self, capsys, tmp_path, command,
+                                                    text, message):
+        # genfromtxt reads one row as a 1-D array, which was refused as a
+        # columns error that did not name the path
+        table = tmp_path / "v.csv"
+        table.write_text(text)
+        code, out, err = run_cli([*command, "--potential", f"table:{table}"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "config",
+                                   "message": f"table potential {table} {message}"}
+
+    def test_two_row_table_is_the_shortest_accepted(self, capsys, tmp_path):
+        table = tmp_path / "v.csv"
+        table.write_text("-1,1\n1,1\n")  # the barrier V = 1 on [-1, 1]
+        code, out, _ = run_cli(["jost", "--potential", f"table:{table}"], capsys)
+        assert code == 0
+        assert json.loads(out)["classification"] == "regular"
+
     @pytest.mark.parametrize("command,line,message", [
         ("sweep", "count = abc", "config key count: invalid int value: 'abc'"),
         ("sweep", "r0 = small", "config key r0: invalid float value: 'small'"),
@@ -406,22 +465,22 @@ class TestErrorChannels:
             "error": "InvalidOperator",
             "message": "the kernel value (nan+nanj) is not finite"}
 
-    @pytest.mark.parametrize("potential,message", [
-        ("well:g=1e5", "the Jost data overflow: W(0) = 3.79e+181+0j, drift 3.68e+181, "
-                       "scale 1 + sup|theta+| sup|theta-| = inf"),
-        ("well:g=4e5", "the Jost data overflow: W(0) = -inf+0j, drift nan, "
-                       "scale 1 + sup|theta+| sup|theta-| = inf"),
-        ("well:g=1e6", "a Jost solution overflows"),
-        ("bump:amp=1e200", "a Jost solution overflows"),
+    @pytest.mark.parametrize("argv,message", [
+        (["well:g=-4e4", "--R", "2"],
+         "the Jost data overflow: W(0) = 5.22e+175+0j, drift 5.21e+170, "
+         "scale 1 + sup|theta+| sup|theta-| = inf"),
+        (["well:g=-2e5", "--R", "2"], "a Jost solution overflows"),
+        (["bump:amp=3.9e5", "--R", "1.5", "--n", "6001"], "a Jost solution overflows"),
     ])
-    def test_overflowing_jost_solution_exit_1_with_one_error_line(self, capsys, potential,
+    def test_overflowing_jost_solution_exit_1_with_one_error_line(self, capsys, argv,
                                                                   message):
-        # the scale 1 + sup|theta+| sup|theta-| overflows (from g = 1e5), so
-        # does W(0) (from g = 4e5), and theta itself (g = 1e6, the bump)
+        # resolved barriers (h sqrt(max|V|) = 0.125, 0.28, 0.31): the scale
+        # 1 + sup|theta+| sup|theta-| overflows from V = 4e4 on, and theta
+        # itself from 2e5 on; no resolved barrier overflows W(0) with theta
+        # finite, so that refusal is pinned in tests/test_jost.py
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run_cli(["jost", "--potential", potential, "--n", "1601"],
-                                     capsys)
+            code, out, err = run_cli(["jost", "--potential", *argv], capsys)
         assert [str(w.message) for w in caught] == []
         assert code == 1 and out == "" and err.count("\n") == 1
         assert json.loads(err) == {"error": "InvalidOperator", "message": message}

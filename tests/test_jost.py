@@ -24,7 +24,6 @@ from virtlev.jost import (
     green_kernel,
     jost_pair,
     jost_solve,
-    wronskian,
 )
 from virtlev.lap_sweep import OperatorSpec, _dtn_root, _make_engine, discrete_hamiltonian
 from virtlev.reports import Classification
@@ -76,7 +75,6 @@ class TestWronskian:
     def test_barrier_sinh2(self):
         pair = jost_pair(indicator_barrier())
         assert pair.wronskian == pytest.approx(np.sinh(2.0), rel=1e-6)
-        assert wronskian(pair) == pytest.approx(np.sinh(2.0), rel=1e-6)
 
     def test_constancy_for_smooth_potential(self):
         pair = jost_pair(Potential1D.bump(GRID, amplitude=1.0))
@@ -95,45 +93,77 @@ class TestWronskian:
         assert shifted.wronskian == pytest.approx(base.wronskian, rel=1e-8)
 
     def test_drift_guard_raises(self):
-        # 101 points on [-16, 16] resolve the unit well too coarsely: the
-        # recorded drift is 3.7e-4, above the 1e-4 tolerance
-        pair = jost_pair(Potential1D.square_well(1.0, Grid1D(16.0, 101)))
-        assert pair.wronskian_deviation > 1e-4 * max(1.0, abs(pair.wronskian))
-        with pytest.raises(DiscretizationFailure, match="Wronskian drifts by"):
-            wronskian(pair)
+        # 121 points on [-16, 16] pass the resolution rule (h sqrt(max|V|) =
+        # 0.27 against 0.314) but resolve the unit well too coarsely: the
+        # drift is 1.8e-4 against the tolerance 1e-4 max(1, |W|)
+        with pytest.raises(DiscretizationFailure, match=r"^Wronskian drifts by 0\.000181 "
+                           r"across the grid \(W\(0\) = -0\.891342\+0j\)$"):
+            jost_pair(Potential1D.square_well(1.0, Grid1D(16.0, 121)))
 
     def test_drift_guard_floor_and_scale(self):
-        # |W| = 0.89 < 1 with a drift of 1.8e-4: the floor max(1, |W|) makes
-        # 1.8e-4 a failure, where a floor of 2 would accept it
-        small = jost_pair(Potential1D.square_well(1.0, Grid1D(16.0, 121)))
-        assert abs(small.wronskian) < 1.0
-        assert 1e-4 < small.wronskian_deviation < 2e-4
-        with pytest.raises(DiscretizationFailure):
-            wronskian(small)
-        # |W| = 3.6 > 1 with a drift of 2.3e-4: the tolerance grows with |W|
+        # |W| = 0.89 < 1 with a drift of 1.8e-4 (above): the floor max(1, |W|)
+        # makes it a failure, where a floor of 2 would accept it.  |W| = 3.6 > 1
+        # with a drift of 2.3e-4: the tolerance grows with |W|, and the pair is
+        # returned
         large = jost_pair(Potential1D.square_well(-1.0, Grid1D(16.0, 161)))
         assert 2.0e-4 < large.wronskian_deviation < 3.0e-4 < 1e-4 * abs(large.wronskian)
-        assert wronskian(large) == large.wronskian
 
-    @pytest.mark.parametrize("g,n", [(1.0, 3), (1.0, 5), (1.0, 7), (1.0, 23), (0.0, 5)])
+    def test_drift_guard_reads_the_recorded_drift(self, monkeypatch):
+        # |W| = 0.91 < 1, so the tolerance is 1e-4 itself: a drift at it passes
+        # and the next float above it is refused
+        pot = Potential1D.square_well(1.0, GRID)
+        w0 = jost_pair(pot).wronskian
+        for dev, fails in ((1e-4, False), (np.nextafter(1e-4, 1.0), True)):
+            monkeypatch.setattr(jost_module, "_wronskian_profile",
+                                lambda tp, tm, h, dev=dev: (w0, dev))
+            if fails:
+                with pytest.raises(DiscretizationFailure, match="Wronskian drifts by"):
+                    jost_pair(pot)
+            else:
+                assert jost_pair(pot).wronskian_deviation == dev
+
+    @pytest.mark.parametrize("g,n", [(1.0, 15), (1.0, 23), (0.0, 5)])
     def test_grid_without_a_drift_point_is_refused(self, g, n):
         # on [-2, 2] the kinks at x = +-1 of the unit well leave no point
-        # besides x = 0 up to n = 23; g = 0 has no kinks, and its 5-point grid
-        # has x = 0 alone, where a drift is 0 whatever the grid resolves
+        # besides x = 0 up to n = 23, and the rule refuses n <= 13; g = 0 has
+        # no kinks, and its 5-point grid has x = 0 alone, where a drift is 0
+        # whatever the grid resolves
         with pytest.raises(ConfigError, match=f"the grid of n = {n} points"):
             jost_pair(Potential1D.square_well(g, Grid1D(2.0, n)))
+
+    @pytest.mark.parametrize("g,grid,h,limit", [
+        (1.0, Grid1D(2.0, 3), "2", "0.3142"), (1.0, Grid1D(2.0, 13), "0.3333", "0.3142"),
+        (1e4, Grid1D(16.0, 1601), "0.02", "0.003142"),
+        (30.0, Grid1D(16.0, 201), "0.16", "0.05736"),
+        (-4e5, Grid1D(16.0, 1601), "0.02", "0.0004967"),
+    ])
+    def test_the_resolution_rule_refuses_before_the_first_step(self, monkeypatch,
+                                                               g, grid, h, limit):
+        # h sqrt(max|V|) above 2 pi / 20, max|V| over the three sample arrays
+        monkeypatch.setattr(jost_module, "_rk4", None)
+        with pytest.raises(ConfigError) as refusal:
+            jost_solve(Potential1D.square_well(g, grid))
+        assert str(refusal.value) == (f"grid spacing {h} exceeds {limit}, 20 points per "
+                                      f"wavelength of sqrt(max|V|) at max|V| = {abs(g):.4g}")
 
     def test_first_grid_with_a_drift_point_measures_one(self):
         pair = jost_pair(Potential1D.square_well(1.0, Grid1D(2.0, 25)))
         assert 2e-5 < pair.wronskian_deviation < 4e-5
 
-    def test_finite_solutions_whose_wronskian_overflows_are_refused(self):
-        # h sqrt(g) = 12.6: theta stays finite (sup 1.6e305), but W(0) and
-        # the scale overflow; an inf scale made any |W| count as small
-        pot = Potential1D.square_well(4e5, Grid1D(16.0, 1601))
+    def test_finite_solutions_whose_scale_overflows_are_refused(self):
+        # a barrier V = 4e4 on [-1, 1], resolved (h sqrt(max|V|) = 0.125):
+        # theta stays finite (sup 6e175) and so does W(0), but the scale
+        # overflows; an inf scale made any |W| count as small
+        pot = Potential1D.square_well(-4e4, Grid1D(2.0, 6401))
         assert all(np.isfinite(theta).all() for theta in jost_solve(pot))
-        with pytest.raises(InvalidOperator, match=r"the Jost data overflow: W\(0\) = -inf"):
+        with pytest.raises(InvalidOperator, match=r"the Jost data overflow: W\(0\) = "
+                           r"5\.22e\+175\+0j, .* = inf$"):
             jost_pair(pot)
+
+    def test_overflowing_solutions_are_refused(self):
+        # the same barrier at V = 2e5 (h sqrt(max|V|) = 0.28): theta overflows
+        with pytest.raises(InvalidOperator, match="^a Jost solution overflows$"):
+            jost_pair(Potential1D.square_well(-2e5, Grid1D(2.0, 6401)))
 
     def test_overflowing_wronskian_under_a_finite_scale_is_refused(self, monkeypatch):
         # theta-, 6e153 everywhere, doubles just right of x = 0: its centered
@@ -385,7 +415,9 @@ def numpy_scalar_jost_solve(pot, side):
     return theta
 
 
-@pytest.mark.parametrize("grid", [Grid1D(2.0, 3), Grid1D(3.0, 61), Grid1D(8.0, 801)],
+# Grid1D(1.5, 15) is the coarsest of its half-width that the resolution rule
+# accepts for all four (h sqrt(2) = 0.303)
+@pytest.mark.parametrize("grid", [Grid1D(1.5, 15), Grid1D(3.0, 61), Grid1D(8.0, 801)],
                          ids=lambda g: f"n={g.n_points}")
 @pytest.mark.parametrize("spec", ["well:g=1", "well:g=1+1j", "bump:amp=0.5+0.5j",
                                   "well:g=2,a=0.5,center=0.75"])

@@ -112,6 +112,37 @@ class TestResolventMatrix:
                 op.check_resolution(z)
 
 
+    @pytest.mark.parametrize("factor,passes", [(0.99, True), (1.01, False)])
+    def test_potential_resolution_at_its_boundary(self, factor, passes):
+        # h = 0.01 against 2 pi / (20 sqrt(max|V|)), max|V| over the cell
+        # averages: V = -g on whole cells of the unit well
+        g = (factor * 2 * np.pi / 20 / 0.01) ** 2
+        op = OperatorSpec.schrodinger1d(Potential1D.square_well(g, Grid1D(2.0, 401)))
+        if passes:
+            op.check_resolution(-1.0)
+        else:
+            limit = 2 * np.pi / 20 / np.sqrt(g)
+            with pytest.raises(ConfigError) as refusal:
+                op.check_resolution(-1.0)
+            assert str(refusal.value) == (
+                f"grid spacing 0.01 exceeds {limit:.4g}, 20 points per wavelength of "
+                f"sqrt(max|V|) at max|V| = {g:.4g}")
+
+    def test_wavenumber_is_checked_before_the_potential(self):
+        # both fail at h = 0.0101: the |z| rule keeps its message, and it runs first
+        pot = Potential1D.square_well(1e6, Grid1D(1.01, 201))
+        with pytest.raises(ConfigError, match="exceeds the resolution limit 0.01$"):
+            OperatorSpec.schrodinger1d(pot).check_resolution(-1.0)
+
+    @pytest.mark.parametrize("make,grid", [(OperatorSpec.free1d, Grid1D(1.0, 201)),
+                                           (OperatorSpec.free3d_radial, RadialGrid(1.0, 100))],
+                             ids=["free1d", "free3d"])
+    def test_free_kinds_sample_no_potential(self, make, grid):
+        op = make(grid)
+        op.check_resolution(-1.0)
+        assert "potential" not in op.__dict__  # the cached samples were never taken
+
+
 class TestSweepConfig:
     def test_requires_five_radii_three_decades(self):
         with pytest.raises(ConfigError):
@@ -266,6 +297,21 @@ class TestClassify:
         cfg = SweepConfig(z0=0.0, angle=np.pi / 2, radii=SUITE_RADII, s=2.0, sp=2.0)
         rep = classify(OperatorSpec.schrodinger1d(pot), cfg)
         assert rep.classification is Classification.REGULAR
+
+    def test_verdict_unstable_under_refinement_is_inconclusive(self):
+        # the critical 3D well -pi^2/4 on (0, 1] at ray pi/2: the coarse sweep
+        # reads Inconclusive (alpha 0.43 with r^2 0.93), the refined one
+        # Virtual (alpha 0.51); no CLI input reaches this return
+        op = OperatorSpec.schrodinger3d_radial(
+            RadialGrid(16.0, 1600), lambda r: np.full(np.shape(r), -np.pi**2 / 4),
+            support=1.0)
+        rep = classify(op, SweepConfig(z0=0.0, angle=np.pi / 2))
+        assert rep.classification is Classification.INCONCLUSIVE
+        assert rep.diagnostics["reason"] == "verdict unstable under grid refinement"
+        assert rep.diagnostics["coarse"] == "inconclusive"
+        assert rep.diagnostics["fine"] == "virtual"
+        assert rep.alpha == pytest.approx(0.430, abs=5e-3)
+        assert len(rep.sweeps) == 2
 
     def test_exact_kernel_vector_reported_with_residual(self):
         # the discrete operator at z = 0 annihilates constants exactly

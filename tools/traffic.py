@@ -17,6 +17,11 @@ Under the standard library's `sys.settrace`, in this one process, it runs:
   between 100 tol and the Green kernel's refusal: Inconclusive;
 - an l1_linf free1d sweep at `--z0=-1e12`, whose decay exp(-w h)
   underflows to 0: the diagonal branch of the sup norm;
+- the resolution rule's refusals, `jost` on `well:g=1e4` at `--n 1601` and
+  `sweep --op schrod1d` on `well:g=1e6`, and the Wronskian drift guard's,
+  `jost` on `well:g=1` at `--n 121`;
+- `jost` on a two-row `table:` file, the shortest accepted, and on a
+  one-row file, which is refused;
 - the call and the check of every benchmark item of each seed, from
   bench/workloads.py and bench/items.py, which it imports and leaves as
   they are.
@@ -48,9 +53,11 @@ PACKAGE = os.path.dirname(virtlev.__file__)
 _HIT: set = set()  # (file name, line) of each line event in the package
 
 CONFIG_FILE = "bool.cfg"  # written by run_traffic: `classify = off`
+TABLES = {"two_rows.csv": "-1,1\n1,1\n", "one_row.csv": "0,1\n"}  # written by run_traffic
 
-# every subcommand at its default size, a usage error, a config-file run and
-# two runs that reach a band or a branch the defaults do not
+# every subcommand at its default size, a usage error, a config-file run,
+# two runs that reach a band or a branch the defaults do not, three grids the
+# detectors refuse and two table potentials
 DEFAULT_RUNS = [
     *(["kernel", "--d", d] for d in ("1", "2", "3")),
     ["jost"],
@@ -72,6 +79,10 @@ DEFAULT_RUNS = [
     ["jost", "--potential", "well:g=2.4674011002723395", "--tol", "1e-13"],
     ["sweep", "--op", "free1d", "--flavor", "l1_linf", "--z0=-1e12", "--R", "2",
      "--n", "401", "--no-classify"],
+    ["jost", "--potential", "well:g=1e4", "--n", "1601"],  # the resolution rule: exit 2
+    ["sweep", "--op", "schrod1d", "--potential", "well:g=1e6"],  # the same, exit 2
+    ["jost", "--potential", "well:g=1", "--n", "121"],  # the drift guard: exit 1
+    *(["jost", "--potential", f"table:{name}"] for name in TABLES),
 ]
 
 
@@ -156,6 +167,8 @@ def run_traffic(seeds: list) -> int:
     import workloads
 
     Path(CONFIG_FILE).write_text("classify = off\n", encoding="utf-8")
+    for name, text in TABLES.items():
+        Path(name).write_text(text, encoding="utf-8")
     failures = 0
     sys.settrace(_global)
     try:
@@ -182,7 +195,7 @@ def main(argv: list) -> int:
         return 2
     with tempfile.TemporaryDirectory() as scratch:
         here = os.getcwd()
-        os.chdir(scratch)  # the config file and the CLI's --out files land here
+        os.chdir(scratch)  # the config and table files and the --out files land here
         try:
             failures = run_traffic([int(a) for a in argv])
         finally:
