@@ -21,9 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DiscretizationFailure, InvalidOperator, VirtualLevelError
+from .errors import (
+    ConfigError,
+    DiscretizationFailure,
+    InvalidOperator,
+    VirtualLevelError,
+)
 from .reports import Classification, ThresholdReport
-from .weighted_space import Grid1D, SemiseparableKernel, wavelength_limit
+from .weighted_space import Grid1D, SemiseparableKernel, require_resolved
 
 _DEV_TOL = 1e-4  # largest Wronskian drift across the grid, relative to max(1, |W|)
 _W_TOL = 1e-8  # smallest |W| / (1 + sup|theta+| sup|theta-|) of a Green kernel
@@ -107,8 +112,7 @@ def jost_solve(pot: Potential1D) -> tuple:
     that potentials with jumps exactly on grid nodes (square wells) are
     sampled on the correct side and keep the full order.  V is sampled once,
     just below each node, just above it and midway to the node before, and
-    both sides step through those same arrays, which first pass
-    `wavelength_limit` for sqrt(max|V|).
+    both sides step through those same arrays once `require_resolved` passes.
 
     The steps run on Python complex numbers, twice as fast as NumPy scalars:
     both multiply and add by the same IEEE formulas, without fused
@@ -125,11 +129,7 @@ def jost_solve(pot: Potential1D) -> tuple:
     lo = pot.sample(x - delta)   # just below each node
     hi = pot.sample(x + delta)   # just above each node
     half = pot.sample(x - h / 2.0)  # half[i] sits between nodes i-1 and i
-    vmax = float(max(np.max(np.abs(v)) for v in (lo, hi, half)))
-    limit = wavelength_limit(h, np.sqrt(vmax))
-    if limit < np.inf:
-        raise ConfigError(f"grid spacing {h:.4g} exceeds {limit:.4g}, 20 points "
-                          f"per wavelength of sqrt(max|V|) at max|V| = {vmax:.4g}")
+    require_resolved(h, lo, hi, half)
     guard = 1e-12 * max(1.0, pot.support_radius)
 
     tp = np.empty(n, dtype=complex)
@@ -312,7 +312,9 @@ def green_kernel(pair: JostPair) -> SemiseparableKernel:
     has: at a virtual level the Wronskian vanishes and no such kernel exists.
     """
     if abs(pair.wronskian) <= _W_TOL * pair.scale:
-        raise VirtualLevelError("Wronskian is zero: the Jost solutions are linearly dependent")
+        raise VirtualLevelError(
+            "Wronskian is zero: the Jost solutions are linearly dependent"
+        )
     return SemiseparableKernel(pair.grid, pair.theta_minus / pair.wronskian,
                                pair.theta_plus, 1.0)
 

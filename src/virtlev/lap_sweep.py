@@ -16,9 +16,8 @@ boundary closures: the outgoing/decaying lattice solution of the free
 difference equation is matched exactly at the grid edge, so no artificial
 reflection pollutes small-|z| norms.  The lattice itself lives in
 weighted_space: each grid names its `edges` (both ends of a Grid1D line,
-r = R of a RadialGrid half-line, where r = 0 is Dirichlet), V is the
-`cell_average` of the sampler, and every engine build first asks
-`wavelength_limit` of |Im sqrt(-z)| and of sqrt(max|V|).
+r = R of a RadialGrid half-line, where r = 0 is Dirichlet), and V is the
+`cell_average` of the sampler.
 
 Resolvent engines: free kinds apply the O(n) semiseparable kernels of
 free_resolvent.build_free_kernel_operator; every other kind is one
@@ -45,9 +44,19 @@ from .errors import ConfigError, FitError, NearSpectrum
 from .free_resolvent import SpectralParameter, build_free_kernel_operator
 from .jost import Potential1D
 from .reports import Classification, ThresholdReport, csv_table
-from .weighted_space import (Grid1D, KernelOperator, RadialGrid, _power_iteration_norm,
-                             cell_average, cell_indicator, linear_fit, wavelength_limit,
-                             weight, zero_potential)
+from .weighted_space import (
+    Grid1D,
+    KernelOperator,
+    RadialGrid,
+    _power_iteration_norm,
+    cell_average,
+    cell_indicator,
+    linear_fit,
+    require_resolved,
+    wavelength_spacing,
+    weight,
+    zero_potential,
+)
 
 _MAX_GRID_SPACING = 0.01  # resolution contract for differential operators
 _COND_LIMIT = 1e14
@@ -114,26 +123,27 @@ class OperatorSpec:
 
     def check_resolution(self, z: complex) -> None:
         """Enforce h <= min(0.01, wavelength / 20) at the swept point, then
-        `wavelength_limit` of sqrt(max|V|); free kinds have V = 0."""
+        `require_resolved` once per operator; free kinds have V = 0."""
         h = self.grid.spacing
         k_osc = abs(np.imag(np.sqrt(complex(-z))))
-        limit = min(_MAX_GRID_SPACING, wavelength_limit(h, k_osc))
+        limit = min(_MAX_GRID_SPACING, wavelength_spacing(k_osc))
         if h > limit * (1.0 + 1e-9):
-            raise ConfigError(f"grid spacing {h:.4g} exceeds the resolution limit {limit:.4g}")
+            raise ConfigError(
+                f"grid spacing {h:.4g} exceeds the resolution limit {limit:.4g}"
+            )
         if self.kind not in _FREE_DIMENSION:
-            vmax = float(np.max(np.abs(self.potential)))
-            limit = wavelength_limit(h, np.sqrt(vmax))
-            if limit < np.inf:
-                raise ConfigError(f"grid spacing {h:.4g} exceeds {limit:.4g}, 20 points "
-                                  f"per wavelength of sqrt(max|V|) at max|V| = {vmax:.4g}")
+            self.potential  # sampled and passed through require_resolved once
 
     def refined(self) -> "OperatorSpec":
         return replace(self, grid=self.grid.refined())
 
     @cached_property
     def potential(self) -> np.ndarray:
-        """V on the grid, the `cell_average` of the sampler."""
-        return cell_average(self.sampler, self.grid)
+        """V on the grid, the `cell_average` of the sampler, refused where the
+        spacing does not resolve it."""
+        v = cell_average(self.sampler, self.grid)
+        require_resolved(self.grid.spacing, v)
+        return v
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -175,7 +185,9 @@ class SweepConfig:
         for r in self.radii:
             z = self.point(r)
             if z.imag == 0.0 and z.real >= 0.0:
-                raise ConfigError(f"sweep point z = {z} lies on the closed positive axis")
+                raise ConfigError(
+                    f"sweep point z = {z} lies on the closed positive axis"
+                )
 
     def point(self, radius: float) -> complex:
         return complex(self.z0) + radius * _direction(self.angle)

@@ -2,7 +2,7 @@
 estimation.  The lattice -Lap_h + V lives here: each grid type owns its
 boundary (`edges`, `interior`), `second_difference` and `cell_average` are
 the one stencil and the one cell rule, `zero_potential` is the one V = 0, and
-`wavelength_limit` is the one resolution rule that both detectors apply.
+`require_resolved` is the one resolution rule for V that both detectors apply.
 
 Operators are kernel matrices sampled on one uniform grid.  A dense
 KernelOperator is a validated grid plus its `entries`.  Semiseparable
@@ -149,12 +149,20 @@ def second_difference(u: np.ndarray, h: float) -> np.ndarray:
     return -(padded[2:] - 2 * padded[1:-1] + padded[:-2]) / h**2
 
 
-def wavelength_limit(h: float, k: float) -> float:
+def wavelength_spacing(k: float) -> float:
     """The spacing 2 pi / (20 k) that puts 20 points on each wavelength of the
-    wavenumber k >= 0, where the spacing h exceeds it by more than a rounding
-    (a relative 1e-9); inf where h resolves k, as at k = 0."""
-    limit = 2.0 * np.pi / k / _POINTS_PER_WAVELENGTH if k > 0 else np.inf
-    return limit if h > limit * (1.0 + 1e-9) else np.inf
+    wavenumber k >= 0; inf at k = 0."""
+    return 2.0 * np.pi / k / _POINTS_PER_WAVELENGTH if k > 0 else np.inf
+
+
+def require_resolved(h: float, *samples: np.ndarray) -> None:
+    """Refuse the spacing h where it exceeds, by more than a rounding (a
+    relative 1e-9), the `wavelength_spacing` of sqrt(max|V|) over the samples."""
+    vmax = float(max(np.max(np.abs(v)) for v in samples))
+    limit = wavelength_spacing(np.sqrt(vmax))
+    if h > limit * (1.0 + 1e-9):
+        raise ConfigError(f"grid spacing {h:.4g} exceeds {limit:.4g}, 20 points "
+                          f"per wavelength of sqrt(max|V|) at max|V| = {vmax:.4g}")
 
 
 def linear_fit(x, y) -> tuple[float, float]:

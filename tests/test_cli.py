@@ -330,11 +330,14 @@ class TestErrorChannels:
         assert payload["error"] == "config"
         assert fragment in payload["message"]
 
-    @pytest.mark.parametrize("n,h", [("15", "0.285714"), ("23", "0.181818")])
-    def test_grid_without_a_drift_point_exit_2(self, capsys, n, h):
+    @pytest.mark.parametrize("pot,n,h", [("well:g=1", "15", "0.285714"),
+                                         ("well:g=1", "23", "0.181818"),
+                                         ("well:g=0", "3", "2")])
+    def test_grid_without_a_drift_point_exit_2(self, capsys, pot, n, h):
         # the kinks at x = +-1 leave only x = 0, where the drift is 0 by
-        # definition; the resolution rule refuses n <= 13 first
-        code, out, err = run_cli(["jost", "--potential", "well:g=1", "--n", n,
+        # definition; the resolution rule refuses n <= 13 first.  V = 0 passes
+        # the rule at any h, and n = 3 has no interior point at all
+        code, out, err = run_cli(["jost", "--potential", pot, "--n", n,
                                   "--R", "2"], capsys)
         assert code == 2 and out == "" and err.count("\n") == 1
         assert json.loads(err) == {

@@ -122,12 +122,13 @@ class TestWronskian:
             else:
                 assert jost_pair(pot).wronskian_deviation == dev
 
-    @pytest.mark.parametrize("g,n", [(1.0, 15), (1.0, 23), (0.0, 5)])
+    @pytest.mark.parametrize("g,n", [(1.0, 15), (1.0, 23), (0.0, 5), (0.0, 3)])
     def test_grid_without_a_drift_point_is_refused(self, g, n):
         # on [-2, 2] the kinks at x = +-1 of the unit well leave no point
         # besides x = 0 up to n = 23, and the rule refuses n <= 13; g = 0 has
         # no kinks, and its 5-point grid has x = 0 alone, where a drift is 0
-        # whatever the grid resolves
+        # whatever the grid resolves; its 3-point grid has no interior point
+        # at all, an empty slice
         with pytest.raises(ConfigError, match=f"the grid of n = {n} points"):
             jost_pair(Potential1D.square_well(g, Grid1D(2.0, n)))
 

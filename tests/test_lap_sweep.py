@@ -142,6 +142,15 @@ class TestResolventMatrix:
         op.check_resolution(-1.0)
         assert "potential" not in op.__dict__  # the cached samples were never taken
 
+    def test_potential_is_checked_once_per_operator(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ls, "require_resolved",
+                            lambda h, *v: calls.append(h) or wsp.require_resolved(h, *v))
+        op = OperatorSpec.schrodinger1d(Potential1D.square_well(1.0, Grid1D(2.0, 401)))
+        for z in (-1.0, -0.5j, -1e-4):
+            op.check_resolution(z)
+        assert calls == [0.01]
+
 
 class TestSweepConfig:
     def test_requires_five_radii_three_decades(self):
